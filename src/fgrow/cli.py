@@ -5,8 +5,7 @@ input, non-surjective map, failed verification), 2 budget or
 inconclusive outcomes.  Output is byte-identical for identical inputs,
 flags, and seed: reports embed the input hash and budgets, JSON is
 emitted with sorted keys, and SVG is hand-built with fixed number
-formatting.  FGROW_THREADS is validated and recorded; computations
-run sequentially either way.
+formatting.  Budgets must be positive (``--max-rounds`` may be 0).
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from typing import Callable, Sequence
 
 from .automorphisms import (
-    Automorphism,
     NotInvariantError,
     NotSurjectiveError,
     certify_automorphism,
@@ -48,7 +45,7 @@ from .splittings import (
 )
 from .words import Basis, BasisMismatchError, WordSyntaxError, basis as make_basis
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,17 +55,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _threads() -> int:
-    raw = os.environ.get("FGROW_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"FGROW_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"FGROW_THREADS must be a positive integer, got {raw!r}")
-    return n
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type for a budget: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _sha256(text: str) -> str:
@@ -77,10 +76,7 @@ def _sha256(text: str) -> str:
 
 def _read_input(value: str) -> str:
     """Inline map text when it contains '->', else a file path."""
-    if "->" in value:
-        return value
-    with open(value, "r", encoding="utf-8") as fh:
-        return fh.read()
+    return value if "->" in value else _read_file(value)
 
 
 def _read_file(path: str) -> str:
@@ -88,13 +84,12 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _meta(command: str, source: str, budgets: dict, threads: int) -> dict:
+def _meta(command: str, source: str, budgets: dict) -> dict:
     return {
         "schema": SCHEMA,
         "command": command,
         "input_sha256": _sha256(source),
         "budgets": budgets,
-        "threads": threads,
     }
 
 
@@ -107,7 +102,6 @@ def _meta_lines(meta: dict) -> list[str]:
     lines.append(f"# input_sha256: {meta['input_sha256']}")
     for key in sorted(meta["budgets"]):
         lines.append(f"# {key}: {meta['budgets'][key]}")
-    lines.append(f"# threads: {meta['threads']}")
     return lines
 
 
@@ -202,15 +196,13 @@ def _growth_result(report: GrowthReport) -> dict:
     }
 
 
-def cmd_growth(args, threads: int) -> tuple[str, int]:
+def cmd_growth(args) -> tuple[str, int]:
     source = _read_input(args.map)
     phi = parse_endomorphism(source)
     params = GrowthParams(iterations=args.iters, cap=args.cap)
     word = phi.basis.parse(args.word) if args.word else None
     report = classify_growth(phi, word, params)
-    meta = _meta(
-        "growth", source, {"iters": args.iters, "cap": args.cap}, threads
-    )
+    meta = _meta("growth", source, {"iters": args.iters, "cap": args.cap})
     code = 2 if report.kind == KIND_INCONCLUSIVE else 0
     if args.emit == "json":
         return _json({**meta, "result": _growth_result(report)}), code
@@ -265,11 +257,11 @@ def _dot_graph(graph: StallingsGraph, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_fold(args, threads: int) -> tuple[str, int]:
+def cmd_fold(args) -> tuple[str, int]:
     b = make_basis(args.basis) if args.basis else _infer_basis(args.gens)
     gens = [b.parse(part) for part in args.gens.split(",") if part.strip()]
     graph = stallings_graph(b, gens)
-    meta = _meta("fold", args.gens, {}, threads)
+    meta = _meta("fold", args.gens, {})
     if args.emit == "json":
         return _json({**meta, "result": _fold_payload(graph)}), 0
     if args.emit == "dot":
@@ -311,12 +303,12 @@ def _infer_basis(gens_text: str) -> Basis:
 # torus
 
 
-def cmd_torus(args, threads: int) -> tuple[str, int]:
+def cmd_torus(args) -> tuple[str, int]:
     source = _read_input(args.map)
     phi = certify_automorphism(parse_endomorphism(source))
     group = torus_group(phi)
     budgets = {"max_rounds": args.max_rounds, "max_vertices": args.max_vertices}
-    meta = _meta("torus", source, budgets, threads)
+    meta = _meta("torus", source, budgets)
     if not args.gens:
         if args.emit in ("presentation", "text"):
             return group.presentation() + "\n", 0
@@ -365,13 +357,13 @@ def cmd_torus(args, threads: int) -> tuple[str, int]:
 # split
 
 
-def cmd_split(args, threads: int) -> tuple[str, int]:
+def cmd_split(args) -> tuple[str, int]:
     source = _read_input(args.map)
     gog_text = _read_file(args.gog)
     phi = certify_automorphism(parse_endomorphism(source))
     gog, witness = parse_splitting(gog_text, phi.basis)
     validate_splitting(gog)
-    meta = _meta("split", source + "\n" + gog_text, {}, threads)
+    meta = _meta("split", source + "\n" + gog_text, {})
     verified = None
     if witness is not None:
         verified = verify_fixed(gog, phi, witness)
@@ -429,13 +421,13 @@ def cmd_split(args, threads: int) -> tuple[str, int]:
 # hierarchy
 
 
-def cmd_hierarchy(args, threads: int) -> tuple[str, int]:
+def cmd_hierarchy(args) -> tuple[str, int]:
     text = _read_file(args.file)
     h = parse_hierarchy(text)
     validate_hierarchy(h)
     depth = hierarchy_depth(h)
     complete = is_complete(h)
-    meta = _meta("hierarchy", text, {}, threads)
+    meta = _meta("hierarchy", text, {})
     code = 2 if complete is None else 0
     complete_str = "unknown" if complete is None else str(complete).lower()
     if args.emit == "json":
@@ -470,7 +462,7 @@ def _divergence_rows(report: DivergenceReport) -> list[str]:
     return rows
 
 
-def cmd_divergence(args, threads: int) -> tuple[str, int]:
+def cmd_divergence(args) -> tuple[str, int]:
     source = _read_input(args.map)
     phi = certify_automorphism(parse_endomorphism(source))
     group = torus_group(phi)
@@ -488,7 +480,7 @@ def cmd_divergence(args, threads: int) -> tuple[str, int]:
         "seed": args.seed,
         "max_vertices": args.max_vertices,
     }
-    meta = _meta("divergence", source, budgets, threads)
+    meta = _meta("divergence", source, budgets)
     if args.emit == "json":
         result = {
             "exponent": report.exponent,
@@ -552,8 +544,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("growth", help="classify growth of a map or word")
     p.add_argument("--map", required=True, help="map file or inline 'a -> a b; b -> a'")
     p.add_argument("--word", default=None)
-    p.add_argument("--iters", type=int, default=40)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--iters", type=_at_least(1), default=40)
+    p.add_argument("--cap", type=_at_least(1), default=10**6)
     p.add_argument("--emit", choices=["json", "csv", "svg", "text"], default="json")
 
     p = sub.add_parser("fold", help="fold a subgroup graph")
@@ -564,8 +556,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("torus", help="mapping torus: presentation and fibers")
     p.add_argument("--map", required=True)
     p.add_argument("--gens", default=None, help="semicolon-separated elements")
-    p.add_argument("--max-rounds", type=int, default=64)
-    p.add_argument("--max-vertices", type=int, default=100_000)
+    p.add_argument("--max-rounds", type=_at_least(0), default=64)
+    p.add_argument("--max-vertices", type=_at_least(1), default=100_000)
     p.add_argument(
         "--emit",
         choices=["presentation", "graph", "json", "text"],
@@ -585,9 +577,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("divergence", help="empirical divergence probe")
     p.add_argument("--map", required=True)
     p.add_argument("--radii", default="4,6,8")
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_at_least(1), default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-vertices", type=int, default=500_000)
+    p.add_argument("--max-vertices", type=_at_least(1), default=500_000)
     p.add_argument("--emit", choices=["json", "csv", "svg", "text"], default="json")
 
     return parser
@@ -607,8 +599,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads()
-        out, code = _COMMANDS[args.command](args, threads)
+        out, code = _COMMANDS[args.command](args)
     except (BudgetExceededError, UnstabilizedError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2

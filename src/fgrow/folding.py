@@ -8,13 +8,14 @@ deterministic trace.  Graphs are canonically numbered (breadth-first
 from the basepoint, labels in order), so two graphs are equal as values
 exactly when they present the same subgroup.
 
-Two fold routines live here.  ``stallings_graph`` is the plain
-union-find fold with a worklist.  ``witnessed_graph`` additionally
-threads, through every fold, an expression for each edge as a word in
-the original generators; tracing a member word and stitching the edge
-expressions yields an explicit product certificate.  The plain fold is
-the default; the witnessed one costs more per merge and is only pulled
-in where a certificate is needed.
+One fold engine, ``_fold_edges``, serves every entry point: a
+union-find fold with a worklist (Stallings 1983).  ``witnessed_graph``
+runs it with potentials (Kapovich–Myasnikov 2002): with V(v) a fixed
+basepoint path word per vertex, the union-find keeps an expression for
+V(v)·V(parent)⁻¹ over the generators, composed on path compression and
+merges, so each folded edge (u, x, v) gets an expression for
+V(u)·x·V(v)⁻¹.  Stitching those along a member word yields its product
+certificate.  Plain folds store no expressions and pay nothing for it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class StallingsGraph:
                 raise ValueError("edge set is not folded")
             self._succ[(u, x)] = v
             self._pred[(v, x)] = u
+        self._readback: WitnessedGraph | None = None  # see express_in_free_basis
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -99,17 +101,19 @@ class StallingsGraph:
 
     # -- spanning tree and free basis --------------------------------
 
-    def _tree(self) -> tuple[list[int | None], list[int], set[Edge]]:
-        """BFS parents, parent letters, and the set of tree edges."""
-        parent: list[int | None] = [None] * self.n_vertices
+    def free_basis(self) -> list[Word]:
+        """One reduced word per non-tree edge of a BFS spanning tree (a
+        free basis of the subgroup)."""
+        parent = [0] * self.n_vertices
         letter = [0] * self.n_vertices
         tree: set[Edge] = set()
         seen = [False] * self.n_vertices
         seen[0] = True
         queue = deque([0])
+        labels = range(1, self.basis.rank + 1)
         while queue:
             v = queue.popleft()
-            for x in range(1, self.basis.rank + 1):
+            for x in labels:
                 for s, w in ((x, self._succ.get((v, x))), (-x, self._pred.get((v, x)))):
                     if w is None or seen[w]:
                         continue
@@ -118,24 +122,22 @@ class StallingsGraph:
                     letter[w] = s
                     tree.add((v, x, w) if s > 0 else (w, x, v))
                     queue.append(w)
-        return parent, letter, tree
+        paths: dict[int, tuple[int, ...]] = {}  # only for non-tree edge ends
 
-    def _path_from_base(self, parent, letter, v: int) -> tuple[int, ...]:
-        out: list[int] = []
-        while v != 0:
-            out.append(letter[v])
-            v = parent[v]
-        return tuple(reversed(out))
+        def path(v: int) -> tuple[int, ...]:
+            if v not in paths:
+                up, at = [], v
+                while at != 0:
+                    up.append(letter[at])
+                    at = parent[at]
+                paths[v] = tuple(reversed(up))
+            return paths[v]
 
-    def free_basis(self) -> list[Word]:
-        """One reduced word per non-tree edge (a free basis of the subgroup)."""
-        parent, letter, tree = self._tree()
-        paths = [self._path_from_base(parent, letter, v) for v in range(self.n_vertices)]
         out = []
         for u, x, v in self.edges:
             if (u, x, v) in tree:
                 continue
-            raw = paths[u] + (x,) + tuple(-t for t in reversed(paths[v]))
+            raw = path(u) + (x,) + tuple(-t for t in reversed(path(v)))
             out.append(Word(self.basis, free_reduce(raw)))
         return out
 
@@ -143,33 +145,39 @@ class StallingsGraph:
         """Write an accepted word over the ``free_basis`` alphabet.
 
         Returns signed 1-based indices into ``free_basis()``, or None
-        when the word is not a member.
+        when the word is not a member.  The basis is free, so the
+        reduced expression is unique.
         """
-        if not self.accepts(w):
-            return None
-        _, _, tree = self._tree()
-        nontree = [e for e in self.edges if e not in tree]
-        slot = {e: j + 1 for j, e in enumerate(nontree)}
-        out: list[int] = []
-        at = 0
-        for x in w.letters:
-            nxt = self.step(at, x)
-            edge = (at, x, nxt) if x > 0 else (nxt, -x, at)
-            j = slot.get(edge)
-            if j is not None:
-                out.append(j if x > 0 else -j)
-            at = nxt
-        return free_reduce(out)
+        if w.basis != self.basis:
+            raise BasisMismatchError("word over a different basis")
+        if self._readback is None:
+            self._readback = witnessed_graph(self.basis, self.free_basis())
+        return self._readback.express(w)
 
 
 # ---------------------------------------------------------------------------
-# plain fold: union-find vertex merging with a worklist
+# the fold: union-find vertex merging with a worklist, optionally witnessed
+
+Expr = tuple[int, ...]  # signed 1-based indices into the generators
+
+
+def _inv(e: Expr) -> Expr:
+    return tuple(-j for j in reversed(e))
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if not a:
+        return b
+    if not b:
+        return a
+    return free_reduce(a + b)
 
 
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
+        self.pot: dict[int, Expr] = {}  # filled by _PotentialUnionFind only
 
     def find(self, v: int) -> int:
         root = v
@@ -179,107 +187,179 @@ class _UnionFind:
             self.parent[v], v = root, self.parent[v]
         return root
 
-    def union(self, a: int, b: int) -> tuple[int, int]:
-        """Returns (winner, loser); vertex 0 always wins."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return a, a
-        if b == 0 or (a != 0 and self.size[a] < self.size[b]):
-            a, b = b, a
-        self.parent[b] = a
-        self.size[a] += self.size[b]
-        return a, b
+    def link(self, winner: int, loser: int, pot: Expr = ()) -> None:
+        self.parent[loser] = winner
+        self.size[winner] += self.size[loser]
+        if pot:
+            self.pot[loser] = pot
 
 
-def _fold_edges(n: int, edges: Iterable[Edge]) -> tuple[_UnionFind, set[Edge]]:
-    """Fold an edge list; returns the vertex union-find and folded edges."""
-    uf = _UnionFind(n)
+class _PotentialUnionFind(_UnionFind):
+    """Union-find whose links carry potentials.
+
+    With V(v) the fixed base-path word of vertex v, pot[v] is an
+    expression for V(v)·V(parent[v])⁻¹ (absent when empty).  Path
+    compression composes potentials, so right after ``find(v)``,
+    ``pot.get(v, ())`` is an expression for V(v)·V(root)⁻¹.
+    """
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        root = parent[v]
+        if parent[root] == root:  # v is a root or a child of one
+            return root
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        pot = self.pot
+        acc: Expr = ()
+        for w in reversed(path):
+            acc = _mul(pot.get(w, ()), acc)
+            parent[w] = v
+            if acc:
+                pot[w] = acc
+            else:
+                pot.pop(w, None)
+        return v
+
+
+def _fold_edges(
+    n: int, edges: Iterable[Edge], exprs: dict[int, Expr] | None = None
+) -> tuple[_UnionFind, set[Edge], dict[tuple[int, int], Expr]]:
+    """Fold an edge list; returns the vertex union-find and folded edges.
+
+    With ``exprs`` (edge position → expression for V(u)·x·V(v)⁻¹,
+    empty ones left out) the fold is witnessed: the union-find keeps
+    potentials, every merge records the relation that forced it, and
+    the third result maps each folded edge (u, x) to an expression for
+    V(u)·x·V(v)⁻¹ with u, v roots.  Without it that map is empty.
+    """
+    witnessed = exprs is not None
+    uf = _PotentialUnionFind(n) if witnessed else _UnionFind(n)
+    find, pot = uf.find, uf.pot
     out: list[dict[int, int]] = [dict() for _ in range(n)]
     inn: list[dict[int, int]] = [dict() for _ in range(n)]
-    unions: deque[tuple[int, int]] = deque()
+    # non-empty edge expressions by out-record: ex[(u, x)] is for
+    # V(u)·x·V(out[u][x])⁻¹, with the target as stored
+    ex: dict[tuple[int, int], Expr] = {}
+    # pending merges (a, b, d), d an expression for V(a)·V(b)⁻¹
+    unions: deque[tuple[int, int, Expr]] = deque()
 
-    def insert(u: int, x: int, v: int) -> None:
-        u, v = uf.find(u), uf.find(v)
-        t = out[u].get(x)
+    def at_roots(u: int, e: Expr, v: int) -> Expr:
+        """e, for V(u)·…·V(v)⁻¹, rewritten for the roots; u, v just found."""
+        pu, pv = pot.get(u), pot.get(v)
+        if pu:
+            e = _mul(_inv(pu), e)
+        return _mul(e, pv) if pv else e
+
+    def insert(u: int, x: int, v: int, e: Expr = ()) -> None:
+        ru, rv = find(u), find(v)
+        if witnessed:
+            e = at_roots(u, e, v)
+        t = out[ru].get(x)
         if t is not None:
-            t = uf.find(t)
-            out[u][x] = t
-            if t != v:
-                unions.append((t, v))
+            rt = find(t)
+            out[ru][x] = rt
+            d: Expr = ()
+            if witnessed:
+                f = at_roots(ru, ex.pop((ru, x), ()), t)
+                if f:
+                    ex[(ru, x)] = f
+                d = _mul(_inv(f), e)
+            if rt != rv:
+                unions.append((rt, rv, d))
             return  # absorbed into the existing edge
-        s = inn[v].get(x)
+        s = inn[rv].get(x)
         if s is not None:
-            s = uf.find(s)
-            inn[v][x] = s
-            if s != u:
-                unions.append((s, u))
+            rs = find(s)
+            inn[rv][x] = rs
+            if rs != ru:
+                d = ()
+                if witnessed:
+                    t = out[rs][x]
+                    find(t)
+                    d = _mul(at_roots(rs, ex.get((rs, x), ()), t), _inv(e))
+                unions.append((rs, ru, d))
             return
-        out[u][x] = v
-        inn[v][x] = u
+        out[ru][x] = rv
+        inn[rv][x] = ru
+        if e:
+            ex[(ru, x)] = e
 
     def drain() -> None:
         while unions:
-            a, b = unions.popleft()
-            a, b = uf.find(a), uf.find(b)
-            if a == b:
+            a, b, d = unions.popleft()
+            ra, rb = find(a), find(b)
+            if ra == rb:
                 continue
-            if b == 0 or (a != 0 and uf.size[a] < uf.size[b]):
-                a, b = b, a
-            winner, loser = a, b
+            if witnessed:
+                d = at_roots(a, d, b)  # now for V(ra)·V(rb)⁻¹
+            # union by size; vertex 0 always wins
+            if rb == 0 or (ra != 0 and uf.size[ra] < uf.size[rb]):
+                winner, loser = rb, ra
+            else:
+                winner, loser = ra, rb
             lo_out, lo_in = out[loser], inn[loser]
             out[loser], inn[loser] = {}, {}
             # Drop the moved edges' records held at other vertices first;
             # a stale record would make insert() mistake the edge being
             # re-homed for an already-present one and lose or keep it wrongly.
+            # Edges into the loser move with their out-record's expression;
+            # loops move with lo_out.
             for x, t in lo_out.items():
-                r = uf.find(t)
-                if x in inn[r] and uf.find(inn[r][x]) == loser:
+                r = find(t)
+                if x in inn[r] and find(inn[r][x]) == loser:
                     del inn[r][x]
+            moved_in = []
             for x, s in lo_in.items():
-                r = uf.find(s)
-                if x in out[r] and uf.find(out[r][x]) == loser:
-                    del out[r][x]
-            uf.union(winner, loser)
+                r = find(s)
+                if x in out[r] and find(out[r][x]) == loser:
+                    e = ex.pop((r, x), ()) if witnessed else ()
+                    moved_in.append((r, x, out[r].pop(x), e))
+            uf.link(winner, loser, _inv(d) if d and loser == rb else d)
             for x, t in lo_out.items():
-                insert(winner, x, t)
-            for x, s in lo_in.items():
-                insert(s, x, winner)
+                insert(loser, x, t, ex.pop((loser, x), ()) if witnessed else ())
+            for s, x, t, e in moved_in:
+                insert(s, x, t, e)
 
-    for u, x, v in edges:
-        insert(u, x, v)
+    for i, (u, x, v) in enumerate(edges):
+        insert(u, x, v, exprs.get(i, ()) if witnessed else ())
         drain()
     folded = set()
+    folded_ex: dict[tuple[int, int], Expr] = {}
     for u in range(n):
-        if uf.find(u) != u:
+        if find(u) != u:
             continue
         for x, t in out[u].items():
-            folded.add((u, x, uf.find(t)))
-    return uf, folded
+            folded.add((u, x, find(t)))
+            if witnessed:
+                e = at_roots(u, ex.get((u, x), ()), t)
+                if e:
+                    folded_ex[(u, x)] = e
+    return uf, folded, folded_ex
 
 
 def _core_and_canonical(
-    basis: Basis, edges: set[Edge], base: int, protect: set[int] | None = None
+    basis: Basis, edges: set[Edge], base: int
 ) -> tuple[StallingsGraph, dict[int, int]]:
     """Prune hanging trees, drop unreachable parts, renumber canonically.
 
     Returns the graph and the old-id → new-id map for surviving vertices.
     """
-    protect = {base} | (protect or set())
-    adj: dict[int, set[Edge]] = {}
+    adj: dict[int, set[Edge]] = {base: set()}
     for e in edges:
         adj.setdefault(e[0], set()).add(e)
         adj.setdefault(e[2], set()).add(e)
-    for v in protect:
-        adj.setdefault(v, set())
-    leaves = deque(v for v, es in adj.items() if len(es) <= 1 and v not in protect)
+    leaves = deque(v for v, es in adj.items() if len(es) <= 1 and v != base)
     while leaves:
         v = leaves.popleft()
-        if v not in adj or len(adj[v]) > 1 or v in protect:
+        if v not in adj or len(adj[v]) > 1 or v == base:
             continue
         for e in list(adj[v]):
             other = e[2] if e[0] == v else e[0]
             adj[other].discard(e)
-            if len(adj[other]) <= 1 and other not in protect:
+            if len(adj[other]) <= 1 and other != base:
                 leaves.append(other)
         del adj[v]
     succ: dict[tuple[int, int], int] = {}
@@ -290,9 +370,10 @@ def _core_and_canonical(
         pred[(v, x)] = u
     order: dict[int, int] = {base: 0}
     queue = deque([base])
+    labels = range(1, basis.rank + 1)
     while queue:
         v = queue.popleft()
-        for x in range(1, basis.rank + 1):
+        for x in labels:
             for nbr in (succ.get((v, x)), pred.get((v, x))):
                 if nbr is not None and nbr in adj and nbr not in order:
                     order[nbr] = len(order)
@@ -303,11 +384,19 @@ def _core_and_canonical(
     return StallingsGraph(basis, len(order), kept), order
 
 
-def _petals(b: Basis, gens: Iterable[Word], start: int = 1) -> tuple[int, list[Edge]]:
-    """Wedge of loops at vertex 0 spelling the generators."""
+def _petals(
+    gens: Sequence[Word], witnessed: bool = False
+) -> tuple[int, list[Edge], dict[int, Expr] | None]:
+    """Wedge of loops at vertex 0 spelling the generators.
+
+    Returns the vertex count, the edges and, when ``witnessed``, the
+    closing edges' expressions by edge position.  V(v) of a petal vertex
+    is a prefix of its generator, so the other edges' are empty.
+    """
     edges: list[Edge] = []
-    n = start
-    for g in gens:
+    exprs: dict[int, Expr] | None = {} if witnessed else None
+    n = 1
+    for j, g in enumerate(gens, start=1):
         ls = free_reduce(g.letters)
         if not ls:
             continue
@@ -316,24 +405,92 @@ def _petals(b: Basis, gens: Iterable[Word], start: int = 1) -> tuple[int, list[E
             nxt = 0 if i == len(ls) - 1 else n
             if nxt:
                 n += 1
-            if x > 0:
-                edges.append((prev, x, nxt))
-            else:
-                edges.append((nxt, -x, prev))
+            elif witnessed:
+                exprs[len(edges)] = (j,) if x > 0 else (-j,)
+            edges.append((prev, x, nxt) if x > 0 else (nxt, -x, prev))
             prev = nxt
-    return n, edges
+    return n, edges, exprs
 
 
-def stallings_graph(b: Basis, gens: Iterable[Word]) -> StallingsGraph:
-    """Folded core graph of the subgroup generated by ``gens``."""
+def _checked(b: Basis, gens: Iterable[Word]) -> list[Word]:
     gens = list(gens)
     for g in gens:
         if g.basis != b:
             raise BasisMismatchError("generator over a different basis")
-    n, edges = _petals(b, gens)
-    uf, folded = _fold_edges(n, edges)
+    return gens
+
+
+def stallings_graph(b: Basis, gens: Iterable[Word]) -> StallingsGraph:
+    """Folded core graph of the subgroup generated by ``gens``."""
+    n, edges, _ = _petals(_checked(b, gens))
+    uf, folded, _ = _fold_edges(n, edges)
     graph, _ = _core_and_canonical(b, folded, uf.find(0))
     return graph
+
+
+@dataclass(frozen=True, eq=False)
+class WitnessedGraph:
+    """Folded core graph of ⟨gens⟩ whose edges carry generator expressions.
+
+    ``graph`` is the canonical graph, equal to ``stallings_graph(b,
+    gens)``.  Fixing one basepoint path word V(v) per vertex, with V(0)
+    empty, every edge (u, x, v) carries an expression over ``gens``
+    (signed 1-based indices) whose value is V(u)·x·V(v)⁻¹, an element
+    of the subgroup; the fold's potentials supply them.  Concatenating
+    expressions along an accepted basepoint loop yields the loop's
+    product certificate in terms of ``gens``.
+    """
+
+    gens: tuple[Word, ...]
+    graph: StallingsGraph
+    _exprs: dict[tuple[int, int], Expr]  # by (source, label); empty ones left out
+
+    @property
+    def basis(self) -> Basis:
+        return self.graph.basis
+
+    def express(self, w: Word) -> tuple[int, ...] | None:
+        """w as a signed product over ``gens`` (1-based), or None."""
+        at = 0
+        out: list[int] = []
+        for x in w.letters:
+            nxt = self.graph.step(at, x)
+            if nxt is None:
+                return None
+            if x > 0:
+                out.extend(self._exprs.get((at, x), ()))
+            else:
+                out.extend(_inv(self._exprs.get((nxt, -x), ())))
+            at = nxt
+        if at != 0:
+            return None
+        return free_reduce(out)
+
+    def evaluate(self, expr: Iterable[int]) -> Word:
+        """Evaluate a signed product over ``gens`` back to a word."""
+        gens = self.gens
+        parts = (gens[j - 1] if j > 0 else gens[-j - 1].inverse() for j in expr)
+        return concat_all(self.basis, parts)
+
+    def is_rose(self) -> bool:
+        return self.graph == full_group(self.basis)
+
+    def to_stallings(self) -> StallingsGraph:
+        return self.graph
+
+
+def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
+    """Folded graph of ⟨gens⟩ with membership certificates."""
+    gens = _checked(b, gens)
+    n, edges, exprs = _petals(gens, witnessed=True)
+    uf, folded, folded_ex = _fold_edges(n, edges, exprs)
+    graph, order = _core_and_canonical(b, folded, uf.find(0))
+    kept = {
+        (order[u], x): e
+        for (u, x), e in folded_ex.items()
+        if u in order and graph.step(order[u], x) is not None
+    }
+    return WitnessedGraph(tuple(gens), graph, kept)
 
 
 def trivial_subgroup(b: Basis) -> StallingsGraph:
@@ -411,12 +568,9 @@ def _coset_automaton(
     for x in tail:
         nxt = n
         n += 1
-        if x > 0:
-            edges.append((prev, x, nxt))
-        else:
-            edges.append((nxt, -x, prev))
+        edges.append((prev, x, nxt) if x > 0 else (nxt, -x, prev))
         prev = nxt
-    uf, folded = _fold_edges(n, edges)
+    uf, folded, _ = _fold_edges(n, edges)
     succ: dict[tuple[int, int], int] = {}
     pred: dict[tuple[int, int], int] = {}
     for u, x, v in folded:
@@ -459,221 +613,3 @@ def double_coset_contains(
                     seen.add((va, vb))
                     queue.append((va, vb))
     return False
-
-
-# ---------------------------------------------------------------------------
-# witnessed fold: expressions threaded through every merge
-
-
-class _WEdge:
-    __slots__ = ("src", "lbl", "tgt", "expr")
-
-    def __init__(self, src: int, lbl: int, tgt: int, expr: tuple[int, ...]):
-        self.src = src
-        self.lbl = lbl
-        self.tgt = tgt
-        self.expr = expr
-
-
-class WitnessedGraph:
-    """Folded graph whose edges carry generator-word expressions.
-
-    Fixing one basepoint path word V(v) per vertex, every edge
-    e = (u, x, v) stores an expression over the original generator
-    alphabet (signed 1-based indices into ``gens``) whose value in the
-    ambient group equals V(u)·x·V(v)⁻¹, an element of the subgroup.
-    Concatenating expressions along an accepted basepoint loop yields
-    the loop's product certificate in terms of ``gens``.
-    """
-
-    def __init__(self, b: Basis, gens: Sequence[Word]):
-        self.basis = b
-        self.gens = tuple(gens)
-        self._out: dict[int, dict[int, list[_WEdge]]] = {0: {}}
-        self._inn: dict[int, dict[int, list[_WEdge]]] = {0: {}}
-        self._next = 1
-        for j, g in enumerate(self.gens, start=1):
-            ls = free_reduce(g.letters)
-            if not ls:
-                continue
-            prev = 0
-            for i, x in enumerate(ls):
-                last = i == len(ls) - 1
-                nxt = 0 if last else self._new_vertex()
-                expr = (j,) if last else ()
-                if x > 0:
-                    self._add(_WEdge(prev, x, nxt, expr))
-                else:
-                    self._add(_WEdge(nxt, -x, prev, tuple(-t for t in reversed(expr))))
-                prev = nxt
-        self._fold()
-        self._prune()
-
-    # construction helpers -------------------------------------------
-
-    def _new_vertex(self) -> int:
-        v = self._next
-        self._next += 1
-        self._out[v] = {}
-        self._inn[v] = {}
-        return v
-
-    def _add(self, e: _WEdge) -> None:
-        self._out[e.src].setdefault(e.lbl, []).append(e)
-        self._inn[e.tgt].setdefault(e.lbl, []).append(e)
-
-    def _remove(self, e: _WEdge) -> None:
-        self._out[e.src][e.lbl].remove(e)
-        if not self._out[e.src][e.lbl]:
-            del self._out[e.src][e.lbl]
-        self._inn[e.tgt][e.lbl].remove(e)
-        if not self._inn[e.tgt][e.lbl]:
-            del self._inn[e.tgt][e.lbl]
-
-    def _edges_at(self, v: int) -> list[_WEdge]:
-        es = [e for lst in self._out[v].values() for e in lst]
-        es += [e for lst in self._inn[v].values() for e in lst if e.src != e.tgt]
-        return es
-
-    def _fold(self) -> None:
-        work = deque(self._out.keys())
-        while work:
-            v = work.popleft()
-            if v not in self._out:
-                continue
-            hit = self._find_fold(v)
-            if hit is None:
-                continue
-            shared_src, keep, merge = hit
-            winner = keep.tgt if shared_src else keep.src
-            loser = merge.tgt if shared_src else merge.src
-            if loser == 0:
-                winner, loser = loser, winner
-                keep, merge = merge, keep
-            if winner == loser:
-                self._remove(merge)  # duplicate parallel edge
-            else:
-                self._merge_vertex(shared_src, keep, merge, winner, loser)
-            work.append(winner)
-            work.append(v)
-
-    def _find_fold(self, v: int) -> tuple[bool, _WEdge, _WEdge] | None:
-        for lst in self._out[v].values():
-            if len(lst) >= 2:
-                return True, lst[0], lst[1]
-        for lst in self._inn[v].values():
-            if len(lst) >= 2:
-                return False, lst[0], lst[1]
-        return None
-
-    def _merge_vertex(
-        self, shared_src: bool, keep: _WEdge, merge: _WEdge, winner: int, loser: int
-    ) -> None:
-        """Identify ``loser`` with ``winner``; fix up expressions.
-
-        With e1 = keep and e2 = merge sharing a source, the correction
-        d = V(loser)·V(winner)⁻¹ has expression e2⁻¹·e1; sharing a
-        target it is e2·e1⁻¹.  Edges into the loser append d on the
-        right, edges out of it prepend d⁻¹.
-        """
-        inv = lambda t: tuple(-u for u in reversed(t))  # noqa: E731
-        if shared_src:
-            right = tuple(free_reduce(inv(merge.expr) + keep.expr))
-        else:
-            right = tuple(free_reduce(merge.expr + inv(keep.expr)))
-        left = inv(right)
-        self._remove(merge)
-        for e in self._edges_at(loser):
-            self._remove(e)
-            if e.tgt == loser:
-                e.expr = tuple(free_reduce(e.expr + right))
-                e.tgt = winner
-            if e.src == loser:
-                e.expr = tuple(free_reduce(left + e.expr))
-                e.src = winner
-            self._add(e)
-        del self._out[loser]
-        del self._inn[loser]
-
-    def _prune(self) -> None:
-        leaves = deque(v for v in self._out if v != 0 and len(self._edges_at(v)) <= 1)
-        while leaves:
-            v = leaves.popleft()
-            if v == 0 or v not in self._out or len(self._edges_at(v)) > 1:
-                continue
-            for e in self._edges_at(v):
-                other = e.tgt if e.src == v else e.src
-                self._remove(e)
-                if other != 0 and len(self._edges_at(other)) <= 1:
-                    leaves.append(other)
-            del self._out[v]
-            del self._inn[v]
-
-    # queries ----------------------------------------------------------
-
-    def step(self, v: int, letter: int) -> _WEdge | None:
-        table = self._out if letter > 0 else self._inn
-        lst = table[v].get(abs(letter))
-        return lst[0] if lst else None
-
-    def accepts(self, w: Word) -> bool:
-        at = 0
-        for x in w.letters:
-            e = self.step(at, x)
-            if e is None:
-                return False
-            at = e.tgt if x > 0 else e.src
-        return at == 0
-
-    def express(self, w: Word) -> tuple[int, ...] | None:
-        """w as a signed product over ``gens`` (1-based), or None."""
-        at = 0
-        out: list[int] = []
-        for x in w.letters:
-            e = self.step(at, x)
-            if e is None:
-                return None
-            if x > 0:
-                out.extend(e.expr)
-                at = e.tgt
-            else:
-                out.extend(-t for t in reversed(e.expr))
-                at = e.src
-        if at != 0:
-            return None
-        return free_reduce(out)
-
-    def evaluate(self, expr: Iterable[int]) -> Word:
-        """Evaluate a signed product over ``gens`` back to a word."""
-        parts = []
-        for j in expr:
-            g = self.gens[abs(j) - 1]
-            parts.append(g if j > 0 else g.inverse())
-        return concat_all(self.basis, parts)
-
-    def is_rose(self) -> bool:
-        if len(self._out) != 1:
-            return False
-        loops = self._out[0]
-        return set(loops) == set(range(1, self.basis.rank + 1)) and all(
-            len(v) == 1 for v in loops.values()
-        )
-
-    def to_stallings(self) -> StallingsGraph:
-        edges = {
-            (e.src, e.lbl, e.tgt)
-            for table in self._out.values()
-            for lst in table.values()
-            for e in lst
-        }
-        graph, _ = _core_and_canonical(self.basis, edges, 0)
-        return graph
-
-
-def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
-    """Folded graph of ⟨gens⟩ with membership certificates."""
-    gens = list(gens)
-    for g in gens:
-        if g.basis != b:
-            raise BasisMismatchError("generator over a different basis")
-    return WitnessedGraph(b, gens)

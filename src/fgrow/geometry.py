@@ -69,9 +69,6 @@ class BallGraph:
         w, k = self._states[i]
         return TorusElement(self.group, Word(self.group.basis, w), k)
 
-    def elements(self) -> list[TorusElement]:
-        return [self.element(i) for i in range(len(self._states))]
-
     def index_of(self, g: TorusElement) -> int:
         key = (free_reduce(g.w.letters), g.k)
         try:
@@ -93,9 +90,6 @@ class BallGraph:
 
     def sphere_indices(self, k: int) -> list[int]:
         return [i for i, d in enumerate(self._dist) if d == k]
-
-    def sphere(self, k: int) -> list[TorusElement]:
-        return [self.element(i) for i in self.sphere_indices(k)]
 
     def sphere_sizes(self) -> list[int]:
         out = [0] * (self.radius + 1)

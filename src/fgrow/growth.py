@@ -415,10 +415,6 @@ def _finite_difference_degree(seq: Sequence[int], params: GrowthParams) -> int |
     return None
 
 
-def _root_estimates(seq: Sequence[int]) -> list[float]:
-    return [seq[i] ** (1.0 / i) for i in range(1, len(seq)) if seq[i] > 0]
-
-
 def _exponential_tail(seq: Sequence[int], params: GrowthParams) -> float | None:
     """Rate when the last ``window`` root estimates sit above the margin
     and have stopped drifting; None otherwise."""

@@ -32,6 +32,7 @@ from .automorphisms import (
 from .folding import (
     StallingsGraph,
     WitnessedGraph,
+    _inv,
     is_invariant,
     stallings_graph,
     witnessed_graph,
@@ -184,14 +185,6 @@ class TorusElement:
         return f"<torus element {self}>"
 
 
-def multiply(g1: TorusElement, g2: TorusElement) -> TorusElement:
-    return g1 * g2
-
-
-def invert(g: TorusElement) -> TorusElement:
-    return g.inverse()
-
-
 # ---------------------------------------------------------------------------
 # fiber intersection
 
@@ -211,14 +204,10 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _inv_expr(e: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-t for t in reversed(e))
-
-
 def _pow_expr(e: Sequence[int], m: int) -> tuple[int, ...]:
     if m >= 0:
         return tuple(e) * m
-    return _inv_expr(e) * (-m)
+    return _inv(e) * (-m)
 
 
 @dataclass
@@ -257,7 +246,7 @@ class FiberIntersection:
         out: list[int] = []
         for tix in expr:
             e = self._entry_exprs[abs(tix) - 1]
-            out.extend(e if tix > 0 else _inv_expr(e))
+            out.extend(e if tix > 0 else _inv(e))
         return tuple(out)
 
     def evaluate_witness(self, expr: Iterable[int]) -> TorusElement:
@@ -339,7 +328,7 @@ def fiber_intersection(
     else:
         theta = compose(inner_automorphism(b, s.w), map_power(group.phi, n))
         theta_inv = theta.inverse()
-        s_inv_expr = _inv_expr(s_expr)
+        s_inv_expr = _inv(s_expr)
         pos = list(entries)
         neg = list(entries)
         while True:
@@ -383,7 +372,5 @@ __all__ = [
     "TorusGroup",
     "UnstabilizedError",
     "fiber_intersection",
-    "invert",
-    "multiply",
     "torus_group",
 ]

@@ -23,7 +23,7 @@ G-side hierarchy mirrors the F-side one node for node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .automorphisms import Automorphism, apply_power
 from .folding import (

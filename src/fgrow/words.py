@@ -16,7 +16,6 @@ accepted too.  The empty word prints and parses as ``1``.
 (1, -2, 1)
 >>> str(concat(F.parse("a b"), F.parse("b' a")))
 'a a'
->>> str(invert_word(F.parse("a b' c"), ))            # doctest: +SKIP
 """
 
 from __future__ import annotations
@@ -225,10 +224,6 @@ def concat_all(b: Basis, parts: Iterable[Word]) -> Word:
             else:
                 out.append(x)
     return Word(b, tuple(out))
-
-
-def invert_word(w: Word) -> Word:
-    return w.inverse()
 
 
 def conjugate(w: Word, g: Word) -> Word:

@@ -52,11 +52,11 @@ def test_growth_json_schema(capsys):
     code, out, _ = run(capsys, "growth", "--map", FIB)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["command"] == "growth"
     assert len(payload["input_sha256"]) == 64
     assert payload["budgets"] == {"cap": 10**6, "iters": 40}
-    assert payload["threads"] == 1
+    assert "threads" not in payload
     result = payload["result"]
     assert set(result) == {
         "kind", "certified", "rate", "degree", "lengths", "evidence",
@@ -75,7 +75,7 @@ def test_growth_word_and_csv(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "# schema: 1"
+    assert lines[0] == "# schema: 2"
     assert "n,length" in lines
     assert "1,1" in lines  # b -> a keeps length 1 at the first step
     assert lines[-1] == "# kind: Exponential"
@@ -277,17 +277,6 @@ def test_byte_identical_reruns(argv, capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("FGROW_THREADS", "3")
-    code, out, _ = run(capsys, "growth", "--map", FIB)
-    assert code == 0 and json.loads(out)["threads"] == 3
-    monkeypatch.setenv("FGROW_THREADS", "0")
-    code, _, err = run(capsys, "growth", "--map", FIB)
-    assert code == 1 and "FGROW_THREADS" in err
-    monkeypatch.setenv("FGROW_THREADS", "lots")
-    assert run(capsys, "growth", "--map", FIB)[0] == 1
-
-
 def test_domain_errors_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "growth", "--map", "a -> a\nb = b")
     assert code == 1 and "line 2" in err
@@ -309,3 +298,27 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["growth", "--map", FIB, "--emit", "pdf"])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag, low, value",
+    [
+        (("growth", "--map", FIB), "--iters", 1, "-3"),
+        (("growth", "--map", FIB), "--iters", 1, "0"),
+        (("growth", "--map", FIB), "--cap", 1, "0"),
+        (("divergence", "--map", "a -> a; b -> b"), "--samples", 1, "0"),
+        (("divergence", "--map", "a -> a; b -> b"), "--samples", 1, "-2"),
+        (("divergence", "--map", "a -> a; b -> b"), "--max-vertices", 1, "0"),
+        (("torus", "--map", FIB, "--gens", "b; t"), "--max-vertices", 1, "-5"),
+        (("torus", "--map", FIB, "--gens", "b; t"), "--max-rounds", 0, "-1"),
+        (("torus", "--map", FIB, "--gens", "b; t"), "--max-rounds", 0, "many"),
+    ],
+)
+def test_bad_budgets_exit_one(argv, flag, low, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, flag, value])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: argument {flag}: must be an integer >= {low}, got {value!r}"]

@@ -8,7 +8,7 @@ folding code.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fgrow.folding import (
     StallingsGraph,
@@ -27,6 +27,7 @@ from fgrow.words import Word, basis, free_reduce, identity
 from helpers import bounded_products, random_letters, reduce_letters
 
 F = basis("a b")
+F3 = basis("a b c")
 
 
 def W(text: str) -> Word:
@@ -186,16 +187,34 @@ def test_witnessed_rejects_nonmembers():
     assert wg.express(W("a a b")) is not None
 
 
-@settings(max_examples=40)
-@given(
-    st.lists(
-        st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5),
+def gen_lists(rank: int, max_len: int, max_gens: int):
+    letters = [s * x for x in range(1, rank + 1) for s in (1, -1)]
+    return st.lists(
+        st.lists(st.sampled_from(letters), min_size=1, max_size=max_len),
         min_size=1,
-        max_size=3,
+        max_size=max_gens,
+    )
+
+
+# Many longer generators over three letters make folds chain, so merged
+# vertices sit deep in the union-find and their potentials are composed
+# through path compression.  Few draws read such a composed potential
+# back; the explicit example does.
+@settings(max_examples=80)
+@given(
+    st.one_of(
+        st.tuples(st.just(F), gen_lists(2, 5, 3)),
+        st.tuples(st.just(F3), gen_lists(3, 12, 8)),
     )
 )
-def test_witnessed_graph_agrees_with_plain_fold(gen_lists):
-    gens = [Word(F, free_reduce(ls)) for ls in gen_lists]
-    plain = stallings_graph(F, gens)
-    wg = witnessed_graph(F, gens)
+@example((F3, [[-3, 1, 1], [1, -3, -2, -1], [2, 1], [-1]]))
+def test_witnessed_graph_agrees_with_plain_fold(case):
+    b, lists = case
+    gens = [Word(b, free_reduce(ls)) for ls in lists]
+    plain = stallings_graph(b, gens)
+    wg = witnessed_graph(b, gens)
     assert subgroup_equal(wg.to_stallings(), plain)
+    assert wg.to_stallings() == plain
+    for w in plain.free_basis():
+        expr = wg.express(w)
+        assert expr is not None and wg.evaluate(expr) == w
