@@ -316,7 +316,7 @@ def parse_endomorphism(text: str, b: Basis | None = None) -> Endomorphism:
     ``#`` starts a comment.  With no explicit basis the left-hand
     sides, in order of first appearance, define one.
     """
-    rules: list[tuple[str, str]] = []
+    rules: dict[str, tuple[str, int]] = {}  # name -> (word text, line number)
     for lineno, raw in enumerate(text.splitlines() or [""], start=1):
         line = raw.split("#", 1)[0]
         for part in line.split(";"):
@@ -329,24 +329,28 @@ def parse_endomorphism(text: str, b: Basis | None = None) -> Endomorphism:
             lhs = lhs.strip()
             if not lhs:
                 raise WordSyntaxError(f"line {lineno}: missing generator name")
-            rules.append((lhs, rhs.strip()))
+            if lhs in rules:
+                raise WordSyntaxError(f"line {lineno}: duplicate rule for {lhs!r}")
+            rules[lhs] = (rhs.strip(), lineno)
     if not rules:
         raise WordSyntaxError("no rules found")
-    names = [name for name, _ in rules]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise WordSyntaxError(f"duplicate rule for {dup!r}")
     if b is None:
-        b = make_basis(names)
-    missing = [n for n in b.names if n not in names]
-    extra = [n for n in names if n not in b.names]
+        b = make_basis(list(rules))
+    missing = [n for n in b.names if n not in rules]
+    extra = [n for n in rules if n not in b.names]
     if extra:
-        raise WordSyntaxError(f"unknown generator {extra[0]!r}")
+        raise WordSyntaxError(f"line {rules[extra[0]][1]}: unknown generator {extra[0]!r}")
     if missing:
         raise WordSyntaxError(f"no rule for generator {missing[0]!r}")
-    by_name = dict(rules)
-    images = tuple(b.parse(by_name[n]) for n in b.names)
+    images = tuple(_parse_image(b, *rules[n]) for n in b.names)
     return Endomorphism(b, images)
+
+
+def _parse_image(b: Basis, text: str, lineno: int) -> Word:
+    try:
+        return b.parse(text)
+    except WordSyntaxError as exc:
+        raise WordSyntaxError(f"line {lineno}: {exc}") from None
 
 
 def parse_automorphism(text: str, b: Basis | None = None) -> Automorphism:

@@ -50,7 +50,6 @@ SCHEMA = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems are domain errors here
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 

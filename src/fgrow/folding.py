@@ -451,6 +451,8 @@ class WitnessedGraph:
 
     def express(self, w: Word) -> tuple[int, ...] | None:
         """w as a signed product over ``gens`` (1-based), or None."""
+        if w.basis != self.basis:
+            raise BasisMismatchError("word over a different basis")
         at = 0
         out: list[int] = []
         for x in w.letters:

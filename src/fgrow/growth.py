@@ -28,7 +28,7 @@ import numpy as np
 
 from .automorphisms import Automorphism, Endomorphism
 from .folding import StallingsGraph
-from .words import CyclicWord, Word, cyclic_word, free_reduce
+from .words import CyclicWord, Word, _cyclic_trim, cyclic_word, free_reduce
 
 Matrix = list[list[int]]
 
@@ -307,9 +307,8 @@ def _iterated_lengths(
 ) -> tuple[list[int], bool]:
     """Translation lengths for iterates 0..n, stopping past the cap.
 
-    Works on raw letter tuples and trims matching ends instead of
-    canonically rotating; rotation is quadratic and the iterates here
-    can run to millions of letters.
+    Works on raw letter tuples: each iterate is freely reduced and
+    cyclically trimmed, but not rotated, since only its length is read.
     """
     imgs: dict[int, tuple[int, ...]] = {}
     for j in range(1, endo.basis.rank + 1):
@@ -323,10 +322,7 @@ def _iterated_lengths(
         for x in cur:
             out.extend(imgs[x])
         red = free_reduce(out)
-        lo, hi = 0, len(red)
-        while hi - lo >= 2 and red[lo] == -red[hi - 1]:
-            lo += 1
-            hi -= 1
+        lo, hi = _cyclic_trim(red)
         cur = red[lo:hi]
         seq.append(len(cur))
         if cap is not None and len(cur) > cap:

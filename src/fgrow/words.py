@@ -239,23 +239,53 @@ def power(w: Word, n: int) -> Word:
     return out
 
 
-def _rotation_key(letters: tuple[int, ...]) -> list[tuple[int, int]]:
-    # order letters by (generator index, sign); sign -1 sorts first
-    return [(abs(x), 1 if x > 0 else -1) for x in letters]
-
-
 def _canonical_rotation(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Lexicographically least rotation and its offset."""
-    if not letters:
+    """Lexicographically least rotation and its offset, in O(n).
+
+    Letters are ordered by (generator index, sign) with the inverse
+    first.  Two-pointer minimum-rotation scan: candidate starts ``i``
+    and ``j`` are compared ``k`` letters deep, and a mismatch at depth
+    ``k`` rules out the ``k + 1`` starts from the larger candidate on.
+    Of several least rotations, as in a periodic word, the offset is the
+    smallest one; it decides the conjugator ``cyclic_reduce`` returns.
+
+    >>> _canonical_rotation((2, 1, 2, 1))
+    ((1, 2, 1, 2), 1)
+    """
+    n = len(letters)
+    if n < 2:
         return letters, 0
-    best, offset = letters, 0
-    best_key = _rotation_key(letters)
-    for i in range(1, len(letters)):
-        cand = letters[i:] + letters[:i]
-        key = _rotation_key(cand)
-        if key < best_key:
-            best, best_key, offset = cand, key, i
-    return best, offset
+    key = [2 * x if x > 0 else -2 * x - 1 for x in letters]
+    key += key
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = key[i + k], key[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return letters[i:] + letters[:i], i
+
+
+def _cyclic_trim(letters: tuple[int, ...]) -> tuple[int, int]:
+    """Bounds ``(lo, hi)`` of the cyclically reduced middle of a reduced word.
+
+    Strips matching inverse letters from both ends; ``letters[:lo]`` is
+    the conjugator part.
+    """
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo += 1
+        hi -= 1
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -306,10 +336,7 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     ('b', 'a')
     """
     ls = w.letters
-    lo, hi = 0, len(ls)
-    while hi - lo >= 2 and ls[lo] == -ls[hi - 1]:
-        lo += 1
-        hi -= 1
+    lo, hi = _cyclic_trim(ls)
     stripped = ls[lo:hi]
     canon, offset = _canonical_rotation(stripped)
     conj = Word(w.basis, free_reduce(ls[:lo] + stripped[:offset]))
@@ -324,9 +351,5 @@ def translation_length(w: Word | CyclicWord) -> int:
     """Cyclically reduced length (translation length on the tree)."""
     if isinstance(w, CyclicWord):
         return w.length
-    ls = w.letters
-    lo, hi = 0, len(ls)
-    while hi - lo >= 2 and ls[lo] == -ls[hi - 1]:
-        lo += 1
-        hi -= 1
+    lo, hi = _cyclic_trim(w.letters)
     return hi - lo

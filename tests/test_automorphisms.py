@@ -62,6 +62,24 @@ def test_parse_diagnostics_carry_line_numbers():
         parse_endomorphism("")
 
 
+def test_unknown_symbol_in_rule_names_its_line():
+    with pytest.raises(WordSyntaxError) as info:
+        parse_endomorphism("a -> a b\nb -> a z")
+    assert str(info.value) == "line 2: unknown symbol 'z' in 'z'"
+
+
+def test_duplicate_rule_names_its_line():
+    with pytest.raises(WordSyntaxError) as info:
+        parse_endomorphism("a -> a b; b -> a\n\na -> b")
+    assert str(info.value) == "line 3: duplicate rule for 'a'"
+
+
+def test_unknown_generator_names_its_line():
+    with pytest.raises(WordSyntaxError) as info:
+        parse_endomorphism("a -> a\nb -> b\nc -> c", F)
+    assert str(info.value) == "line 3: unknown generator 'c'"
+
+
 def test_parse_str_roundtrip():
     assert parse_endomorphism(str(FIB)) == FIB.endo
     theta = parse_endomorphism("a -> b a b'\nb -> b b")

@@ -289,15 +289,12 @@ def test_domain_errors_exit_one(tmp_path, capsys):
 
 
 def test_usage_errors_exit_one(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["growth"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
-        main(["nonsense"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
-        main(["growth", "--map", FIB, "--emit", "pdf"])
-    assert info.value.code == 1
+    for argv in (["growth"], ["nonsense"], ["growth", "--map", FIB, "--emit", "pdf"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -320,5 +317,6 @@ def test_bad_budgets_exit_one(argv, flag, low, value, capsys):
     assert info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: argument {flag}: must be an integer >= {low}, got {value!r}"]
+    assert captured.err.splitlines() == [
+        f"error: argument {flag}: must be an integer >= {low}, got {value!r}"
+    ]

@@ -22,7 +22,7 @@ from fgrow.folding import (
     trivial_subgroup,
     witnessed_graph,
 )
-from fgrow.words import Word, basis, free_reduce, identity
+from fgrow.words import BasisMismatchError, Word, basis, free_reduce, identity
 
 from helpers import bounded_products, random_letters, reduce_letters
 
@@ -185,6 +185,12 @@ def test_witnessed_rejects_nonmembers():
     wg = witnessed_graph(F, [W("a a"), W("b")])
     assert wg.express(W("a")) is None
     assert wg.express(W("a a b")) is not None
+
+
+def test_witnessed_express_checks_basis():
+    wg = witnessed_graph(F, [W("a"), W("b")])
+    with pytest.raises(BasisMismatchError):
+        wg.express(basis("x y").parse("x y"))
 
 
 def gen_lists(rank: int, max_len: int, max_gens: int):

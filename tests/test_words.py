@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import fgrow.words
 from fgrow.words import (
+    _canonical_rotation,
     Basis,
     BasisMismatchError,
     Word,
@@ -129,6 +130,70 @@ def test_cyclic_rotation_canonical():
     # both rotations of the same class agree
     assert cyclic_word(F.parse("a b")) == cyclic_word(F.parse("b a"))
     assert cyclic_word(F.parse("a b")).length == 2
+
+
+def least_rotation_reference(letters):
+    """Quadratic search: every rotation compared; the first least one wins."""
+
+    def key(t):
+        return [(abs(x), 1 if x > 0 else -1) for x in t]
+
+    best, offset = letters, 0
+    for i in range(1, len(letters)):
+        cand = letters[i:] + letters[:i]
+        if key(cand) < key(best):
+            best, offset = cand, i
+    return best, offset
+
+
+def cyclically_reduced(b, max_size=12):
+    return words(b, max_size).filter(
+        lambda w: not w.letters or w.letters[0] != -w.letters[-1]
+    )
+
+
+@given(
+    st.one_of(
+        letters(3, 40),
+        # powers have several least rotations; the smallest offset must win
+        st.tuples(letters(3, 8), st.integers(min_value=1, max_value=6)).map(
+            lambda p: p[0] * p[1]
+        ),
+    )
+)
+def test_canonical_rotation_matches_quadratic_search(ls):
+    ls = tuple(ls)
+    assert _canonical_rotation(ls) == least_rotation_reference(ls)
+
+
+PERIODIC = [
+    F.parse("a b a b a b"),
+    F.parse("a b' a b'"),
+    F.parse("b a b a"),
+    F.parse("a"),
+    F.parse("b'"),
+    F3.parse("c'"),
+    F3.parse("b c' a b c' a b c' a"),
+]
+
+
+@pytest.mark.parametrize("w", PERIODIC, ids=str)
+def test_canonical_rotation_periodic_cases(w):
+    assert _canonical_rotation(w.letters) == least_rotation_reference(w.letters)
+    for g in (identity(w.basis), w.basis.parse("a b'"), w.basis.parse("b a")):
+        u = conjugate(w, g)
+        core, conj = cyclic_reduce(u)
+        assert conj * core.as_word() * conj.inverse() == u
+        assert core.letters == least_rotation_reference(w.letters)[0]
+
+
+@given(cyclically_reduced(F3), st.integers(min_value=2, max_value=5), words(F3, 8))
+def test_cyclic_reduce_of_random_powers(w, k, g):
+    ls = w.letters * k
+    assert _canonical_rotation(ls) == least_rotation_reference(ls)
+    u = conjugate(power(w, k), g)
+    core, conj = cyclic_reduce(u)
+    assert conj * core.as_word() * conj.inverse() == u
 
 
 def test_adjacent_pairs_wraparound():
