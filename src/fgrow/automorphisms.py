@@ -27,6 +27,7 @@ from .words import (
     BasisMismatchError,
     Word,
     WordSyntaxError,
+    _valid_name,
     basis as make_basis,
     free_reduce,
 )
@@ -329,6 +330,8 @@ def parse_endomorphism(text: str, b: Basis | None = None) -> Endomorphism:
             lhs = lhs.strip()
             if not lhs:
                 raise WordSyntaxError(f"line {lineno}: missing generator name")
+            if not _valid_name(lhs):
+                raise WordSyntaxError(f"line {lineno}: bad generator name {lhs!r}")
             if lhs in rules:
                 raise WordSyntaxError(f"line {lineno}: duplicate rule for {lhs!r}")
             rules[lhs] = (rhs.strip(), lineno)
@@ -342,11 +345,11 @@ def parse_endomorphism(text: str, b: Basis | None = None) -> Endomorphism:
         raise WordSyntaxError(f"line {rules[extra[0]][1]}: unknown generator {extra[0]!r}")
     if missing:
         raise WordSyntaxError(f"no rule for generator {missing[0]!r}")
-    images = tuple(_parse_image(b, *rules[n]) for n in b.names)
+    images = tuple(_parse_word(b, *rules[n]) for n in b.names)
     return Endomorphism(b, images)
 
 
-def _parse_image(b: Basis, text: str, lineno: int) -> Word:
+def _parse_word(b: Basis, text: str, lineno: int) -> Word:
     try:
         return b.parse(text)
     except WordSyntaxError as exc:

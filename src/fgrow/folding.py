@@ -385,17 +385,17 @@ def _core_and_canonical(
 
 
 def _petals(
-    gens: Sequence[Word], witnessed: bool = False
+    gens: Sequence[Word], witnessed: bool = False, n: int = 1
 ) -> tuple[int, list[Edge], dict[int, Expr] | None]:
     """Wedge of loops at vertex 0 spelling the generators.
 
-    Returns the vertex count, the edges and, when ``witnessed``, the
-    closing edges' expressions by edge position.  V(v) of a petal vertex
-    is a prefix of its generator, so the other edges' are empty.
+    Inner petal vertices are numbered from ``n`` on.  Returns the vertex
+    count, the edges and, when ``witnessed``, the closing edges'
+    expressions by edge position.  V(v) of a petal vertex is a prefix of
+    its generator, so the other edges' are empty.
     """
     edges: list[Edge] = []
     exprs: dict[int, Expr] | None = {} if witnessed else None
-    n = 1
     for j, g in enumerate(gens, start=1):
         ls = free_reduce(g.letters)
         if not ls:
@@ -420,12 +420,19 @@ def _checked(b: Basis, gens: Iterable[Word]) -> list[Word]:
     return gens
 
 
+def _fold_onto(h: StallingsGraph, gens: Sequence[Word]) -> StallingsGraph:
+    """Folded core graph of ⟨H ∪ gens⟩: the petals of ``gens`` wedged at
+    H's basepoint and folded together with H's edges.  Folding is
+    confluent, so this equals folding H's generators and ``gens`` anew."""
+    n, edges, _ = _petals(gens, n=h.n_vertices)
+    uf, folded, _ = _fold_edges(n, list(h.edges) + edges)
+    graph, _ = _core_and_canonical(h.basis, folded, uf.find(0))
+    return graph
+
+
 def stallings_graph(b: Basis, gens: Iterable[Word]) -> StallingsGraph:
     """Folded core graph of the subgroup generated by ``gens``."""
-    n, edges, _ = _petals(_checked(b, gens))
-    uf, folded, _ = _fold_edges(n, edges)
-    graph, _ = _core_and_canonical(b, folded, uf.find(0))
-    return graph
+    return _fold_onto(trivial_subgroup(b), _checked(b, gens))
 
 
 @dataclass(frozen=True, eq=False)

@@ -154,32 +154,28 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
         yield w, k + 1
         yield w, k - 1
 
+    # One pass in BFS order computes each vertex's neighbours once; at
+    # radius r every neighbour inside the ball is already indexed.  The
+    # generating set is symmetric, hence so is the adjacency.
     start: State = ((), 0)
     index: dict[State, int] = {start: 0}
     states: list[State] = [start]
     dist: list[int] = [0]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        if dist[i] == r:
-            continue
-        w, k = states[i]
-        for st in neighbor_states(w, k):
-            if st not in index:
-                if len(states) >= max_vertices:
-                    raise BudgetExceededError(max_vertices, r)
-                index[st] = len(states)
-                states.append(st)
-                dist.append(dist[i] + 1)
-                queue.append(len(states) - 1)
-    adj_sets: list[set[int]] = [set() for _ in states]
-    for i, (w, k) in enumerate(states):
+    adj: list[tuple[int, ...]] = []
+    for i, (w, k) in enumerate(states):  # states grows while it is read
+        nbrs = []
         for st in neighbor_states(w, k):
             j = index.get(st)
-            if j is not None and j != i:
-                adj_sets[i].add(j)
-                adj_sets[j].add(i)
-    adj = [tuple(sorted(s)) for s in adj_sets]
+            if j is None:
+                if dist[i] == r:
+                    continue
+                if len(states) >= max_vertices:
+                    raise BudgetExceededError(max_vertices, r)
+                j = index[st] = len(states)
+                states.append(st)
+                dist.append(dist[i] + 1)
+            nbrs.append(j)
+        adj.append(tuple(sorted(nbrs)))
     return BallGraph(group, r, states, dist, adj, index)
 
 

@@ -9,9 +9,10 @@ moves t past fiber letters, so multiplication is
 H = ⟨gens⟩ ≤ G: take n = gcd of the generators' t-exponents, build an
 explicit s ∈ H with exponent n by Euclidean combination, re-express
 the generators as fiber seeds gᵢ·s^{-kᵢ/n}, and saturate the folded
-seed subgroup under conjugation by s (the map a ↦ x·Φⁿ(a)·x⁻¹ when
-s = x·tⁿ) until the subgroup is invariant both ways.  Stabilization
-is guaranteed only when H ∩ F is finitely generated, so budgets are
+seed subgroup under θ, conjugation by s (a ↦ x·Φⁿ(a)·x⁻¹ when
+s = x·tⁿ), folding the images that escape onto the graph built so far,
+until the subgroup is invariant both ways.  Stabilization is
+guaranteed only when H ∩ F is finitely generated, so budgets are
 enforced and exhaustion raises UnstabilizedError rather than guessing.
 """
 
@@ -32,6 +33,7 @@ from .automorphisms import (
 from .folding import (
     StallingsGraph,
     WitnessedGraph,
+    _fold_onto,
     _inv,
     is_invariant,
     stallings_graph,
@@ -301,44 +303,39 @@ def fiber_intersection(
         n = d
 
     entries: list[tuple[Word, tuple[int, ...]]] = []
-    seen: set[Word] = set()
-
-    def push(w: Word, expr: tuple[int, ...]) -> bool:
-        if not w.letters or w in seen:
-            return False
-        seen.add(w)
-        entries.append((w, expr))
-        return True
-
     for i, g in enumerate(gens, start=1):
-        if n:
-            m = g.k // n
-            h = g * (s ** (-m))
-            expr = (i,) + _pow_expr(s_expr, -m)
-        else:
-            h, expr = g, (i,)
+        m = g.k // n if n else 0
+        h = g * (s ** (-m))
         if h.k != 0:
             raise AssertionError("seed failed to land in the fiber")
-        push(h.w, expr)
+        entries.append((h.w, (i,) + _pow_expr(s_expr, -m)))
 
+    graph = stallings_graph(b, [w for w, _ in entries])
     rounds = 0
-    if n == 0:
-        graph = stallings_graph(b, [w for w, _ in entries])
-        s_out = None
-    else:
+    if n:
         theta = compose(inner_automorphism(b, s.w), map_power(group.phi, n))
         theta_inv = theta.inverse()
         s_inv_expr = _inv(s_expr)
-        pos = list(entries)
-        neg = list(entries)
+        # H_{r+1} = ⟨H_r ∪ θ(H_r) ∪ θ⁻¹(H_r)⟩: only the last round's new
+        # entries need mapping, as older entries' images are already
+        # members.  is_invariant, not this bookkeeping, certifies the stop.
+        frontier = entries
         while True:
-            graph = stallings_graph(b, [w for w, _ in entries])
             if graph.n_vertices > max_vertices:
                 raise UnstabilizedError(
                     "fiber saturation exceeded the vertex budget",
                     rounds, graph.n_vertices,
                 )
-            if is_invariant(graph, theta):
+            escapes = [
+                (img, pre + e + post)
+                for w, e in frontier
+                for img, pre, post in (
+                    (theta.apply(w), s_expr, s_inv_expr),
+                    (theta_inv.apply(w), s_inv_expr, s_expr),
+                )
+                if not graph.accepts(img)
+            ]
+            if not escapes and is_invariant(graph, theta):
                 break
             rounds += 1
             if rounds > max_rounds:
@@ -346,20 +343,11 @@ def fiber_intersection(
                     "fiber saturation exceeded the round budget",
                     rounds, graph.n_vertices,
                 )
-            new_pos = []
-            for w, e in pos:
-                cand = (theta.apply(w), s_expr + e + s_inv_expr)
-                if push(*cand):
-                    new_pos.append(cand)
-            new_neg = []
-            for w, e in neg:
-                cand = (theta_inv.apply(w), s_inv_expr + e + s_expr)
-                if push(*cand):
-                    new_neg.append(cand)
-            pos, neg = new_pos, new_neg
-        s_out = s
+            entries += escapes
+            graph = _fold_onto(graph, [w for w, _ in escapes])
+            frontier = escapes
 
-    result = FiberIntersection(group, gens, graph, n, s_out, rounds)
+    result = FiberIntersection(group, gens, graph, n, s if n else None, rounds)
     if with_witnesses:
         result._witnessed = witnessed_graph(b, [w for w, _ in entries])
         result._entry_exprs = tuple(e for _, e in entries)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .automorphisms import Automorphism, apply_power
+from .automorphisms import Automorphism, _parse_word, apply_power
 from .folding import (
     StallingsGraph,
     double_coset_contains,
@@ -198,7 +198,7 @@ class FixedSplittingWitness:
         return identity(b)
 
 
-def identity_witness(gog: GraphOfGroups) -> FixedSplittingWitness:
+def identity_witness() -> FixedSplittingWitness:
     return FixedSplittingWitness((), (), ())
 
 
@@ -592,13 +592,6 @@ def induce_hierarchy(
 
 # ---------------------------------------------------------------------------
 # file parsing
-
-
-def _parse_word(b: Basis, text: str, lineno: int) -> Word:
-    try:
-        return b.parse(text)
-    except WordSyntaxError as exc:
-        raise WordSyntaxError(f"line {lineno}: {exc}") from None
 
 
 def parse_splitting(

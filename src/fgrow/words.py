@@ -43,7 +43,7 @@ class Basis:
             raise ValueError("basis needs at least one generator")
         seen = set()
         for name in self.names:
-            if not name or not name[0].isalpha() or not name.replace("_", "").isalnum():
+            if not _valid_name(name):
                 raise ValueError(f"bad generator name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate generator name {name!r}")
@@ -110,6 +110,11 @@ def basis(names: str | Sequence[str]) -> Basis:
     if isinstance(names, str):
         names = names.replace(",", " ").split()
     return Basis(tuple(names))
+
+
+def _valid_name(name: str) -> bool:
+    """A generator name: a letter, then letters, digits or underscores."""
+    return bool(name) and name[0].isalpha() and name.replace("_", "").isalnum()
 
 
 def _split_marker(token: str) -> tuple[str, int]:

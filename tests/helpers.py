@@ -3,7 +3,9 @@
 Everything here is deliberately naive: direct substitution, bounded
 enumeration, brute-force reduction.  None of it calls the package's
 own folding or growth paths, so agreement is evidence rather than
-tautology.
+tautology.  The one exception is ``reference_fiber_saturation``, a
+reference for the saturation loop only: it folds with the package's
+``stallings_graph`` but refolds everything each round.
 """
 
 from __future__ import annotations
@@ -110,3 +112,56 @@ def torus_words(rank: int, max_len: int):
     alphabet = [s * i for i in range(1, rank + 2) for s in (1, -1)]
     for n in range(max_len + 1):
         yield from product(alphabet, repeat=n)
+
+
+def reference_fiber_saturation(group, gens, max_rounds, max_vertices):
+    """(graph, n, s, rounds) of ``fiber_intersection``, by the plain loop.
+
+    Same n and s (same Euclidean steps), then every round refolds all
+    entries from scratch, stops when ``is_invariant`` holds, and pushes
+    every image not seen before: θ of the last round's forward images,
+    θ⁻¹ of its backward ones.  Raises UnstabilizedError on the same
+    budgets.
+    """
+    from fgrow.automorphisms import compose, inner_automorphism, power
+    from fgrow.folding import is_invariant, stallings_graph
+    from fgrow.mapping_torus import UnstabilizedError, _ext_gcd
+
+    n, s = 0, group.identity_element()
+    for g in gens:
+        if g.k == 0:
+            continue
+        if n == 0:
+            n, s = abs(g.k), g if g.k > 0 else g.inverse()
+            continue
+        d, x, y = _ext_gcd(n, g.k)
+        if d != n:
+            n, s = d, (s ** x) * (g ** y)
+    seen: set = set()
+
+    def unseen(words):
+        out = []
+        for w in words:
+            if w.letters and w not in seen:
+                seen.add(w)
+                out.append(w)
+        return out
+
+    entries = unseen((g * (s ** (-(g.k // n))) if n else g).w for g in gens)
+    if n == 0:
+        return stallings_graph(group.basis, entries), 0, None, 0
+    theta = compose(inner_automorphism(group.basis, s.w), power(group.phi, n))
+    theta_inv = theta.inverse()
+    pos, neg, rounds = list(entries), list(entries), 0
+    while True:
+        graph = stallings_graph(group.basis, entries)
+        if graph.n_vertices > max_vertices:
+            raise UnstabilizedError("vertex budget", rounds, graph.n_vertices)
+        if is_invariant(graph, theta):
+            return graph, n, s, rounds
+        rounds += 1
+        if rounds > max_rounds:
+            raise UnstabilizedError("round budget", rounds, graph.n_vertices)
+        pos = unseen([theta.apply(w) for w in pos])
+        neg = unseen([theta_inv.apply(w) for w in neg])
+        entries += pos + neg

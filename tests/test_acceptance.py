@@ -302,14 +302,14 @@ def test_criterion_6_splitting_induction():
 
     swap = parse_automorphism("a -> b\nb -> a")
     cases = [
-        (free_gog, identity_automorphism(F2), identity_witness(free_gog), "Z"),
+        (free_gog, identity_automorphism(F2), identity_witness(), "Z"),
         (free_gog, swap, free_wit, "Z"),
-        (loop_gog, identity_automorphism(F2), identity_witness(loop_gog), "Z"),
-        (cyc_gog, identity_automorphism(F3), identity_witness(cyc_gog), "Z-by-Z"),
+        (loop_gog, identity_automorphism(F2), identity_witness(), "Z"),
+        (cyc_gog, identity_automorphism(F3), identity_witness(), "Z-by-Z"),
         (
             cyc_gog,
             parse_automorphism("a -> a\nb -> b'\nc -> c", F3),
-            identity_witness(cyc_gog),
+            identity_witness(),
             "Z-by-Z",
         ),
     ]
@@ -337,7 +337,7 @@ def test_criterion_6_splitting_induction():
         splitting=free_gog,
     )
     src = Hierarchy("free", root)
-    induced = induce_hierarchy(src, identity_automorphism(F2), identity_witness(free_gog))
+    induced = induce_hierarchy(src, identity_automorphism(F2), identity_witness())
     if hierarchy_depth(induced) != hierarchy_depth(src):
         failures.append(
             f"depth {hierarchy_depth(induced)} != {hierarchy_depth(src)}"

@@ -80,6 +80,12 @@ def test_unknown_generator_names_its_line():
     assert str(info.value) == "line 3: unknown generator 'c'"
 
 
+def test_bad_generator_name_names_its_line():
+    with pytest.raises(WordSyntaxError) as info:
+        parse_endomorphism("a -> a b\nb c -> a")
+    assert str(info.value) == "line 2: bad generator name 'b c'"
+
+
 def test_parse_str_roundtrip():
     assert parse_endomorphism(str(FIB)) == FIB.endo
     theta = parse_endomorphism("a -> b a b'\nb -> b b")

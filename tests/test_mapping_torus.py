@@ -19,7 +19,14 @@ from fgrow.mapping_torus import (
 )
 from fgrow.words import basis
 
-from helpers import image_table, reduce_letters, substitute, torus_words
+from helpers import (
+    image_table,
+    random_letters,
+    reduce_letters,
+    reference_fiber_saturation,
+    substitute,
+    torus_words,
+)
 
 F = basis("a b")
 FIB = parse_automorphism("a -> a b\nb -> a")
@@ -195,3 +202,48 @@ def test_mismatched_group_rejected():
 
     with pytest.raises(BasisMismatchError):
         fiber_intersection(G, [GID.element("b")])
+
+
+SATURATION_TORI = {
+    "identity": "a -> a; b -> b",
+    "swap": "a -> b; b -> a",
+    "fib": "a -> a b; b -> a",
+    "poly": "a -> a; b -> b a",
+    "rank3": "a -> b; b -> c; c -> a b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_TORI))
+def test_saturation_matches_reference(name):
+    # 32 seeded cases per torus: the incremental loop must give the
+    # plain refold-everything loop's graph, n, s and rounds, or give up
+    # at the same round with the same vertex count
+    group = torus_group(parse_automorphism(SATURATION_TORI[name]))
+    rank = group.basis.rank
+    rng = random.Random(name)
+    for case in range(32):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            letters = list(random_letters(rng, rank, rng.randint(0, 3)))
+            e = rng.randint(-2, 2)
+            t = rank + 1 if e > 0 else -(rank + 1)
+            for _ in range(abs(e)):
+                letters.insert(rng.randint(0, len(letters)), t)
+            gens.append(group.normalize(letters))
+        max_rounds = rng.randint(0, 8)
+        max_vertices = rng.choice((20, 50, 300, 1000))
+        try:
+            want = reference_fiber_saturation(group, gens, max_rounds, max_vertices)
+        except UnstabilizedError as exc:
+            want = (exc.rounds, exc.vertices)
+        try:
+            fi = fiber_intersection(
+                group, gens, max_rounds=max_rounds, max_vertices=max_vertices,
+                with_witnesses=True,
+            )
+        except UnstabilizedError as exc:
+            assert (exc.rounds, exc.vertices) == want, (case, gens)
+            continue
+        assert (fi.graph, fi.n, fi.s, fi.rounds) == want, (case, gens)
+        for w, expr in fi.basis_witnesses():
+            assert fi.evaluate_witness(expr) == group.element(w), (case, gens)

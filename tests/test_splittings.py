@@ -189,20 +189,20 @@ def test_witness_shape_errors():
 def test_verify_identity_and_swap():
     gog, flip_wit = make_free()
     ident = identity_automorphism(F)
-    assert verify_fixed(gog, ident, identity_witness(gog))
+    assert verify_fixed(gog, ident, identity_witness())
     swap = parse_automorphism("a -> b\nb -> a")
     assert verify_fixed(gog, swap, flip_wit)
     # swap does not fix the splitting without the exchange
-    assert not verify_fixed(gog, swap, identity_witness(gog))
+    assert not verify_fixed(gog, swap, identity_witness())
     fib = parse_automorphism("a -> a b\nb -> a")
-    assert not verify_fixed(gog, fib, identity_witness(gog))
+    assert not verify_fixed(gog, fib, identity_witness())
     assert not verify_fixed(gog, fib, flip_wit)
 
 
 def test_verify_uses_correctors():
     gog, _ = make_free()
     conj = inner_automorphism(F, F.parse("a"))
-    assert not verify_fixed(gog, conj, identity_witness(gog))
+    assert not verify_fixed(gog, conj, identity_witness())
     wit = FixedSplittingWitness((), (), (("v2", F.parse("a'")),))
     assert verify_fixed(gog, conj, wit)
 
@@ -210,11 +210,11 @@ def test_verify_uses_correctors():
 def test_verify_cyclic_boundaries():
     gog = make_cyclic()
     ident = identity_automorphism(F3)
-    assert verify_fixed(gog, ident, identity_witness(gog))
+    assert verify_fixed(gog, ident, identity_witness())
     neg = parse_automorphism("a -> a\nb -> b'\nc -> c")
-    assert verify_fixed(gog, neg, identity_witness(gog))
+    assert verify_fixed(gog, neg, identity_witness())
     push = parse_automorphism("a -> a\nb -> a b\nc -> c")
-    assert not verify_fixed(gog, push, identity_witness(gog))
+    assert not verify_fixed(gog, push, identity_witness())
 
 
 # -- induced splittings ----------------------------------------------------
@@ -223,7 +223,7 @@ def test_verify_cyclic_boundaries():
 def test_induce_free_identity():
     gog, _ = make_free()
     ident = identity_automorphism(F)
-    ts = induce_torus_splitting(gog, ident, identity_witness(gog))
+    ts = induce_torus_splitting(gog, ident, identity_witness())
     assert ts.kind == "Z"
     assert [v.label() for v in ts.vertices] == ["< a, t >", "< b, t >"]
     assert [(e.kind, e.period) for e in ts.edges] == [("Z", 1)]
@@ -244,13 +244,13 @@ def test_induce_free_swap_merges_orbit():
 def test_induce_cyclic_twists():
     gog = make_cyclic()
     ident = identity_automorphism(F3)
-    ts = induce_torus_splitting(gog, ident, identity_witness(gog))
+    ts = induce_torus_splitting(gog, ident, identity_witness())
     (e,) = ts.edges
     assert e.kind == "Z-by-Z" and e.twist == 1
     assert ts.kind == "slender"
     assert e.label() == "< b, t >"
     neg = parse_automorphism("a -> a\nb -> b'\nc -> c")
-    ts2 = induce_torus_splitting(gog, neg, identity_witness(gog))
+    ts2 = induce_torus_splitting(gog, neg, identity_witness())
     assert ts2.edges[0].twist == -1
 
 
@@ -259,7 +259,7 @@ def test_induced_edge_relator_holds_in_torus_group():
     gog = make_cyclic()
     for rules in ("a -> a; b -> b; c -> c", "a -> a; b -> b'; c -> c"):
         phi = parse_automorphism(rules, F3)
-        ts = induce_torus_splitting(gog, phi, identity_witness(gog))
+        ts = induce_torus_splitting(gog, phi, identity_witness())
         g = torus_group(phi)
         (e,) = ts.edges
         section = g.element(e.holonomy) * g.t(e.period)
@@ -271,20 +271,20 @@ def test_induce_rejects_unverified_and_small_rank():
     gog, _ = make_free()
     fib = parse_automorphism("a -> a b\nb -> a")
     with pytest.raises(ValueError, match="witness"):
-        induce_torus_splitting(gog, fib, identity_witness(gog))
+        induce_torus_splitting(gog, fib, identity_witness())
     f1 = basis("a")
     tiny = GraphOfGroups(
         f1, (GogVertex("v", stallings_graph(f1, [f1.parse("a")])),), ()
     )
     with pytest.raises(ValueError, match="noncyclic"):
-        induce_torus_splitting(tiny, identity_automorphism(f1), identity_witness(tiny))
+        induce_torus_splitting(tiny, identity_automorphism(f1), identity_witness())
 
 
 def test_induce_rejects_holonomy_escaping_edge_group():
     gog = make_cyclic()
     push = parse_automorphism("a -> a\nb -> a b\nc -> c")
     with pytest.raises(ValueError, match="edge group"):
-        induce_torus_splitting(gog, push, identity_witness(gog), check=False)
+        induce_torus_splitting(gog, push, identity_witness(), check=False)
 
 
 # -- hierarchies -----------------------------------------------------------
