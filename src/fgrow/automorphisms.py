@@ -205,14 +205,14 @@ def certify_automorphism(phi: Endomorphism) -> Automorphism:
     wg = witnessed_graph(b, list(phi.images))
     if not wg.is_rose():
         raise NotSurjectiveError(
-            "images generate a proper subgroup", wg.to_stallings()
+            "images generate a proper subgroup", wg.graph
         )
     inverse_images = []
     for i in range(1, b.rank + 1):
         expr = wg.express(Word(b, (i,)))
         if expr is None:
             raise NotSurjectiveError(
-                "generator not expressible over the images", wg.to_stallings()
+                "generator not expressible over the images", wg.graph
             )
         # expression indices name the images, so they substitute
         # directly as preimage letters

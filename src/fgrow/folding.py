@@ -8,9 +8,15 @@ deterministic trace.  Graphs are canonically numbered (breadth-first
 from the basepoint, labels in order), so two graphs are equal as values
 exactly when they present the same subgroup.
 
-One fold engine, ``_fold_edges``, serves every entry point: a
-union-find fold with a worklist (Stallings 1983).  ``witnessed_graph``
-runs it with potentials (Kapovich–Myasnikov 2002): with V(v) a fixed
+The fold's own tables, ``succ[v][x]`` and ``pred[v][x]`` (the other
+end of v's outgoing or incoming x-edge), carry a folded graph from the
+fold to the canonical graph.  One fold engine, ``_fold_edges``, serves
+every entry point: a union-find fold with a worklist (Stallings 1983).
+``_core_and_canonical`` prunes its tables in place and numbers the core
+along ``_bfs_tree``, the one breadth-first spanning tree, which also
+gives ``free_basis`` its tree; ``intersect`` and ``double_coset_contains``
+share one product walk, ``_product``.  ``witnessed_graph`` runs the
+fold with potentials (Kapovich–Myasnikov 2002): with V(v) a fixed
 basepoint path word per vertex, the union-find keeps an expression for
 V(v)·V(parent)⁻¹ over the generators, composed on path compression and
 merges, so each folded edge (u, x, v) gets an expression for
@@ -27,22 +33,31 @@ from typing import Iterable, Sequence
 from .words import Basis, BasisMismatchError, Word, concat_all, free_reduce
 
 Edge = tuple[int, int, int]  # (source, label, target), label positive
+Table = list[dict[int, int]]  # by vertex, then label: the edge's other end
 
 
 class StallingsGraph:
     """Immutable folded core graph with basepoint 0."""
 
     def __init__(self, basis: Basis, n_vertices: int, edges: Sequence[Edge]):
-        self.basis = basis
-        self.n_vertices = n_vertices
-        self.edges = tuple(sorted(edges))
-        self._succ: dict[tuple[int, int], int] = {}
-        self._pred: dict[tuple[int, int], int] = {}
-        for u, x, v in self.edges:
-            if (u, x) in self._succ or (v, x) in self._pred:
+        succ: Table = [{} for _ in range(n_vertices)]
+        pred: Table = [{} for _ in range(n_vertices)]
+        for u, x, v in edges:
+            if x in succ[u] or x in pred[v]:
                 raise ValueError("edge set is not folded")
-            self._succ[(u, x)] = v
-            self._pred[(v, x)] = u
+            succ[u][x] = v
+            pred[v][x] = u
+        self._adopt(basis, succ, pred)
+
+    def _adopt(self, basis: Basis, succ: Table, pred: Table) -> None:
+        """Take over folded tables; ``edges`` lists them sorted."""
+        self.basis = basis
+        self.n_vertices = len(succ)
+        self._succ = succ
+        self._pred = pred
+        self.edges = tuple(
+            (u, x, v) for u, out in enumerate(succ) for x, v in sorted(out.items())
+        )
         self._readback: WitnessedGraph | None = None  # see express_in_free_basis
 
     def __eq__(self, other: object) -> bool:
@@ -64,8 +79,8 @@ class StallingsGraph:
     def step(self, vertex: int, letter: int) -> int | None:
         """Follow one signed letter; None if the edge is absent."""
         if letter > 0:
-            return self._succ.get((vertex, letter))
-        return self._pred.get((vertex, -letter))
+            return self._succ[vertex].get(letter)
+        return self._pred[vertex].get(-letter)
 
     def trace(self, letters: Iterable[int], start: int = 0) -> int | None:
         at = start
@@ -89,11 +104,7 @@ class StallingsGraph:
 
     def is_full_cover(self) -> bool:
         r = self.basis.rank
-        return all(
-            (v, x) in self._succ and (v, x) in self._pred
-            for v in range(self.n_vertices)
-            for x in range(1, r + 1)
-        )
+        return all(len(out) == r == len(inn) for out, inn in zip(self._succ, self._pred))
 
     def index(self) -> int | None:
         """Subgroup index, or None when infinite."""
@@ -104,38 +115,21 @@ class StallingsGraph:
     def free_basis(self) -> list[Word]:
         """One reduced word per non-tree edge of a BFS spanning tree (a
         free basis of the subgroup)."""
-        parent = [0] * self.n_vertices
-        letter = [0] * self.n_vertices
-        tree: set[Edge] = set()
-        seen = [False] * self.n_vertices
-        seen[0] = True
-        queue = deque([0])
-        labels = range(1, self.basis.rank + 1)
-        while queue:
-            v = queue.popleft()
-            for x in labels:
-                for s, w in ((x, self._succ.get((v, x))), (-x, self._pred.get((v, x)))):
-                    if w is None or seen[w]:
-                        continue
-                    seen[w] = True
-                    parent[w] = v
-                    letter[w] = s
-                    tree.add((v, x, w) if s > 0 else (w, x, v))
-                    queue.append(w)
+        via = _bfs_tree(self._succ, self._pred, self.basis.rank)
         paths: dict[int, tuple[int, ...]] = {}  # only for non-tree edge ends
 
         def path(v: int) -> tuple[int, ...]:
             if v not in paths:
                 up, at = [], v
                 while at != 0:
-                    up.append(letter[at])
-                    at = parent[at]
+                    at, s = via[at]
+                    up.append(s)
                 paths[v] = tuple(reversed(up))
             return paths[v]
 
         out = []
         for u, x, v in self.edges:
-            if (u, x, v) in tree:
+            if via[v] == (u, x) or via[u] == (v, -x):  # a tree edge
                 continue
             raw = path(u) + (x,) + tuple(-t for t in reversed(path(v)))
             out.append(Word(self.basis, free_reduce(raw)))
@@ -226,20 +220,23 @@ class _PotentialUnionFind(_UnionFind):
 
 def _fold_edges(
     n: int, edges: Iterable[Edge], exprs: dict[int, Expr] | None = None
-) -> tuple[_UnionFind, set[Edge], dict[tuple[int, int], Expr]]:
-    """Fold an edge list; returns the vertex union-find and folded edges.
+) -> tuple[_UnionFind, Table, Table, dict[tuple[int, int], Expr]]:
+    """Fold an edge list; returns the vertex union-find and the folded
+    succ/pred tables.
 
-    With ``exprs`` (edge position → expression for V(u)·x·V(v)⁻¹,
-    empty ones left out) the fold is witnessed: the union-find keeps
-    potentials, every merge records the relation that forced it, and
-    the third result maps each folded edge (u, x) to an expression for
-    V(u)·x·V(v)⁻¹ with u, v roots.  Without it that map is empty.
+    The tables are indexed by the original vertex ids; a vertex merged
+    away has none of their records, and every record names a root.
+    Vertex 0 stays a root.  With ``exprs`` (edge position → expression
+    for V(u)·x·V(v)⁻¹, empty ones left out) the fold is witnessed: the
+    union-find keeps potentials, every merge records the relation that
+    forced it, and the last result maps each folded edge (u, x) to an
+    expression for V(u)·x·V(v)⁻¹.  Without it that map is empty.
     """
     witnessed = exprs is not None
     uf = _PotentialUnionFind(n) if witnessed else _UnionFind(n)
     find, pot = uf.find, uf.pot
-    out: list[dict[int, int]] = [dict() for _ in range(n)]
-    inn: list[dict[int, int]] = [dict() for _ in range(n)]
+    out: Table = [dict() for _ in range(n)]
+    inn: Table = [dict() for _ in range(n)]
     # non-empty edge expressions by out-record: ex[(u, x)] is for
     # V(u)·x·V(out[u][x])⁻¹, with the target as stored
     ex: dict[tuple[int, int], Expr] = {}
@@ -326,62 +323,76 @@ def _fold_edges(
     for i, (u, x, v) in enumerate(edges):
         insert(u, x, v, exprs.get(i, ()) if witnessed else ())
         drain()
-    folded = set()
     folded_ex: dict[tuple[int, int], Expr] = {}
-    for u in range(n):
-        if find(u) != u:
-            continue
-        for x, t in out[u].items():
-            folded.add((u, x, find(t)))
+    for u, succ in enumerate(out):  # only roots have records
+        for x, t in succ.items():
+            r = find(t)
             if witnessed:
                 e = at_roots(u, ex.get((u, x), ()), t)
                 if e:
                     folded_ex[(u, x)] = e
-    return uf, folded, folded_ex
+            succ[x] = r
+    for pred in inn:
+        for x, s in pred.items():
+            pred[x] = find(s)
+    return uf, out, inn, folded_ex
+
+
+def _bfs_tree(succ: Table, pred: Table, rank: int) -> dict[int, tuple[int, int]]:
+    """Breadth-first spanning tree from vertex 0 of a folded graph.
+
+    Labels are walked in ascending order, outgoing edges before
+    incoming ones; the canonical numbering and the free-basis words
+    depend on that order.  Returns via[v] = (parent, signed letter read
+    from the parent to v) in discovery order, with via[0] = (0, 0).
+    """
+    via = {0: (0, 0)}
+    order = [0]
+    labels = range(1, rank + 1)
+    for v in order:  # order grows as vertices are discovered
+        out, inn = succ[v], pred[v]
+        for x in labels:
+            w = out.get(x)
+            if w is not None and w not in via:
+                via[w] = (v, x)
+                order.append(w)
+            w = inn.get(x)
+            if w is not None and w not in via:
+                via[w] = (v, -x)
+                order.append(w)
+    return via
 
 
 def _core_and_canonical(
-    basis: Basis, edges: set[Edge], base: int
+    basis: Basis, succ: Table, pred: Table
 ) -> tuple[StallingsGraph, dict[int, int]]:
-    """Prune hanging trees, drop unreachable parts, renumber canonically.
+    """Core of a connected folded graph with base 0, canonically numbered.
 
-    Returns the graph and the old-id → new-id map for surviving vertices.
+    Prunes hanging trees off the tables in place: a vertex other than
+    the base with one record is a leaf, and deleting its record may
+    make a leaf of its neighbour.  Returns the graph and the old-id →
+    new-id map of the core's vertices.
     """
-    adj: dict[int, set[Edge]] = {base: set()}
-    for e in edges:
-        adj.setdefault(e[0], set()).add(e)
-        adj.setdefault(e[2], set()).add(e)
-    leaves = deque(v for v, es in adj.items() if len(es) <= 1 and v != base)
+    leaves = [v for v in range(1, len(succ)) if len(succ[v]) + len(pred[v]) == 1]
     while leaves:
-        v = leaves.popleft()
-        if v not in adj or len(adj[v]) > 1 or v == base:
-            continue
-        for e in list(adj[v]):
-            other = e[2] if e[0] == v else e[0]
-            adj[other].discard(e)
-            if len(adj[other]) <= 1 and other != base:
-                leaves.append(other)
-        del adj[v]
-    succ: dict[tuple[int, int], int] = {}
-    pred: dict[tuple[int, int], int] = {}
-    live = {e for es in adj.values() for e in es}
-    for u, x, v in live:
-        succ[(u, x)] = v
-        pred[(v, x)] = u
-    order: dict[int, int] = {base: 0}
-    queue = deque([base])
-    labels = range(1, basis.rank + 1)
-    while queue:
-        v = queue.popleft()
-        for x in labels:
-            for nbr in (succ.get((v, x)), pred.get((v, x))):
-                if nbr is not None and nbr in adj and nbr not in order:
-                    order[nbr] = len(order)
-                    queue.append(nbr)
-    kept = [
-        (order[u], x, order[v]) for u, x, v in live if u in order and v in order
-    ]
-    return StallingsGraph(basis, len(order), kept), order
+        v = leaves.pop()
+        if succ[v]:
+            x, t = succ[v].popitem()
+            del pred[t][x]
+        else:
+            x, t = pred[v].popitem()
+            del succ[t][x]
+        if t and len(succ[t]) + len(pred[t]) == 1:
+            leaves.append(t)
+    via = _bfs_tree(succ, pred, basis.rank)
+    new = dict(zip(via, range(len(via))))
+    graph = StallingsGraph.__new__(StallingsGraph)
+    graph._adopt(
+        basis,
+        [{x: new[t] for x, t in succ[v].items()} for v in new],
+        [{x: new[s] for x, s in pred[v].items()} for v in new],
+    )
+    return graph, new
 
 
 def _petals(
@@ -425,8 +436,8 @@ def _fold_onto(h: StallingsGraph, gens: Sequence[Word]) -> StallingsGraph:
     H's basepoint and folded together with H's edges.  Folding is
     confluent, so this equals folding H's generators and ``gens`` anew."""
     n, edges, _ = _petals(gens, n=h.n_vertices)
-    uf, folded, _ = _fold_edges(n, list(h.edges) + edges)
-    graph, _ = _core_and_canonical(h.basis, folded, uf.find(0))
+    _, succ, pred, _ = _fold_edges(n, list(h.edges) + edges)
+    graph, _ = _core_and_canonical(h.basis, succ, pred)
     return graph
 
 
@@ -484,21 +495,15 @@ class WitnessedGraph:
     def is_rose(self) -> bool:
         return self.graph == full_group(self.basis)
 
-    def to_stallings(self) -> StallingsGraph:
-        return self.graph
-
 
 def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
     """Folded graph of ⟨gens⟩ with membership certificates."""
     gens = _checked(b, gens)
     n, edges, exprs = _petals(gens, witnessed=True)
-    uf, folded, folded_ex = _fold_edges(n, edges, exprs)
-    graph, order = _core_and_canonical(b, folded, uf.find(0))
-    kept = {
-        (order[u], x): e
-        for (u, x), e in folded_ex.items()
-        if u in order and graph.step(order[u], x) is not None
-    }
+    _, succ, pred, folded_ex = _fold_edges(n, edges, exprs)
+    graph, new = _core_and_canonical(b, succ, pred)
+    # pruning deleted the records of edges off the core
+    kept = {(new[u], x): e for (u, x), e in folded_ex.items() if x in succ[u]}
     return WitnessedGraph(tuple(gens), graph, kept)
 
 
@@ -521,30 +526,44 @@ def subgroup_equal(a: StallingsGraph, c: StallingsGraph) -> bool:
     return a == c
 
 
+def _product(
+    a_succ: Table, a_pred: Table, c_succ: Table, c_pred: Table, start: tuple[int, int]
+) -> tuple[dict[tuple[int, int], int], Table, Table]:
+    """The part of the product of two folded graphs reachable from ``start``.
+
+    An x-edge leaves a pair of vertices when one leaves each.  Returns
+    the pair ids, in discovery order from ``start`` (id 0), and the
+    product's succ/pred tables over them.
+    """
+    ids = {start: 0}
+    pairs = [start]
+
+    def meet(a_out: dict[int, int], c_out: dict[int, int]) -> dict[int, int]:
+        out = {}
+        for x, u in a_out.items():
+            v = c_out.get(x)
+            if v is not None:
+                j = ids.get((u, v))
+                if j is None:
+                    j = ids[(u, v)] = len(pairs)
+                    pairs.append((u, v))
+                out[x] = j
+        return out
+
+    succ: Table = []
+    pred: Table = []
+    for p, q in pairs:  # pairs grows as they are discovered
+        succ.append(meet(a_succ[p], c_succ[q]))
+        pred.append(meet(a_pred[p], c_pred[q]))
+    return ids, succ, pred
+
+
 def intersect(a: StallingsGraph, c: StallingsGraph) -> StallingsGraph:
     """Fiber product of the two based graphs (basepoint component, cored)."""
     if a.basis != c.basis:
         raise BasisMismatchError("subgroups over different bases")
-    pair_id: dict[tuple[int, int], int] = {(0, 0): 0}
-    queue = deque([(0, 0)])
-    edges: set[Edge] = set()
-    while queue:
-        p, q = queue.popleft()
-        here = pair_id[(p, q)]
-        for x in range(1, a.basis.rank + 1):
-            for sign in (x, -x):
-                pn, qn = a.step(p, sign), c.step(q, sign)
-                if pn is None or qn is None:
-                    continue
-                key = (pn, qn)
-                if key not in pair_id:
-                    pair_id[key] = len(pair_id)
-                    queue.append(key)
-                if sign > 0:
-                    edges.add((here, x, pair_id[key]))
-                else:
-                    edges.add((pair_id[key], x, here))
-    graph, _ = _core_and_canonical(a.basis, edges, 0)
+    _, succ, pred = _product(a._succ, a._pred, c._succ, c._pred, (0, 0))
+    graph, _ = _core_and_canonical(a.basis, succ, pred)
     return graph
 
 
@@ -565,11 +584,12 @@ def is_invariant(h: StallingsGraph, theta) -> bool:
 
 def _coset_automaton(
     g: StallingsGraph, tail: tuple[int, ...]
-) -> tuple[dict, dict, int, int]:
+) -> tuple[Table, Table, int]:
     """Fold g together with a path spelling ``tail`` out of its base.
 
-    Returns (succ, pred, base, end); the reduced words readable from
-    base to end are exactly the coset ⟨g⟩·tail.
+    Returns the fold's (succ, pred) tables and the path's end; the
+    reduced words readable from 0 to the end are exactly the coset
+    ⟨g⟩·tail.
     """
     edges: list[Edge] = list(g.edges)
     n = g.n_vertices
@@ -579,13 +599,8 @@ def _coset_automaton(
         n += 1
         edges.append((prev, x, nxt) if x > 0 else (nxt, -x, prev))
         prev = nxt
-    uf, folded, _ = _fold_edges(n, edges)
-    succ: dict[tuple[int, int], int] = {}
-    pred: dict[tuple[int, int], int] = {}
-    for u, x, v in folded:
-        succ[(u, x)] = v
-        pred[(v, x)] = u
-    return succ, pred, uf.find(0), uf.find(prev)
+    uf, succ, pred, _ = _fold_edges(n, edges)
+    return succ, pred, uf.find(prev)
 
 
 def double_coset_contains(
@@ -601,24 +616,8 @@ def double_coset_contains(
     b = left.basis
     if right.basis != b or s.basis != b or w.basis != b:
         raise BasisMismatchError("operands over different bases")
-    sa, pa, a_base, a_end = _coset_automaton(left, s.letters)
+    sa, pa, a_end = _coset_automaton(left, s.letters)
     winv = tuple(-x for x in reversed(w.letters))
-    sb, pb, b_base, b_end = _coset_automaton(right, winv)
-    start = (a_base, b_end)
-    goal = (a_end, b_base)
-    seen = {start}
-    queue: deque[tuple[int, int]] = deque([start])
-    while queue:
-        pair = queue.popleft()
-        if pair == goal:
-            return True
-        ua, ub = pair
-        for j in range(1, b.rank + 1):
-            for va, vb in (
-                (sa.get((ua, j)), sb.get((ub, j))),
-                (pa.get((ua, j)), pb.get((ub, j))),
-            ):
-                if va is not None and vb is not None and (va, vb) not in seen:
-                    seen.add((va, vb))
-                    queue.append((va, vb))
-    return False
+    sb, pb, b_end = _coset_automaton(right, winv)
+    ids, _, _ = _product(sa, pa, sb, pb, (0, b_end))
+    return (a_end, 0) in ids

@@ -672,18 +672,23 @@ def parse_splitting(
         elif section == "witness":
             parts = line.split()
             if parts[0] == "map" and len(parts) == 4 and parts[2] == "->":
-                vmap.append((parts[1], parts[3]))
+                entries, entry = vmap, (parts[1], parts[3])
             elif parts[0] == "edge" and len(parts) in (4, 5) and parts[2] == "->":
                 flip = len(parts) == 5
                 if flip and parts[4] != "!":
                     raise WordSyntaxError(f"line {lineno}: expected '!' flip marker")
-                emap.append((parts[1], parts[3], flip))
+                entries, entry = emap, (parts[1], parts[3], flip)
             elif parts[0] == "corrector" and ":" in line:
                 head, rest = line.split(":", 1)
                 name = head.split()[1]
-                corr.append((name, _parse_word(b, rest, lineno)))
+                entries, entry = corr, (name, _parse_word(b, rest, lineno))
             else:
                 raise WordSyntaxError(f"line {lineno}: unrecognized witness line")
+            if any(e[0] == entry[0] for e in entries):
+                raise WordSyntaxError(
+                    f"line {lineno}: duplicate witness entry for {entry[0]!r}"
+                )
+            entries.append(entry)
         else:
             raise WordSyntaxError(f"line {lineno}: content outside any section")
     if b is None:

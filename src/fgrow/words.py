@@ -177,12 +177,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(self.basis, tuple(-x for x in reversed(self.letters)))
 
-    def compact(self) -> str:
-        """Unspaced form, e.g. ``ab'c`` (used in labels and tags)."""
-        if not self.letters:
-            return "1"
-        return "".join(self.basis.symbol(x) for x in self.letters)
-
 
 def identity(b: Basis) -> Word:
     return Word(b, ())

@@ -209,6 +209,27 @@ def test_split_without_witness_cannot_induce(tmp_path, capsys):
     assert code == 1 and "witness" in err
 
 
+@pytest.mark.parametrize(
+    "extra,name",
+    [
+        ("map v1 -> v1", "v1"),
+        ("edge e1 -> e1", "e1"),
+        ("corrector v1: a\ncorrector v1: 1", "v1"),
+    ],
+    ids=["map", "edge", "corrector"],
+)
+def test_split_duplicate_witness_entry(tmp_path, capsys, extra, name):
+    gog = tmp_path / "dup.gog"
+    text = FREE_SPLIT + extra + "\n"
+    gog.write_text(text)
+    code, out, err = run(
+        capsys, "split", "--map", "a -> b; b -> a", "--gog", str(gog)
+    )
+    assert code == 1 and out == ""
+    n = len(text.splitlines())
+    assert err.splitlines() == [f"error: line {n}: duplicate witness entry for {name!r}"]
+
+
 # -- hierarchy ---------------------------------------------------------
 
 

@@ -219,8 +219,62 @@ def test_witnessed_graph_agrees_with_plain_fold(case):
     gens = [Word(b, free_reduce(ls)) for ls in lists]
     plain = stallings_graph(b, gens)
     wg = witnessed_graph(b, gens)
-    assert subgroup_equal(wg.to_stallings(), plain)
-    assert wg.to_stallings() == plain
+    assert subgroup_equal(wg.graph, plain)
+    assert wg.graph == plain
     for w in plain.free_basis():
         expr = wg.express(w)
         assert expr is not None and wg.evaluate(expr) == w
+
+
+# -- cored, canonical graphs and the fiber product -------------------------
+
+
+def assert_cored_and_canonical(g: StallingsGraph) -> None:
+    """Connected, no hanging vertex but the base, numbered in the order
+    a breadth-first search from 0 (labels ascending, outgoing edges
+    before incoming ones) discovers the vertices."""
+    succ, pred = {}, {}
+    degree = [0] * g.n_vertices
+    for u, x, v in g.edges:
+        succ[(u, x)] = v
+        pred[(v, x)] = u
+        degree[u] += 1
+        degree[v] += 1
+    order = [0]
+    for v in order:
+        for x in range(1, g.basis.rank + 1):
+            for w in (succ.get((v, x)), pred.get((v, x))):
+                if w is not None and w not in order:
+                    order.append(w)
+    assert order == list(range(g.n_vertices))
+    assert all(d >= 2 for d in degree[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just(F), gen_lists(2, 6, 3), gen_lists(2, 6, 3)),
+        st.tuples(st.just(F3), gen_lists(3, 8, 4), gen_lists(3, 8, 4)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_folded_graphs_are_cored_and_canonical_and_intersect_is_the_meet(case, seed):
+    b, lists_a, lists_c = case
+    rng = random.Random(seed)
+    gens_a = [Word(b, free_reduce(ls)) for ls in lists_a]
+    # C shares some of A's generators, so that A ∩ C has members to find
+    shared = gens_a[: rng.randint(0, len(gens_a))]
+    gens_c = [Word(b, free_reduce(ls)) for ls in lists_c] + shared
+    a, c = stallings_graph(b, gens_a), stallings_graph(b, gens_c)
+    meet = intersect(a, c)
+    for g in (a, c, meet):
+        assert_cored_and_canonical(g)
+    words = [Word(b, random_letters(rng, b.rank, rng.randint(0, 12))) for _ in range(40)]
+    for _ in range(40):
+        w = identity(b)
+        for _ in range(rng.randint(1, 4)):
+            g = rng.choice(gens_a)
+            w = w * (g if rng.random() < 0.5 else g.inverse())
+        words.append(w)
+    for w in words:
+        assert meet.accepts(w) == (a.accepts(w) and c.accepts(w))
