@@ -70,6 +70,13 @@ class Endomorphism:
         for w in self.images:
             if w.basis != self.basis:
                 raise BasisMismatchError("image over a different basis")
+        # image letters of every signed letter, the substitution table
+        # that apply and the growth iterations read
+        subst: dict[int, tuple[int, ...]] = {}
+        for j, w in enumerate(self.images, start=1):
+            subst[j] = w.letters
+            subst[-j] = tuple(-t for t in reversed(w.letters))
+        object.__setattr__(self, "_subst", subst)
 
     def image(self, letter: int) -> Word:
         """Image of a single signed letter."""
@@ -81,11 +88,7 @@ class Endomorphism:
             raise BasisMismatchError("word over a different basis")
         out: list[int] = []
         for x in w.letters:
-            img = self.images[abs(x) - 1].letters
-            if x > 0:
-                out.extend(img)
-            else:
-                out.extend(-t for t in reversed(img))
+            out.extend(self._subst[x])
         return Word(self.basis, free_reduce(out))
 
     def is_identity(self) -> bool:

@@ -10,6 +10,12 @@ each image's cyclic wraparound) under the evolution
 inversion; if no pair in the closure cancels, concatenated images stay
 reduced for every iterate, and matrix arithmetic is exact.
 
+A certified exponential rate is the Perron root of the transition
+matrix, the stretch factor of the map as a train track on the rose:
+each strong component's characteristic polynomial is computed exactly
+in integers, and its largest real root is found by Newton's method
+from above, to float precision.
+
 Without a certificate the classifier falls back to observation:
 iterate on the cyclic core, then read the length sequence, calling a
 polynomial degree only on exactly vanishing finite differences and an
@@ -24,11 +30,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .automorphisms import Automorphism, Endomorphism
 from .folding import StallingsGraph
-from .words import CyclicWord, Word, _cyclic_trim, cyclic_word, free_reduce
+from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word, free_reduce
 
 Matrix = list[list[int]]
 
@@ -41,6 +45,13 @@ KIND_INCONCLUSIVE = "Inconclusive"
 
 def _endo(phi: Endomorphism | Automorphism) -> Endomorphism:
     return phi.endo if isinstance(phi, Automorphism) else phi
+
+
+def _core(endo: Endomorphism, x: Word | CyclicWord) -> CyclicWord:
+    """Cyclic core of a subject word, which must share the map's basis."""
+    if x.basis != endo.basis:
+        raise BasisMismatchError("word over a different basis")
+    return x if isinstance(x, CyclicWord) else cyclic_word(x)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +88,7 @@ class Certificate:
         """
         if not self.holds:
             return False
-        core = x if isinstance(x, CyclicWord) else cyclic_word(x)
+        core = _core(self.endo, x)
         ok, _, _ = _close_pairs(self.endo, set(self.pairs) | set(core.adjacent_pairs()))
         return ok
 
@@ -85,13 +96,9 @@ class Certificate:
 def _close_pairs(
     endo: Endomorphism, seeds: Iterable[tuple[int, int]]
 ) -> tuple[bool, frozenset[tuple[int, int]], tuple[int, int] | None]:
-    imgs: dict[int, tuple[int, ...]] = {}
-    for j in range(1, endo.basis.rank + 1):
-        ls = endo.images[j - 1].letters
-        if not ls:
-            return False, frozenset(seeds), None
-        imgs[j] = ls
-        imgs[-j] = tuple(-t for t in reversed(ls))
+    if not all(endo.images):
+        return False, frozenset(seeds), None
+    imgs = endo._subst
     pairs: set[tuple[int, int]] = set()
     queue: deque[tuple[int, int]] = deque()
 
@@ -145,103 +152,73 @@ def transition_matrix(phi: Endomorphism | Automorphism) -> Matrix:
     return m
 
 
-def _tarjan(adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components, sinks first."""
-    n = len(adj)
-    idx: list[int | None] = [None] * n
-    low = [0] * n
-    on = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if idx[root] is not None:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                idx[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on[v] = True
-            descended = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if idx[w] is None:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on[w]:
-                    low[v] = min(low[v], idx[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == idx[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
+def _perron_root(a: Matrix) -> float:
+    """Largest real root ρ of det(xI − A) for a nonnegative integer block.
+
+    Faddeev–LeVerrier gives the integer coefficients exactly.  Newton's
+    method in floats starts from the largest column sum, an upper bound
+    on ρ.  No root of the polynomial or of its derivatives has real part
+    above ρ, so past ρ the polynomial is increasing and convex and the
+    iterates fall monotonically; the first step that does not fall ends
+    the descent.
+    """
+    k = len(a)
+    rows = [[(t, v) for t, v in enumerate(row) if v] for row in a]
+    coeffs = [1]
+    mk = [[0] * k for _ in range(k)]
+    for i in range(1, k + 1):
+        # M_i = A·M_{i−1} + c_{i−1}·I and c_i = −tr(A·M_i) / i, exactly
+        mk = [[sum(v * mk[t][c] for t, v in row) + coeffs[-1] * (r == c) for c in range(k)]
+              for r, row in enumerate(rows)]
+        coeffs.append(-sum(v * mk[t][r] for r, row in enumerate(rows) for t, v in row) // i)
+    x = float(max(sum(col) for col in zip(*a)))
+    while True:
+        p = dp = 0.0
+        for c in coeffs:
+            dp = dp * x + p
+            p = p * x + c
+        if not (p > 0.0 and dp > 0.0 and x - p / dp < x):
+            return x
+        x -= p / dp
 
 
-def _component_data(m: Matrix):
-    """Letter-dependency digraph (edge j→i iff M[i][j] > 0), its SCCs
-    (sinks first), and each component's radius class 0, 1, or 2
-    (meaning radius 0, exactly 1, or greater than 1)."""
+def _reach(m: Matrix, support: Sequence[int] | None) -> tuple[bool, int, float]:
+    """What ``support`` (all letters when None) reaches in the digraph
+    with edge j→i iff M[i][j] > 0: whether a component of radius > 1,
+    the most radius-1 components on one path, and the largest radius.
+
+    Reach sets are Warshall-closed bit masks.  Letters share a strong
+    component exactly when they share a reach set, which strictly
+    contains the reach set of any component below, so ordering by size
+    visits sinks first.  A component's largest inner column sum is 0
+    for a lone letter without a loop, 1 for a simple cycle, and equals
+    the radius in both cases; otherwise it and the radius exceed 1.
+    """
     n = len(m)
-    adj = [[i for i in range(n) if m[i][j] > 0] for j in range(n)]
-    comps = _tarjan(adj)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    cls = []
-    for comp in comps:
-        if len(comp) == 1 and m[comp[0]][comp[0]] == 0:
-            cls.append(0)
-        elif all(sum(m[i][j] for i in comp) == 1 for j in comp):
-            # one unit out-edge per node inside the component: a simple
-            # cycle, radius exactly 1
-            cls.append(1)
-        else:
-            cls.append(2)
-    return adj, comps, comp_of, cls
+    reach = [sum(1 << i for i in range(n) if i == j or m[i][j]) for j in range(n)]
+    for k in range(n):
+        for j in range(n):
+            if reach[j] >> k & 1:
+                reach[j] |= reach[k]
+    comps: dict[int, list[int]] = {}
+    for j, mask in enumerate(reach):
+        comps.setdefault(mask, []).append(j)
 
+    def join(top: int, radius: float, succ: list[tuple[bool, int, float]]):
+        return (
+            top > 1 or any(e for e, _, _ in succ),
+            (top == 1) + max((c for _, c, _ in succ), default=0),
+            max([radius] + [r for _, _, r in succ]),
+        )
 
-def _chain_stats(m: Matrix):
-    """Per component: longest downstream chain count of radius-1
-    components (inclusive), and whether a radius->1 component is
-    reachable."""
-    adj, comps, comp_of, cls = _component_data(m)
-    best = [0] * len(comps)
-    exp = [False] * len(comps)
-    for ci, comp in enumerate(comps):
-        b = 0
-        e = cls[ci] == 2
-        for j in comp:
-            for i in adj[j]:
-                cj = comp_of[i]
-                if cj != ci:
-                    b = max(b, best[cj])
-                    e = e or exp[cj]
-        best[ci] = b + (1 if cls[ci] == 1 else 0)
-        exp[ci] = e
-    return comps, comp_of, cls, best, exp
-
-
-def _support_components(comp_of, support: Sequence[int] | None, n_comps: int) -> list[int]:
-    if support is None:
-        return list(range(n_comps))
-    return sorted({comp_of[j] for j in support})
+    below: dict[int, tuple[bool, int, float]] = {}
+    for mask in sorted(comps, key=int.bit_count):
+        comp = comps[mask]
+        top = max(sum(m[i][j] for i in comp) for j in comp)
+        root = _perron_root([[m[i][j] for j in comp] for i in comp]) if top > 1 else float(top)
+        succ = [below[reach[i]] for j in comp for i in range(n) if m[i][j] and reach[i] != mask]
+        below[mask] = join(top, root, succ)
+    return join(0, 0.0, [below[reach[j]] for j in (range(n) if support is None else support)])
 
 
 def scc_polynomial_degree(m: Matrix, x: Word | CyclicWord | None = None) -> int | None:
@@ -252,50 +229,20 @@ def scc_polynomial_degree(m: Matrix, x: Word | CyclicWord | None = None) -> int 
     condensation path from x's letters, or from anywhere when x is
     absent) − 1, floored at 0.
     """
-    comps, comp_of, cls, best, exp = _chain_stats(m)
-    support = None if x is None else [abs(t) - 1 for t in x.letters]
-    starts = _support_components(comp_of, support, len(comps))
-    if any(exp[s] for s in starts):
-        return None
-    if not starts:
-        return 0
-    return max(0, max(best[s] for s in starts) - 1)
-
-
-def _block_radius(m: Matrix, comp: list[int]) -> float:
-    if len(comp) == 1:
-        return float(m[comp[0]][comp[0]])
-    if all(sum(m[i][j] for i in comp) == 1 for j in comp):
-        return 1.0
-    a = np.array([[m[u][v] for v in comp] for u in comp], dtype=float)
-    a += np.eye(len(comp))  # primitive once irreducible, so iteration converges
-    v = np.ones(len(comp))
-    prev = 0.0
-    for it in range(200_000):
-        w = a @ v
-        est = float(np.linalg.norm(w))
-        v = w / est
-        if it >= 10 and abs(est - prev) <= 1e-10 * est:
-            return est - 1.0
-        prev = est
-    raise ArithmeticError("radius iteration did not converge")
+    exp, chain, _ = _reach(m, None if x is None else [abs(t) - 1 for t in x.letters])
+    return None if exp else max(0, chain - 1)
 
 
 def spectral_radius(m: Matrix, support: Sequence[int] | None = None) -> float:
-    """Largest component radius reachable from ``support`` (all when None)."""
-    adj, comps, comp_of, cls = _component_data(m)
-    rad = [0.0] * len(comps)
-    for ci, comp in enumerate(comps):
-        own = _block_radius(m, comp) if cls[ci] == 2 else float(cls[ci])
-        below = own
-        for j in comp:
-            for i in adj[j]:
-                cj = comp_of[i]
-                if cj != ci:
-                    below = max(below, rad[cj])
-        rad[ci] = below
-    starts = _support_components(comp_of, support, len(comps))
-    return max((rad[s] for s in starts), default=0.0)
+    """Largest component radius reachable from ``support`` (all when None).
+
+    Each component's radius is the Perron root of its block, exact to
+    float precision.
+
+    >>> spectral_radius([[1, 1], [1, 0]])
+    1.618033988749895
+    """
+    return _reach(m, support)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +257,7 @@ def _iterated_lengths(
     Works on raw letter tuples: each iterate is freely reduced and
     cyclically trimmed, but not rotated, since only its length is read.
     """
-    imgs: dict[int, tuple[int, ...]] = {}
-    for j in range(1, endo.basis.rank + 1):
-        ls = endo.images[j - 1].letters
-        imgs[j] = ls
-        imgs[-j] = tuple(-t for t in reversed(ls))
+    imgs = endo._subst
     seq = [core.length]
     cur = core.letters
     for _ in range(n):
@@ -343,15 +286,17 @@ def length_sequence(
     """
     if n < 1:
         raise ValueError("need at least one iterate")
-    core = x if isinstance(x, CyclicWord) else cyclic_word(x)
-    seq, _ = _iterated_lengths(_endo(phi), core, n, cap)
+    endo = _endo(phi)
+    seq, _ = _iterated_lengths(endo, _core(endo, x), n, cap)
     return seq[1:]
 
 
-def _matrix_lengths(m: Matrix, counts: list[int], n: int) -> list[int]:
-    u = list(counts)
-    seq = [sum(u)]
+def _matrix_lengths(m: Matrix, support: Sequence[int], n: int) -> list[int]:
     r = len(m)
+    u = [0] * r
+    for j in support:
+        u[j] += 1
+    seq = [sum(u)]
     for _ in range(n):
         u = [sum(m[i][j] * u[j] for j in range(r)) for i in range(r)]
         seq.append(sum(u))
@@ -368,11 +313,15 @@ class GrowthParams:
 
     iterations: int = 40
     cap: int = 10**6
-    margin: float = 0.05
-    max_degree: int = 6
-    window: int = 10
-    drift: float = 0.015
-    zero_tail: int = 5
+
+
+# heuristic gates: polynomial degrees tried, zero differences required,
+# root estimates read, and their floor above 1 and allowed spread
+MAX_DEGREE = 6
+ZERO_TAIL = 5
+WINDOW = 10
+MARGIN = 0.05
+DRIFT = 0.015
 
 
 @dataclass(frozen=True)
@@ -398,44 +347,44 @@ class GrowthReport:
             raise ValueError("certified reports must be exponential or polynomial")
 
 
-def _finite_difference_degree(seq: Sequence[int], params: GrowthParams) -> int | None:
-    """Least k ≤ max_degree with identically vanishing k-th differences
+def _finite_difference_degree(seq: Sequence[int]) -> int | None:
+    """Least k ≤ MAX_DEGREE with identically vanishing k-th differences
     on the tail; degree is k−1."""
     d = list(seq)
-    for k in range(1, params.max_degree + 2):
+    for k in range(1, MAX_DEGREE + 2):
         d = [b - a for a, b in zip(d, d[1:])]
-        if len(d) < params.zero_tail:
+        if len(d) < ZERO_TAIL:
             return None
-        if all(t == 0 for t in d[-params.zero_tail:]):
-            return max(0, k - 1) if k <= params.max_degree else None
+        if all(t == 0 for t in d[-ZERO_TAIL:]):
+            return max(0, k - 1) if k <= MAX_DEGREE else None
     return None
 
 
-def _exponential_tail(seq: Sequence[int], params: GrowthParams) -> float | None:
-    """Rate when the last ``window`` root estimates sit above the margin
+def _exponential_tail(seq: Sequence[int]) -> float | None:
+    """Rate when the last WINDOW root estimates sit above the margin
     and have stopped drifting; None otherwise."""
-    if len(seq) <= params.window:
+    if len(seq) <= WINDOW:
         return None
     window = []
-    for i in range(len(seq) - params.window, len(seq)):
+    for i in range(len(seq) - WINDOW, len(seq)):
         if i < 1 or seq[i] <= 0:
             return None
         window.append(seq[i] ** (1.0 / i))
-    if min(window) < 1.0 + params.margin:
+    if min(window) < 1.0 + MARGIN:
         return None
-    if max(window) - min(window) > params.drift:
+    if max(window) - min(window) > DRIFT:
         return None
     return window[-1]
 
 
 def _heuristic_verdict(
-    seq: Sequence[int], truncated: bool, params: GrowthParams
+    seq: Sequence[int], truncated: bool
 ) -> tuple[str, float | None, int | None]:
     if not truncated:
-        deg = _finite_difference_degree(seq, params)
+        deg = _finite_difference_degree(seq)
         if deg is not None:
             return KIND_HEURISTIC_POLYNOMIAL, None, deg
-    rate = _exponential_tail(seq, params)
+    rate = _exponential_tail(seq)
     if rate is not None:
         return KIND_HEURISTIC_EXPONENTIAL, rate, None
     return KIND_INCONCLUSIVE, None, None
@@ -458,7 +407,7 @@ def classify_growth(
     m = transition_matrix(endo)
 
     if x is not None:
-        core = x if isinstance(x, CyclicWord) else cyclic_word(x)
+        core = _core(endo, x)
         subject = str(core)
         if core.length == 0:
             return GrowthReport(
@@ -468,7 +417,7 @@ def classify_growth(
         if cert.holds and cert.covers(core):
             return _certified_report(subject, m, core, cert, params)
         seq, truncated = _iterated_lengths(endo, core, params.iterations, params.cap)
-        kind, rate, degree = _heuristic_verdict(seq, truncated, params)
+        kind, rate, degree = _heuristic_verdict(seq, truncated)
         return GrowthReport(
             subject, kind, False, rate, degree, tuple(seq[1:]), truncated, None, cert
         )
@@ -489,26 +438,18 @@ def _certified_report(
     cert: Certificate,
     params: GrowthParams,
 ) -> GrowthReport:
-    if core is None:
-        support = None
-        counts = [1] * len(m)
-    else:
-        support = [abs(t) - 1 for t in core.letters]
-        counts = [0] * len(m)
-        for t in core.letters:
-            counts[abs(t) - 1] += 1
-    lengths = tuple(_matrix_lengths(m, counts, params.iterations)[1:])
+    support = range(len(m)) if core is None else [abs(t) - 1 for t in core.letters]
+    lengths = tuple(_matrix_lengths(m, support, params.iterations)[1:])
     degree = scc_polynomial_degree(m, core)
     if degree is None:
         rate = spectral_radius(m, support)
         return GrowthReport(
             subject, KIND_EXPONENTIAL, True, rate, None, lengths, False, None, cert
         )
-    comps, comp_of, cls, best, _ = _chain_stats(m)
-    starts = _support_components(comp_of, support, len(comps))
-    chain = max((best[s] for s in starts), default=0)
+    # the certificate needs nonempty images, so every letter reaches a
+    # cycle and the heaviest path holds degree + 1 radius-1 components
     return GrowthReport(
-        subject, KIND_POLYNOMIAL, True, None, degree, lengths, False, chain, cert
+        subject, KIND_POLYNOMIAL, True, None, degree, lengths, False, degree + 1, cert
     )
 
 

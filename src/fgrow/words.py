@@ -217,12 +217,8 @@ def concat_all(b: Basis, parts: Iterable[Word]) -> Word:
     for p in parts:
         if p.basis != b:
             raise BasisMismatchError("words over different bases")
-        for x in p.letters:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return Word(b, tuple(out))
+        out.extend(p.letters)
+    return Word(b, free_reduce(out))
 
 
 def conjugate(w: Word, g: Word) -> Word:

@@ -89,6 +89,16 @@ def test_growth_map_file(tmp_path, capsys):
     assert "kind: Exponential" in out
 
 
+def test_growth_text_rate_is_the_perron_root(capsys):
+    # the root of x³ − x² − x − 3 is 2.1303954…
+    code, out, _ = run(
+        capsys, "growth", "--map", "a -> b; b -> a d d; c -> b; d -> a d a",
+        "--emit", "text",
+    )
+    assert code == 0
+    assert "rate: 2.130395\n" in out
+
+
 def test_growth_svg(capsys):
     code, out, _ = run(capsys, "growth", "--map", FIB, "--emit", "svg")
     assert code == 0

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgrow.automorphisms import (
     compose,
@@ -28,7 +30,7 @@ from fgrow.growth import (
     spectral_radius,
     transition_matrix,
 )
-from fgrow.words import basis, identity
+from fgrow.words import BasisMismatchError, basis, identity
 
 from helpers import naive_length_sequence, finite_difference_degree
 
@@ -132,6 +134,40 @@ def test_spectral_radius_fibonacci():
     assert abs(spectral_radius(transition_matrix(FIB)) - GOLDEN) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "rules,root",
+    [
+        ("a -> a b a; b -> b a", (3 + math.sqrt(5)) / 2),
+        ("a -> b; b -> c; c -> a b", 1.324717957244746),  # plastic number
+        ("a -> b; b -> a d d; c -> b; d -> a d a", 2.13039543476728),  # x³−x²−x−3
+        ("a -> b; b -> a b a", 2.0),
+    ],
+)
+def test_certified_rate_is_the_perron_root(rules, root):
+    rep = classify_growth(parse_endomorphism(rules))
+    assert rep.kind == KIND_EXPONENTIAL and rep.certified
+    assert abs(rep.rate / root - 1) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_spectral_radius_matches_eigenvalues(m):
+    # a forced n-cycle makes the matrix irreducible, so ρ is simple
+    n = len(m)
+    for j in range(n):
+        m[(j + 1) % n][j] = max(1, m[(j + 1) % n][j])
+    want = max(abs(numpy.linalg.eigvals(numpy.array(m, dtype=float))))
+    assert abs(spectral_radius(m) - want) <= 1e-9 * want
+
+
 def test_spectral_radius_respects_support():
     phi = parse_endomorphism("a -> a b; b -> a; c -> c")
     m = transition_matrix(phi)
@@ -207,6 +243,14 @@ def test_inconclusive_on_wild_map():
     assert rep.kind == KIND_INCONCLUSIVE
     assert rep.truncated and not rep.certified
     assert rep.rate is None and rep.degree is None
+
+
+def test_subject_over_another_basis_is_rejected():
+    for x in (basis("a b c").parse("c"), basis("x y").parse("x")):
+        with pytest.raises(BasisMismatchError):
+            classify_growth(FIB, x)
+        with pytest.raises(BasisMismatchError):
+            length_sequence(FIB, x, 3)
 
 
 def test_report_invariants_enforced():
