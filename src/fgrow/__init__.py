@@ -88,6 +88,7 @@ from .words import (
     Basis,
     BasisMismatchError,
     CyclicWord,
+    VerificationError,
     Word,
     WordSyntaxError,
     basis,

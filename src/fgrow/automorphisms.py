@@ -25,6 +25,7 @@ from .folding import StallingsGraph, witnessed_graph
 from .words import (
     Basis,
     BasisMismatchError,
+    VerificationError,
     Word,
     WordSyntaxError,
     _valid_name,
@@ -57,6 +58,23 @@ class NotInvariantError(ValueError):
         self.offender = offender
 
 
+def _signed_table(images: tuple[Word, ...]) -> dict[int, tuple[int, ...]]:
+    """Image letters of every signed letter j and -j, for images in basis order."""
+    table: dict[int, tuple[int, ...]] = {}
+    for j, w in enumerate(images, start=1):
+        table[j] = w.letters
+        table[-j] = tuple(-t for t in reversed(w.letters))
+    return table
+
+
+def _substitute(table: dict[int, tuple[int, ...]], letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Freely reduced concatenation of the table's images of ``letters``."""
+    out: list[int] = []
+    for x in letters:
+        out.extend(table[x])
+    return free_reduce(out)
+
+
 @dataclass(frozen=True)
 class Endomorphism:
     """Map of a free group given by generator images, in basis order."""
@@ -70,13 +88,8 @@ class Endomorphism:
         for w in self.images:
             if w.basis != self.basis:
                 raise BasisMismatchError("image over a different basis")
-        # image letters of every signed letter, the substitution table
-        # that apply and the growth iterations read
-        subst: dict[int, tuple[int, ...]] = {}
-        for j, w in enumerate(self.images, start=1):
-            subst[j] = w.letters
-            subst[-j] = tuple(-t for t in reversed(w.letters))
-        object.__setattr__(self, "_subst", subst)
+        # the substitution table that apply and the growth iterations read
+        object.__setattr__(self, "_subst", _signed_table(self.images))
 
     def image(self, letter: int) -> Word:
         """Image of a single signed letter."""
@@ -86,10 +99,7 @@ class Endomorphism:
     def apply(self, w: Word) -> Word:
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        out: list[int] = []
-        for x in w.letters:
-            out.extend(self._subst[x])
-        return Word(self.basis, free_reduce(out))
+        return Word(self.basis, _substitute(self._subst, w.letters))
 
     def is_identity(self) -> bool:
         return all(
@@ -222,10 +232,12 @@ def certify_automorphism(phi: Endomorphism) -> Automorphism:
         inverse_images.append(Word(b, expr))
     auto = Automorphism(phi, tuple(inverse_images))
     inv = auto.inverse()
+    # each expression multiplies images out to its generator, so
+    # phi∘inv = id; free groups are Hopfian, so inv∘phi = id follows
     for i in range(1, b.rank + 1):
         g = Word(b, (i,))
         if phi.apply(inv.apply(g)) != g or inv.apply(phi.apply(g)) != g:
-            raise AssertionError("inverse readback failed verification")
+            raise VerificationError("inverse readback failed verification")
     return auto
 
 
@@ -254,17 +266,13 @@ class RestrictedAutomorphism:
     subgroup: StallingsGraph
     embedding: tuple[Word, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_embed", _signed_table(self.embedding))
+
     def to_ambient(self, w: Word) -> Word:
         if w.basis != self.auto.basis:
             raise BasisMismatchError("word over a different basis")
-        out: list[int] = []
-        for x in w.letters:
-            img = self.embedding[abs(x) - 1].letters
-            if x > 0:
-                out.extend(img)
-            else:
-                out.extend(-t for t in reversed(img))
-        return Word(self.subgroup.basis, free_reduce(out))
+        return Word(self.subgroup.basis, _substitute(self._embed, w.letters))
 
     def to_subgroup(self, w: Word) -> Word | None:
         expr = self.subgroup.express_in_free_basis(w)

@@ -43,7 +43,13 @@ from .splittings import (
     validate_splitting,
     verify_fixed,
 )
-from .words import Basis, BasisMismatchError, WordSyntaxError, basis as make_basis
+from .words import (
+    Basis,
+    BasisMismatchError,
+    VerificationError,
+    WordSyntaxError,
+    basis as make_basis,
+)
 
 SCHEMA = 2
 
@@ -172,7 +178,7 @@ def _svg_plot(
 
 
 def _growth_result(report: GrowthReport) -> dict:
-    return {
+    result: dict = {
         "kind": report.kind,
         "certified": report.certified,
         "rate": report.rate,
@@ -193,6 +199,9 @@ def _growth_result(report: GrowthReport) -> dict:
             ),
         },
     }
+    if report.conjugator:
+        result["evidence"]["conjugator"] = str(report.conjugator)
+    return result
 
 
 def cmd_growth(args) -> tuple[str, int]:
@@ -608,6 +617,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         NotSurjectiveError,
         NotInvariantError,
         SplittingViolation,
+        VerificationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

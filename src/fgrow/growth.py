@@ -16,8 +16,15 @@ each strong component's characteristic polynomial is computed exactly
 in integers, and its largest real root is found by Newton's method
 from above, to float precision.
 
+Certification is up to inner automorphism.  Φ and i_h∘Φ have conjugate
+iterates, so every translation length, and hence the growth of every
+conjugacy class, is the same for both.  When Φ's own certificate fails,
+Φ is conjugated once to ψ = i_h∘Φ of least total image length
+Σ|ψ(aⱼ)|; a certificate for ψ then settles Φ exactly, and the report
+carries h as its receipt.
+
 Without a certificate the classifier falls back to observation:
-iterate on the cyclic core, then read the length sequence, calling a
+iterate ψ on the cyclic core, then read the length sequence, calling a
 polynomial degree only on exactly vanishing finite differences and an
 exponential rate only on a stable tail of n-th root estimates.
 Budgets make the heuristic honest: a truncated or ambiguous sequence
@@ -30,9 +37,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automorphisms import Automorphism, Endomorphism
+from .automorphisms import Automorphism, Endomorphism, _substitute
 from .folding import StallingsGraph
-from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word, free_reduce
+from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word
 
 Matrix = list[list[int]]
 
@@ -136,6 +143,34 @@ def no_cancellation_certificate(phi: Endomorphism | Automorphism) -> Certificate
     if offender is not None:
         witness = (endo.image(offender[0]), endo.image(offender[1]))
     return Certificate(endo, ok, pairs, offender, witness)
+
+
+def _inner_normalize(endo: Endomorphism) -> tuple[Endomorphism, Word]:
+    """ψ = i_h∘Φ of least total image length Σ|ψ(aⱼ)|, and h.
+
+    Conjugating by a letter x changes a nonempty image's length by
+    2 − 2·[it starts with x⁻¹] − 2·[it ends with x], so the total falls
+    iff x gets more than half of these end-letter votes; at most one
+    letter can.  Each |g·w·g⁻¹| is convex in g on the Cayley tree, and
+    so is the sum, so the one-letter descent stops at a global minimum.
+    """
+    imgs = [img.letters for img in endo.images]
+    h: tuple[int, ...] = ()
+    while True:
+        votes: dict[int, int] = {}
+        for w in imgs:
+            if w:
+                votes[-w[0]] = votes.get(-w[0], 0) + 1
+                votes[w[-1]] = votes.get(w[-1], 0) + 1
+        x = max(votes, key=votes.__getitem__, default=0)
+        if not x or 2 * votes[x] <= sum(votes.values()):
+            break
+        for j, w in enumerate(imgs):
+            w = w[1:] if w and w[0] == -x else (x,) + w
+            imgs[j] = w[:-1] if w and w[-1] == x else w + (-x,)
+        h = (x,) + h  # i_x∘i_h = i_{xh}; x never undoes the last step
+    b = endo.basis
+    return Endomorphism(b, tuple(Word(b, w) for w in imgs)), Word(b, h)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +292,10 @@ def _iterated_lengths(
     Works on raw letter tuples: each iterate is freely reduced and
     cyclically trimmed, but not rotated, since only its length is read.
     """
-    imgs = endo._subst
     seq = [core.length]
     cur = core.letters
     for _ in range(n):
-        out: list[int] = []
-        for x in cur:
-            out.extend(imgs[x])
-        red = free_reduce(out)
+        red = _substitute(endo._subst, cur)
         lo, hi = _cyclic_trim(red)
         cur = red[lo:hi]
         seq.append(len(cur))
@@ -335,6 +366,8 @@ class GrowthReport:
     truncated: bool
     chain_length: int | None
     certificate: Certificate | None
+    # h when the certificate is for i_h∘Φ rather than Φ itself
+    conjugator: Word | None = None
 
     def __post_init__(self) -> None:
         if self.kind in (KIND_EXPONENTIAL, KIND_HEURISTIC_EXPONENTIAL):
@@ -398,13 +431,19 @@ def classify_growth(
     """Growth of the conjugacy class of x, or of the whole map.
 
     Exact (certified) classification from the transition matrix when
-    the cancellation certificate covers the subject; otherwise the
-    iteration heuristic.  Inconclusive is a valid outcome.
+    the cancellation certificate of Φ, or else of its inner
+    normalization ψ = i_h∘Φ, covers the subject; otherwise the
+    iteration heuristic on ψ.  Inconclusive is a valid outcome.  A
+    report that stays heuristic carries Φ's failed certificate.
     """
     params = params or GrowthParams()
     endo = _endo(phi)
     cert = no_cancellation_certificate(endo)
-    m = transition_matrix(endo)
+    psi, h, psi_cert = endo, None, cert
+    if not cert.holds:
+        psi, g = _inner_normalize(endo)
+        if g:
+            h, psi_cert = g, no_cancellation_certificate(psi)
 
     if x is not None:
         core = _core(endo, x)
@@ -414,42 +453,51 @@ def classify_growth(
                 subject, KIND_POLYNOMIAL, True, None, 0,
                 (0,) * params.iterations, False, None, cert,
             )
-        if cert.holds and cert.covers(core):
-            return _certified_report(subject, m, core, cert, params)
-        seq, truncated = _iterated_lengths(endo, core, params.iterations, params.cap)
-        kind, rate, degree = _heuristic_verdict(seq, truncated)
-        return GrowthReport(
-            subject, kind, False, rate, degree, tuple(seq[1:]), truncated, None, cert
-        )
+        if psi_cert.covers(core):
+            return _certified_report(subject, psi, core, psi_cert, h, params)
+        return _heuristic_report(subject, psi, core, cert, params)
 
-    if cert.holds:
-        return _certified_report("map", m, None, cert, params)
+    if psi_cert.holds:
+        return _certified_report("map", psi, None, psi_cert, h, params)
     reports = [
-        classify_growth(endo, Word(endo.basis, (j,)), params)
-        for j in range(1, endo.basis.rank + 1)
+        _heuristic_report("map", psi, cyclic_word(Word(psi.basis, (j,))), cert, params)
+        for j in range(1, psi.basis.rank + 1)
     ]
     return _aggregate("map", reports, cert)
 
 
+def _heuristic_report(
+    subject: str, endo: Endomorphism, core: CyclicWord, cert: Certificate, params: GrowthParams
+) -> GrowthReport:
+    seq, truncated = _iterated_lengths(endo, core, params.iterations, params.cap)
+    kind, rate, degree = _heuristic_verdict(seq, truncated)
+    return GrowthReport(subject, kind, False, rate, degree, tuple(seq[1:]), truncated, None, cert)
+
+
 def _certified_report(
     subject: str,
-    m: Matrix,
+    endo: Endomorphism,
     core: CyclicWord | None,
     cert: Certificate,
+    conjugator: Word | None,
     params: GrowthParams,
 ) -> GrowthReport:
+    m = transition_matrix(endo)
     support = range(len(m)) if core is None else [abs(t) - 1 for t in core.letters]
     lengths = tuple(_matrix_lengths(m, support, params.iterations)[1:])
-    degree = scc_polynomial_degree(m, core)
-    if degree is None:
-        rate = spectral_radius(m, support)
+    # one walk computes each reachable Perron root once.  Certified
+    # images are nonempty, so every letter reaches a cycle and the rate
+    # is 1.0 exactly when no component of radius > 1 is reachable; only
+    # then is the chain walked, a walk with no root to compute
+    rate = spectral_radius(m, support)
+    if rate > 1.0:
         return GrowthReport(
-            subject, KIND_EXPONENTIAL, True, rate, None, lengths, False, None, cert
+            subject, KIND_EXPONENTIAL, True, rate, None, lengths, False, None, cert, conjugator
         )
-    # the certificate needs nonempty images, so every letter reaches a
-    # cycle and the heaviest path holds degree + 1 radius-1 components
+    # the heaviest path holds degree + 1 radius-1 components
+    degree = max(0, _reach(m, support)[1] - 1)
     return GrowthReport(
-        subject, KIND_POLYNOMIAL, True, None, degree, lengths, False, degree + 1, cert
+        subject, KIND_POLYNOMIAL, True, None, degree, lengths, False, degree + 1, cert, conjugator
     )
 
 

@@ -39,7 +39,14 @@ from .folding import (
     stallings_graph,
     witnessed_graph,
 )
-from .words import Basis, BasisMismatchError, Word, basis as make_basis, identity
+from .words import (
+    Basis,
+    BasisMismatchError,
+    VerificationError,
+    Word,
+    basis as make_basis,
+    identity,
+)
 
 
 class UnstabilizedError(RuntimeError):
@@ -261,10 +268,12 @@ class FiberIntersection:
 
     def basis_witnesses(self) -> list[tuple[Word, tuple[int, ...]]]:
         out = []
+        # the witnessed graph folds the same entries as ``graph``, so it
+        # accepts every element of graph's free basis
         for w in self.graph.free_basis():
             expr = self.witness(w)
             if expr is None:
-                raise AssertionError("free basis element lost by the witness graph")
+                raise VerificationError("free basis element lost by the witness graph")
             out.append((w, expr))
         return out
 
@@ -302,12 +311,14 @@ def fiber_intersection(
         s_expr = _pow_expr(s_expr, x) + _pow_expr((i,), y)
         n = d
 
+    # n = gcd of the exponents divides each g.k (and g.k = 0 when n = 0),
+    # so g·s^(−m) has exponent g.k − m·n = 0
     entries: list[tuple[Word, tuple[int, ...]]] = []
     for i, g in enumerate(gens, start=1):
         m = g.k // n if n else 0
         h = g * (s ** (-m))
         if h.k != 0:
-            raise AssertionError("seed failed to land in the fiber")
+            raise VerificationError("seed failed to land in the fiber")
         entries.append((h.w, (i,) + _pow_expr(s_expr, -m)))
 
     graph = stallings_graph(b, [w for w, _ in entries])

@@ -32,6 +32,14 @@ class WordSyntaxError(ValueError):
     """Unparseable word literal."""
 
 
+class VerificationError(RuntimeError):
+    """A constructed answer failed its own recheck.
+
+    Raised where the mathematics says the check cannot fail, so it
+    signals a defect in fgrow rather than bad input.
+    """
+
+
 @dataclass(frozen=True)
 class Basis:
     """An ordered tuple of distinct generator names."""

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgrow import automorphisms
 from fgrow.automorphisms import (
     Automorphism,
     Endomorphism,
@@ -23,7 +24,7 @@ from fgrow.automorphisms import (
     restrict,
 )
 from fgrow.folding import stallings_graph, subgroup_equal
-from fgrow.words import WordSyntaxError, Word, basis, free_reduce, identity
+from fgrow.words import VerificationError, WordSyntaxError, Word, basis, free_reduce, identity
 
 from helpers import random_letters
 
@@ -110,6 +111,23 @@ def test_not_surjective_witness():
     witness = info.value.witness
     assert subgroup_equal(witness, stallings_graph(F, [W("a a"), W("b")]))
     assert not is_automorphism(squares)
+
+
+def test_failed_inverse_readback_is_a_typed_error(monkeypatch):
+    class ForgedFold:
+        """A rose whose expressions all read back as the first image."""
+
+        graph = None
+
+        def is_rose(self):
+            return True
+
+        def express(self, w):
+            return (1,)
+
+    monkeypatch.setattr(automorphisms, "witnessed_graph", lambda b, gens: ForgedFold())
+    with pytest.raises(VerificationError):
+        certify_automorphism(FIB.endo)
 
 
 def test_non_injective_shape_rejected():

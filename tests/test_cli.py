@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from fgrow import cli
 from fgrow.cli import main
+from fgrow.words import VerificationError
 
 FIB = "a -> a b\nb -> a\n"
 WILD = "a -> a b a' b' a\nb -> a\n"
@@ -113,6 +115,19 @@ def test_growth_inconclusive_exit_two(capsys):
     assert payload["result"]["kind"] == "Inconclusive"
     assert payload["result"]["evidence"]["truncated"] is True
     assert payload["result"]["evidence"]["offender"] == "a a'"
+
+
+def test_growth_conjugator_only_when_used(capsys):
+    # i_{ab}∘fib is certified through its conjugate fib
+    code, out, _ = run(capsys, "growth", "--map", "a -> a b; b -> a b a b' a'")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["kind"] == "Exponential" and result["certified"] is True
+    assert result["evidence"]["conjugator"] == "b' a'"
+    assert result["evidence"]["certificate"] == "Certified"
+    for argv in (("--map", FIB), ("--map", "a -> a b; b -> a'")):
+        code, out, _ = run(capsys, "growth", *argv)
+        assert "conjugator" not in json.loads(out)["result"]["evidence"]
 
 
 def test_growth_offender_symbols(capsys):
@@ -317,6 +332,16 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert code == 1  # not surjective
     code, _, err = run(capsys, "torus", "--map", "a -> a; t -> t")
     assert code == 1
+
+
+def test_verification_error_exits_one(monkeypatch, capsys):
+    def fail(*args):
+        raise VerificationError("inverse readback failed verification")
+
+    monkeypatch.setattr(cli, "certify_automorphism", fail)
+    code, out, err = run(capsys, "torus", "--map", FIB)
+    assert code == 1 and out == ""
+    assert err == "error: inverse readback failed verification\n"
 
 
 def test_usage_errors_exit_one(capsys):

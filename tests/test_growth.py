@@ -1,17 +1,21 @@
 """Growth classification against direct-substitution oracles."""
 
 import math
+import random
 
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgrow import growth
 from fgrow.automorphisms import (
+    Endomorphism,
     compose,
     identity_automorphism,
     inner_automorphism,
     parse_automorphism,
     parse_endomorphism,
+    power,
 )
 from fgrow.folding import stallings_graph
 from fgrow.growth import (
@@ -30,13 +34,14 @@ from fgrow.growth import (
     spectral_radius,
     transition_matrix,
 )
-from fgrow.words import BasisMismatchError, basis, identity
+from fgrow.words import BasisMismatchError, Word, basis, free_reduce, identity
 
-from helpers import naive_length_sequence, finite_difference_degree
+from helpers import finite_difference_degree, naive_length_sequence, random_letters
 
 F = basis("a b")
 FIB = parse_automorphism("a -> a b\nb -> a")
 GOLDEN = (1 + math.sqrt(5)) / 2
+PLASTIC = 1.324717957244746
 
 UNIPOTENT = [
     ("a -> a", 0),
@@ -168,6 +173,24 @@ def test_spectral_radius_matches_eigenvalues(m):
     assert abs(spectral_radius(m) - want) <= 1e-9 * want
 
 
+def test_certified_report_computes_each_perron_root_once(monkeypatch):
+    rules = "; ".join(f"x{i} -> x{i + 1}" for i in range(1, 60)) + "; x60 -> x1 x2"
+    phi = parse_endomorphism(rules)
+    calls = {"_perron_root": 0, "_reach": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(growth, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(growth, name, counted)
+    rep = classify_growth(phi)
+    assert rep.kind == KIND_EXPONENTIAL and rep.certified
+    assert calls == {"_perron_root": 1, "_reach": 1}
+    m = numpy.array(transition_matrix(phi), dtype=float)
+    want = max(abs(numpy.linalg.eigvals(m)))
+    assert abs(rep.rate - want) <= 1e-9 * want
+
+
 def test_spectral_radius_respects_support():
     phi = parse_endomorphism("a -> a b; b -> a; c -> c")
     m = transition_matrix(phi)
@@ -220,13 +243,96 @@ def test_classify_word_subjects():
     assert classify_growth(mixed, mixed.basis.parse("c a")).kind == KIND_EXPONENTIAL
 
 
-def test_conjugated_map_goes_heuristic_exponential():
+def test_conjugated_map_certifies_at_the_golden_ratio():
     twisted = compose(inner_automorphism(F, F.parse("a")), FIB)
     assert not no_cancellation_certificate(twisted).holds
     rep = classify_growth(twisted, F.parse("a"))
-    assert rep.kind == KIND_HEURISTIC_EXPONENTIAL
-    assert not rep.certified
-    assert abs(rep.rate - GOLDEN) < 0.05
+    assert rep.kind == KIND_EXPONENTIAL
+    assert rep.certified
+    assert abs(rep.rate - GOLDEN) < 1e-12
+
+
+def _twisted_fib(k):
+    return compose(inner_automorphism(F, F.parse("a b")), power(FIB, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conjugated_fibonacci_powers_certify(k):
+    phi = _twisted_fib(k)
+    assert not no_cancellation_certificate(phi).holds
+    rep = classify_growth(phi)
+    assert rep.kind == KIND_EXPONENTIAL and rep.certified
+    assert abs(rep.rate - GOLDEN**k) < 1e-12
+    # the receipt: conjugating by it gives the map that was certified
+    assert rep.certificate.holds
+    assert compose(inner_automorphism(F, rep.conjugator), phi).images == (
+        rep.certificate.endo.images
+    )
+
+
+def test_map_normalization_does_not_certify_stays_heuristic():
+    phi = parse_endomorphism("a -> b a'; b -> c; c -> a c")
+    cert = no_cancellation_certificate(phi)
+    assert not cert.holds
+    rep = classify_growth(phi)
+    assert rep.kind == KIND_HEURISTIC_EXPONENTIAL and not rep.certified
+    assert abs(rep.rate - PLASTIC) < 0.05
+    # a heuristic report keeps the map's own failed certificate
+    assert rep.conjugator is None
+    assert rep.certificate == cert
+
+
+def test_conjugated_maps_certify_without_iterating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("iterated a map that normalization certifies")
+
+    monkeypatch.setattr(growth, "_iterated_lengths", refuse)
+    for k in (1, 2, 3, 4):
+        assert classify_growth(_twisted_fib(k)).certified
+    # the conjugated maps of acceptance criterion 3
+    suite = [FIB] + [parse_automorphism(rules) for rules, _ in UNIPOTENT]
+    rng = random.Random(3)
+    for i in range(20):
+        phi = suite[i % len(suite)]
+        b = phi.endo.basis
+        g = Word(b, random_letters(rng, b.rank, rng.randint(1, 4)))
+        rep = classify_growth(compose(inner_automorphism(b, g), phi))
+        base = classify_growth(phi)
+        assert rep.certified
+        assert (rep.kind, rep.degree, rep.rate) == (base.kind, base.degree, base.rate)
+
+
+def _random_automorphism(rng, rank):
+    """Images of a random product of Nielsen moves, then a random inner
+    automorphism."""
+    imgs = [(j,) for j in range(1, rank + 1)]
+    for _ in range(rng.randint(0, 4)):
+        i, j = rng.sample(range(rank), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            other = imgs[j] if rng.random() < 0.5 else tuple(-t for t in reversed(imgs[j]))
+            imgs[i] = free_reduce(imgs[i] + other)
+        elif move == 1:
+            imgs[i] = tuple(-t for t in reversed(imgs[i]))
+        else:
+            imgs[i], imgs[j] = imgs[j], imgs[i]
+    g = random_letters(rng, rank, rng.randint(0, 4))
+    ginv = tuple(-t for t in reversed(g))
+    b = basis(["a", "b", "c"][:rank])
+    return Endomorphism(b, tuple(Word(b, free_reduce(g + w + ginv)) for w in imgs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 3), st.randoms(use_true_random=False), st.booleans())
+def test_lengths_are_translation_lengths_of_the_map(rank, rng, whole_map):
+    phi = _random_automorphism(rng, rank)
+    x = None if whole_map else Word(phi.basis, random_letters(rng, rank, rng.randint(0, 8)))
+    rep = classify_growth(phi, x, GrowthParams(iterations=6, cap=5000))
+    starts = [(j,) for j in range(1, rank + 1)] if x is None else [x.letters]
+    naive = [naive_length_sequence(phi, s, 6, cap=5000) for s in starts]
+    n = min(len(rep.lengths), *(len(seq) for seq in naive))
+    assert n >= 1
+    assert list(rep.lengths[:n]) == [sum(seq[i] for seq in naive) for i in range(n)]
 
 
 def test_conjugated_unipotent_goes_heuristic_polynomial():
