@@ -75,6 +75,15 @@ def _at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _radii(text: str) -> list[int]:
+    """argparse type for ``--radii``: comma-separated integers >= 1."""
+    try:
+        return [_at_least(1)(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
+        msg = f"must be comma-separated integers >= 1, got {text!r}"
+    raise argparse.ArgumentTypeError(msg)
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -474,10 +483,9 @@ def cmd_divergence(args) -> tuple[str, int]:
     source = _read_input(args.map)
     phi = certify_automorphism(parse_endomorphism(source))
     group = torus_group(phi)
-    radii = [int(part) for part in args.radii.split(",") if part.strip()]
     report = divergence_estimate(
         group,
-        radii,
+        args.radii,
         samples_per_radius=args.samples,
         seed=args.seed,
         max_vertices=args.max_vertices,
@@ -584,7 +592,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("divergence", help="empirical divergence probe")
     p.add_argument("--map", required=True)
-    p.add_argument("--radii", default="4,6,8")
+    p.add_argument("--radii", type=_radii, default="4,6,8")
     p.add_argument("--samples", type=_at_least(1), default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-vertices", type=_at_least(1), default=500_000)

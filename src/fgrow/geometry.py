@@ -18,9 +18,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .automorphisms import apply_power
 from .mapping_torus import TorusElement, TorusGroup
@@ -224,6 +223,17 @@ class DivergenceReport:
         raise KeyError(f"radius {r} was not sampled")
 
 
+def _loglog_fit(points: Sequence[tuple[int, float]]) -> tuple[float, float]:
+    """Least-squares slope of log m against log r (r distinct) and its RMS
+    residual, exact in Fraction on the float logs and each rounded once."""
+    xs = [Fraction(math.log(r)) for r, _ in points]
+    ys = [Fraction(math.log(m)) for _, m in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    mse = sum((y - my - slope * (x - mx)) ** 2 for x, y in zip(xs, ys)) / len(xs)
+    return float(slope), math.sqrt(mse)
+
+
 def divergence_estimate(
     group: TorusGroup,
     radii: Sequence[int],
@@ -279,17 +289,8 @@ def divergence_estimate(
         means.append((r, sum(reachable) / len(reachable) if reachable else None))
         if len(reachable) < max(1, samples_per_radius // 2):
             starved = True
-    fit_pts = [
-        (r, m) for r, m in means if r >= FIT_MIN_RADIUS and m is not None and m > 0
-    ]
-    exponent = residual = None
-    if len(fit_pts) >= 2:
-        xs = np.array([math.log(r) for r, _ in fit_pts])
-        ys = np.array([math.log(m) for _, m in fit_pts])
-        a = np.stack([xs, np.ones_like(xs)], axis=1)
-        coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
-        exponent = float(coef[0])
-        residual = float(math.sqrt(np.mean((a @ coef - ys) ** 2)))
+    fit_pts = [(r, m) for r, m in means if r >= FIT_MIN_RADIUS and m is not None and m > 0]
+    exponent, residual = _loglog_fit(fit_pts) if len(fit_pts) >= 2 else (None, None)
     low_confidence = starved or exponent is None
     return DivergenceReport(
         radii=tuple(rs),

@@ -79,10 +79,6 @@ class GraphOfGroups:
                 return v
         raise KeyError(f"no vertex named {name!r}")
 
-    def validate(self) -> "GraphOfGroups":
-        validate_splitting(self)
-        return self
-
 
 def _spanning_tree(gog: GraphOfGroups) -> tuple[set[str], set[str]]:
     """Tree edge names and reached vertices; edges without stable

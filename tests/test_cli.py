@@ -287,6 +287,7 @@ def test_divergence_json_and_csv(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["exponent"] is not None
+    assert result["residual"] == 0.0  # two radii: the line is exact
     assert {"radius", "mean"} == set(result["mean_detour"][0])
     assert all(s["distance"] >= s["radius"] for s in result["samples"])
     code, csv_out, _ = run(capsys, *args, "--emit", "csv")
@@ -375,4 +376,17 @@ def test_bad_budgets_exit_one(argv, flag, low, value, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: argument {flag}: must be an integer >= {low}, got {value!r}"
+    ]
+
+
+@pytest.mark.parametrize("value", ["4,x", "0", "4,-2", ","])
+def test_bad_radii_exit_one(value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["divergence", "--map", "a -> a; b -> b", "--radii", value])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: argument --radii: must be comma-separated integers >= 1, "
+        f"got {value!r}"
     ]

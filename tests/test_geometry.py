@@ -2,14 +2,22 @@
 
 Distance oracle: enumerate every word over basis ∪ {t} up to a length
 bound, normalize it, and record the shortest spelling per element.
-The BFS ball must reproduce exactly that table.
+The BFS ball must reproduce exactly that table.  Fit oracle: the
+normal equations solved by Cramer's rule in exact arithmetic, and
+numpy's least squares.
 """
 
+import math
+from fractions import Fraction
+
+import numpy
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgrow.automorphisms import identity_automorphism, parse_automorphism
 from fgrow.geometry import (
     BudgetExceededError,
+    _loglog_fit,
     cayley_ball,
     divergence_estimate,
     free_times_z_ball_size,
@@ -144,6 +152,39 @@ def test_divergence_fit_and_flags():
     only_small = divergence_estimate(GID, [2, 3], samples_per_radius=6, seed=0)
     assert only_small.exponent is None
     assert only_small.low_confidence
+
+
+def cramer_slope(points):
+    """Solve [[Σx², Σx], [Σx, n]]·(a, b) = (Σxy, Σy) for a by Cramer's
+    rule, exactly on the float logs x = log r, y = log m."""
+    xs = [Fraction(math.log(r)) for r, _ in points]
+    ys = [Fraction(math.log(m)) for _, m in points]
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    sxx = sum(x * x for x in xs)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    return (n * sxy - sx * sy) / (n * sxx - sx * sx)
+
+
+@st.composite
+def fit_points(draw):
+    radii = draw(st.lists(st.integers(1, 64), min_size=2, max_size=6, unique=True))
+    return [(r, draw(st.floats(1e-3, 1e6))) for r in radii]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_points())
+def test_loglog_fit_is_the_exact_least_squares_line(points):
+    exponent, residual = _loglog_fit(points)
+    assert exponent == float(cramer_slope(points))
+    xs = numpy.array([math.log(r) for r, _ in points])
+    ys = numpy.array([math.log(m) for _, m in points])
+    a = numpy.stack([xs, numpy.ones_like(xs)], axis=1)
+    coef, *_ = numpy.linalg.lstsq(a, ys, rcond=None)
+    rms = math.sqrt(numpy.mean((a @ coef - ys) ** 2))
+    assert math.isclose(exponent, coef[0], rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(residual, rms, rel_tol=1e-9, abs_tol=1e-9)
+    if len(points) == 2:
+        assert residual == 0.0
 
 
 def test_divergence_reuses_supplied_ball():
