@@ -6,6 +6,14 @@ inconclusive outcomes.  Output is byte-identical for identical inputs,
 flags, and seed: reports embed the input hash and budgets, JSON is
 emitted with sorted keys, and SVG is hand-built with fixed number
 formatting.  Budgets must be positive (``--max-rounds`` may be 0).
+
+Every report takes one emit path.  A ``cmd_*`` function computes its
+answer once and returns ``(meta, result, exit_code, views)``: ``meta``
+names the command, input hash and budgets, ``result`` is the JSON
+payload, and ``views`` maps each other ``--emit`` choice of the
+subcommand to a function that renders it.  ``main()`` wraps ``meta``
+and ``result`` into the JSON envelope or calls the chosen view, and
+turns every error into one stderr line and exit 1 or 2.
 """
 
 from __future__ import annotations
@@ -15,16 +23,15 @@ import hashlib
 import json
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .automorphisms import (
-    NotInvariantError,
-    NotSurjectiveError,
-    certify_automorphism,
-    parse_endomorphism,
-)
+from .automorphisms import certify_automorphism, parse_endomorphism
 from .folding import StallingsGraph, stallings_graph
-from .geometry import BudgetExceededError, DivergenceReport, divergence_estimate
+from .geometry import (
+    FIT_MIN_RADIUS,
+    BudgetExceededError,
+    divergence_estimate,
+)
 from .growth import (
     KIND_INCONCLUSIVE,
     GrowthParams,
@@ -43,15 +50,12 @@ from .splittings import (
     validate_splitting,
     verify_fixed,
 )
-from .words import (
-    Basis,
-    BasisMismatchError,
-    VerificationError,
-    WordSyntaxError,
-    basis as make_basis,
-)
+from .words import Basis, VerificationError, WordSyntaxError, basis as make_basis
 
 SCHEMA = 2
+
+# (meta, JSON result, exit code, renderer by non-JSON --emit choice)
+Report = tuple[dict, dict, int, dict[str, Callable[[], str]]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,20 +115,17 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _meta_lines(meta: dict) -> list[str]:
+def _text(lines: Iterable[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _csv(meta: dict, rows: Iterable[str]) -> str:
+    """CSV rows under ``# key: value`` lines for the report's meta."""
     lines = [f"# schema: {meta['schema']}", f"# command: {meta['command']}"]
     lines.append(f"# input_sha256: {meta['input_sha256']}")
     for key in sorted(meta["budgets"]):
         lines.append(f"# {key}: {meta['budgets'][key]}")
-    return lines
-
-
-def _svg_doc(body: list[str], width: int = 480, height: int = 320) -> str:
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    return _text([*lines, *rows])
 
 
 def _svg_plot(
@@ -134,15 +135,15 @@ def _svg_plot(
     fit: tuple[float, float] | None = None,
 ) -> str:
     width, height, pad = 480, 320, 40
-    body = [f"<title>{title}</title>"]
-    body.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    body.append(
-        f'<text x="{pad}" y="20" font-size="12" font-family="monospace">{title}</text>'
-    )
-    body.append(
+    body = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f"<title>{title}</title>",
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{pad}" y="20" font-size="12" font-family="monospace">{title}</text>',
         f'<text x="{pad}" y="{height - 8}" font-size="9" font-family="monospace">'
-        f'input {meta["input_sha256"][:16]}</text>'
-    )
+        f'input {meta["input_sha256"][:16]}</text>',
+    ]
     if points:
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
@@ -157,21 +158,17 @@ def _svg_plot(
         def py(y: float) -> float:
             return height - pad - (y - y0) * sy
 
-        body.append(
-            f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-            f'y2="{height - pad}" stroke="black"/>'
-        )
-        body.append(
-            f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>'
-        )
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in points)
-        body.append(
-            f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
-        )
-        for x, y in points:
-            body.append(
-                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="crimson"/>'
-            )
+        body += [
+            f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
+            f'y2="{height - pad}" stroke="black"/>',
+            f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
+            f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="1.5"/>',
+        ]
+        body += [
+            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="crimson"/>'
+            for x, y in points
+        ]
         if fit is not None:
             slope, intercept = fit
             body.append(
@@ -179,7 +176,7 @@ def _svg_plot(
                 f'x2="{px(x1):.2f}" y2="{py(slope * x1 + intercept):.2f}" '
                 f'stroke="gray" stroke-dasharray="4 3"/>'
             )
-    return _svg_doc(body, width, height)
+    return _text([*body, "</svg>"])
 
 
 # ---------------------------------------------------------------------------
@@ -213,39 +210,40 @@ def _growth_result(report: GrowthReport) -> dict:
     return result
 
 
-def cmd_growth(args) -> tuple[str, int]:
+def cmd_growth(args) -> Report:
     source = _read_input(args.map)
     phi = parse_endomorphism(source)
     params = GrowthParams(iterations=args.iters, cap=args.cap)
     word = phi.basis.parse(args.word) if args.word else None
     report = classify_growth(phi, word, params)
     meta = _meta("growth", source, {"iters": args.iters, "cap": args.cap})
+    steps = list(enumerate(report.lengths, start=1))
+
+    def csv() -> str:
+        rows = ["n,length", *(f"{i},{v}" for i, v in steps), f"# kind: {report.kind}"]
+        return _csv(meta, rows)
+
+    def svg() -> str:
+        pts = [(float(i), float(v)) for i, v in steps]
+        return _svg_plot(pts, f"growth {report.subject}: {report.kind}", meta)
+
+    def text() -> str:
+        lines = [
+            f"subject: {report.subject}",
+            f"kind: {report.kind}",
+            f"certified: {report.certified}",
+        ]
+        if report.rate is not None:
+            lines.append(f"rate: {report.rate:.6f}")
+        if report.degree is not None:
+            lines.append(f"degree: {report.degree}")
+        lines.append("lengths: " + " ".join(str(v) for v in report.lengths))
+        if report.truncated:
+            lines.append("truncated: true")
+        return _text(lines)
+
     code = 2 if report.kind == KIND_INCONCLUSIVE else 0
-    if args.emit == "json":
-        return _json({**meta, "result": _growth_result(report)}), code
-    if args.emit == "csv":
-        lines = _meta_lines(meta)
-        lines.append("n,length")
-        lines.extend(f"{i},{v}" for i, v in enumerate(report.lengths, start=1))
-        lines.append(f"# kind: {report.kind}")
-        return "\n".join(lines) + "\n", code
-    if args.emit == "svg":
-        pts = [(float(i), float(v)) for i, v in enumerate(report.lengths, start=1)]
-        title = f"growth {report.subject}: {report.kind}"
-        return _svg_plot(pts, title, meta), code
-    lines = [
-        f"subject: {report.subject}",
-        f"kind: {report.kind}",
-        f"certified: {report.certified}",
-    ]
-    if report.rate is not None:
-        lines.append(f"rate: {report.rate:.6f}")
-    if report.degree is not None:
-        lines.append(f"degree: {report.degree}")
-    lines.append("lengths: " + " ".join(str(v) for v in report.lengths))
-    if report.truncated:
-        lines.append("truncated: true")
-    return "\n".join(lines) + "\n", code
+    return meta, _growth_result(report), code, {"csv": csv, "svg": svg, "text": text}
 
 
 # ---------------------------------------------------------------------------
@@ -271,37 +269,33 @@ def _dot_graph(graph: StallingsGraph, name: str) -> str:
     for u, x, v in sorted(graph.edges):
         lines.append(f'  {u} -> {v} [label="{graph.basis.symbol(x)}"];')
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _text(lines)
 
 
-def cmd_fold(args) -> tuple[str, int]:
+def cmd_fold(args) -> Report:
     b = make_basis(args.basis) if args.basis else _infer_basis(args.gens)
     gens = [b.parse(part) for part in args.gens.split(",") if part.strip()]
     graph = stallings_graph(b, gens)
     meta = _meta("fold", args.gens, {})
-    if args.emit == "json":
-        return _json({**meta, "result": _fold_payload(graph)}), 0
-    if args.emit == "dot":
-        return _dot_graph(graph, "fold"), 0
-    if args.emit == "csv":
-        lines = _meta_lines(meta)
-        lines.append("from,letter,to")
-        lines.extend(
-            f"{u},{graph.basis.symbol(x)},{v}" for u, x, v in sorted(graph.edges)
-        )
-        return "\n".join(lines) + "\n", 0
-    payload = _fold_payload(graph)
-    lines = [f"vertices: {payload['vertices']}"]
-    lines.append("edges:")
-    lines.extend(
-        f"  {e['from']} --{e['letter']}--> {e['to']}" for e in payload["edges"]
-    )
-    lines.append(f"rank: {payload['rank']}")
-    lines.append(
-        f"index: {payload['index'] if payload['index'] is not None else 'infinite'}"
-    )
-    lines.append("free basis: " + ", ".join(payload["free_basis"]))
-    return "\n".join(lines) + "\n", 0
+    result = _fold_payload(graph)
+    edges = result["edges"]
+
+    def csv() -> str:
+        rows = (f"{e['from']},{e['letter']},{e['to']}" for e in edges)
+        return _csv(meta, ["from,letter,to", *rows])
+
+    def text() -> str:
+        index = result["index"] if result["index"] is not None else "infinite"
+        return _text([
+            f"vertices: {result['vertices']}",
+            "edges:",
+            *(f"  {e['from']} --{e['letter']}--> {e['to']}" for e in edges),
+            f"rank: {result['rank']}",
+            f"index: {index}",
+            "free basis: " + ", ".join(result["free_basis"]),
+        ])
+
+    return meta, result, 0, {"text": text, "dot": lambda: _dot_graph(graph, "fold"), "csv": csv}
 
 
 def _infer_basis(gens_text: str) -> Basis:
@@ -320,29 +314,24 @@ def _infer_basis(gens_text: str) -> Basis:
 # torus
 
 
-def cmd_torus(args) -> tuple[str, int]:
+def cmd_torus(args) -> Report:
     source = _read_input(args.map)
     phi = certify_automorphism(parse_endomorphism(source))
     group = torus_group(phi)
     budgets = {"max_rounds": args.max_rounds, "max_vertices": args.max_vertices}
     meta = _meta("torus", source, budgets)
     if not args.gens:
-        if args.emit in ("presentation", "text"):
-            return group.presentation() + "\n", 0
-        if args.emit == "json":
-            return (
-                _json(
-                    {
-                        **meta,
-                        "result": {
-                            "presentation": group.presentation(),
-                            "generators": list(group.extended_basis.names),
-                        },
-                    }
-                ),
-                0,
-            )
-        raise ValueError("--emit graph needs --gens")
+        if args.emit == "graph":
+            raise ValueError("--emit graph needs --gens")
+        result = {
+            "presentation": group.presentation(),
+            "generators": list(group.extended_basis.names),
+        }
+
+        def plain() -> str:
+            return _text([result["presentation"]])
+
+        return meta, result, 0, {"presentation": plain, "text": plain}
     elems = [
         group.normalize(part) for part in args.gens.split(";") if part.strip()
     ]
@@ -357,33 +346,31 @@ def cmd_torus(args) -> tuple[str, int]:
         "s": str(fi.s) if fi.s is not None else None,
         "rounds": fi.rounds,
     }
-    if args.emit == "json":
-        return _json({**meta, "result": result}), 0
-    if args.emit == "graph":
-        return _dot_graph(fi.graph, "fiber"), 0
-    lines = [
-        "intersection basis: " + ", ".join(result["intersection_basis"]),
-        f"rank: {result['rank']}",
-        f"t step: {result['t_step']}",
-        f"rounds: {result['rounds']}",
-    ]
-    return "\n".join(lines) + "\n", 0
+
+    def text() -> str:
+        return _text([
+            "intersection basis: " + ", ".join(result["intersection_basis"]),
+            f"rank: {result['rank']}",
+            f"t step: {result['t_step']}",
+            f"rounds: {result['rounds']}",
+        ])
+
+    views = {"graph": lambda: _dot_graph(fi.graph, "fiber"), "presentation": text, "text": text}
+    return meta, result, 0, views
 
 
 # ---------------------------------------------------------------------------
 # split
 
 
-def cmd_split(args) -> tuple[str, int]:
+def cmd_split(args) -> Report:
     source = _read_input(args.map)
     gog_text = _read_file(args.gog)
     phi = certify_automorphism(parse_endomorphism(source))
     gog, witness = parse_splitting(gog_text, phi.basis)
     validate_splitting(gog)
     meta = _meta("split", source + "\n" + gog_text, {})
-    verified = None
-    if witness is not None:
-        verified = verify_fixed(gog, phi, witness)
+    verified = verify_fixed(gog, phi, witness) if witness is not None else None
     result: dict = {"kind": gog.kind, "valid": True, "verified": verified}
     code = 0
     if args.induce:
@@ -417,28 +404,30 @@ def cmd_split(args) -> tuple[str, int]:
         }
     elif verified is False:
         code = 1
-    if args.emit == "json":
-        return _json({**meta, "result": result}), code
-    lines = [f"kind: {result['kind']}", "valid: true"]
-    if verified is not None:
-        lines.append(f"verified: {str(verified).lower()}")
-    if "induced" in result:
-        lines.append(f"induced kind: {result['induced']['kind']}")
-        for v in result["induced"]["vertices"]:
-            lines.append(f"  vertex {v['name']}: {v['label']}")
-        for e in result["induced"]["edges"]:
-            lines.append(
-                f"  edge {e['name']} ({e['ends'][0]} - {e['ends'][1]}): "
-                f"{e['group']} {e['label']}"
-            )
-    return "\n".join(lines) + "\n", code
+
+    def text() -> str:
+        lines = [f"kind: {result['kind']}", "valid: true"]
+        if verified is not None:
+            lines.append(f"verified: {str(verified).lower()}")
+        if "induced" in result:
+            lines.append(f"induced kind: {result['induced']['kind']}")
+            for v in result["induced"]["vertices"]:
+                lines.append(f"  vertex {v['name']}: {v['label']}")
+            for e in result["induced"]["edges"]:
+                lines.append(
+                    f"  edge {e['name']} ({e['ends'][0]} - {e['ends'][1]}): "
+                    f"{e['group']} {e['label']}"
+                )
+        return _text(lines)
+
+    return meta, result, code, {"text": text}
 
 
 # ---------------------------------------------------------------------------
 # hierarchy
 
 
-def cmd_hierarchy(args) -> tuple[str, int]:
+def cmd_hierarchy(args) -> Report:
     text = _read_file(args.file)
     h = parse_hierarchy(text)
     validate_hierarchy(h)
@@ -447,39 +436,16 @@ def cmd_hierarchy(args) -> tuple[str, int]:
     meta = _meta("hierarchy", text, {})
     code = 2 if complete is None else 0
     complete_str = "unknown" if complete is None else str(complete).lower()
-    if args.emit == "json":
-        return (
-            _json(
-                {
-                    **meta,
-                    "result": {
-                        "kind": h.kind,
-                        "depth": depth,
-                        "complete": complete_str,
-                    },
-                }
-            ),
-            code,
-        )
+    result = {"kind": h.kind, "depth": depth, "complete": complete_str}
     lines = [f"kind: {h.kind}", f"depth: {depth}", f"complete: {complete_str}"]
-    return "\n".join(lines) + "\n", code
+    return meta, result, code, {"text": lambda: _text(lines)}
 
 
 # ---------------------------------------------------------------------------
 # divergence
 
 
-def _divergence_rows(report: DivergenceReport) -> list[str]:
-    rows = ["radius,p,q,distance,detour,reachable"]
-    for s in report.samples:
-        det = s.detour if s.detour is not None else ""
-        rows.append(
-            f'{s.radius},"{s.p}","{s.q}",{s.distance},{det},{str(s.reachable).lower()}'
-        )
-    return rows
-
-
-def cmd_divergence(args) -> tuple[str, int]:
+def cmd_divergence(args) -> Report:
     source = _read_input(args.map)
     phi = certify_automorphism(parse_endomorphism(source))
     group = torus_group(phi)
@@ -497,56 +463,63 @@ def cmd_divergence(args) -> tuple[str, int]:
         "max_vertices": args.max_vertices,
     }
     meta = _meta("divergence", source, budgets)
-    if args.emit == "json":
-        result = {
-            "exponent": report.exponent,
-            "residual": report.residual,
-            "low_confidence": report.low_confidence,
-            "note": report.note,
-            "mean_detour": [
-                {"radius": r, "mean": m} for r, m in report.mean_detour
-            ],
-            "samples": [
-                {
-                    "radius": s.radius,
-                    "p": str(s.p),
-                    "q": str(s.q),
-                    "distance": s.distance,
-                    "detour": s.detour,
-                    "reachable": s.reachable,
-                }
-                for s in report.samples
-            ],
-        }
-        return _json({**meta, "result": result}), 0
-    if args.emit == "csv":
-        lines = _meta_lines(meta)
-        lines.extend(_divergence_rows(report))
+    result = {
+        "exponent": report.exponent,
+        "residual": report.residual,
+        "low_confidence": report.low_confidence,
+        "note": report.note,
+        "mean_detour": [
+            {"radius": r, "mean": m} for r, m in report.mean_detour
+        ],
+        "samples": [
+            {
+                "radius": s.radius,
+                "p": str(s.p),
+                "q": str(s.q),
+                "distance": s.distance,
+                "detour": s.detour,
+                "reachable": s.reachable,
+            }
+            for s in report.samples
+        ],
+    }
+
+    def csv() -> str:
+        rows = ["radius,p,q,distance,detour,reachable"]
+        for s in report.samples:
+            det = s.detour if s.detour is not None else ""
+            reachable = str(s.reachable).lower()
+            rows.append(f'{s.radius},"{s.p}","{s.q}",{s.distance},{det},{reachable}')
         if report.exponent is not None:
-            lines.append(f"# exponent: {report.exponent:.6f}")
-            lines.append(f"# residual: {report.residual:.6f}")
-        lines.append(f"# low_confidence: {str(report.low_confidence).lower()}")
-        return "\n".join(lines) + "\n", 0
-    if args.emit == "svg":
+            rows.append(f"# exponent: {report.exponent:.6f}")
+            rows.append(f"# residual: {report.residual:.6f}")
+        rows.append(f"# low_confidence: {str(report.low_confidence).lower()}")
+        return _csv(meta, rows)
+
+    def svg() -> str:
         pts = [
-            (math.log(r), math.log(m))
+            (r, math.log(r), math.log(m))
             for r, m in report.mean_detour
             if m is not None and m > 0
         ]
         fit = None
-        if report.exponent is not None and pts:
-            ys = [y - report.exponent * x for x, y in pts]
+        if report.exponent is not None:
+            # the fitted line's intercept, over the radii the fit used
+            ys = [y - report.exponent * x for r, x, y in pts if r >= FIT_MIN_RADIUS]
             fit = (report.exponent, sum(ys) / len(ys))
-        title = "divergence (log-log)"
-        return _svg_plot(pts, title, meta, fit), 0
-    lines = []
-    for r, m in report.mean_detour:
-        lines.append(f"r={r}: mean detour {m:.3f}" if m is not None else f"r={r}: -")
-    if report.exponent is not None:
-        lines.append(f"exponent: {report.exponent:.4f} (residual {report.residual:.4f})")
-    lines.append(f"low confidence: {str(report.low_confidence).lower()}")
-    lines.append(report.note)
-    return "\n".join(lines) + "\n", 0
+        return _svg_plot([(x, y) for _, x, y in pts], "divergence (log-log)", meta, fit)
+
+    def text() -> str:
+        lines = []
+        for r, m in report.mean_detour:
+            lines.append(f"r={r}: mean detour {m:.3f}" if m is not None else f"r={r}: -")
+        if report.exponent is not None:
+            lines.append(f"exponent: {report.exponent:.4f} (residual {report.residual:.4f})")
+        lines.append(f"low confidence: {str(report.low_confidence).lower()}")
+        lines.append(report.note)
+        return _text(lines)
+
+    return meta, result, 0, {"csv": csv, "svg": svg, "text": text}
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +574,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS: dict[str, Callable] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], Report]] = {
     "growth": cmd_growth,
     "fold": cmd_fold,
     "torus": cmd_torus,
@@ -612,24 +585,17 @@ _COMMANDS: dict[str, Callable] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        out, code = _COMMANDS[args.command](args)
+        meta, result, code, views = _COMMANDS[args.command](args)
+        if args.emit == "json":
+            out = _json({**meta, "result": result})
+        else:
+            out = views[args.emit]()
     except (BudgetExceededError, UnstabilizedError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (
-        WordSyntaxError,
-        BasisMismatchError,
-        NotSurjectiveError,
-        NotInvariantError,
-        SplittingViolation,
-        VerificationError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(out)

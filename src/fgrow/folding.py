@@ -58,7 +58,6 @@ class StallingsGraph:
         self.edges = tuple(
             (u, x, v) for u, out in enumerate(succ) for x, v in sorted(out.items())
         )
-        self._readback: WitnessedGraph | None = None  # see express_in_free_basis
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -112,10 +111,16 @@ class StallingsGraph:
 
     # -- spanning tree and free basis --------------------------------
 
+    def _cotree(self) -> tuple[dict[int, tuple[int, int]], list[Edge]]:
+        """``_bfs_tree`` and the edges off it, in ``edges`` order."""
+        via = _bfs_tree(self._succ, self._pred, self.basis.rank)
+        off = [(u, x, v) for u, x, v in self.edges if via[v] != (u, x) and via[u] != (v, -x)]
+        return via, off
+
     def free_basis(self) -> list[Word]:
         """One reduced word per non-tree edge of a BFS spanning tree (a
         free basis of the subgroup)."""
-        via = _bfs_tree(self._succ, self._pred, self.basis.rank)
+        via, cotree = self._cotree()
         paths: dict[int, tuple[int, ...]] = {}  # only for non-tree edge ends
 
         def path(v: int) -> tuple[int, ...]:
@@ -128,9 +133,7 @@ class StallingsGraph:
             return paths[v]
 
         out = []
-        for u, x, v in self.edges:
-            if via[v] == (u, x) or via[u] == (v, -x):  # a tree edge
-                continue
+        for u, x, v in cotree:
             raw = path(u) + (x,) + tuple(-t for t in reversed(path(v)))
             out.append(Word(self.basis, free_reduce(raw)))
         return out
@@ -139,14 +142,26 @@ class StallingsGraph:
         """Write an accepted word over the ``free_basis`` alphabet.
 
         Returns signed 1-based indices into ``free_basis()``, or None
-        when the word is not a member.  The basis is free, so the
-        reduced expression is unique.
+        when the word is not a member.  Basis element j is the loop
+        through the j-th non-tree edge, so the non-tree edges that w's
+        path crosses, each signed by its direction, spell w.  Between
+        two crossings the path stays in the tree, so crossing an edge
+        straight back would make a reduced word's path backtrack: the
+        expression is reduced, hence the unique one.
         """
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        if self._readback is None:
-            self._readback = witnessed_graph(self.basis, self.free_basis())
-        return self._readback.express(w)
+        index = {(u, x): j for j, (u, x, _) in enumerate(self._cotree()[1], start=1)}
+        at, out = 0, []
+        for x in w.letters:
+            nxt = self.step(at, x)
+            if nxt is None:
+                return None
+            j = index.get((at, x) if x > 0 else (nxt, -x))
+            if j is not None:
+                out.append(j if x > 0 else -j)
+            at = nxt
+        return tuple(out) if at == 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ G-side hierarchy mirrors the F-side one node for node.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -175,23 +176,22 @@ class FixedSplittingWitness:
     edge_map: tuple[tuple[str, str, bool], ...]
     correctors: tuple[tuple[str, Word], ...]
 
+    def __post_init__(self) -> None:
+        # lookups by name; built reversed, so a name's first entry wins
+        sigma_e = {a: (b, flip) for a, b, flip in reversed(self.edge_map)}
+        object.__setattr__(self, "_sigma_v", dict(reversed(self.vertex_map)))
+        object.__setattr__(self, "_sigma_e", sigma_e)
+        object.__setattr__(self, "_correctors", dict(reversed(self.correctors)))
+
     def sigma_vertex(self, name: str) -> str:
-        for a, b in self.vertex_map:
-            if a == name:
-                return b
-        return name
+        return self._sigma_v.get(name, name)
 
     def sigma_edge(self, name: str) -> tuple[str, bool]:
-        for a, b, flip in self.edge_map:
-            if a == name:
-                return b, flip
-        return name, False
+        return self._sigma_e.get(name, (name, False))
 
     def corrector(self, name: str, b: Basis) -> Word:
-        for a, w in self.correctors:
-            if a == name:
-                return w
-        return identity(b)
+        w = self._correctors.get(name)
+        return identity(b) if w is None else w
 
 
 def identity_witness() -> FixedSplittingWitness:
@@ -510,18 +510,8 @@ def validate_hierarchy(h: Hierarchy) -> None:
                     for v in node.splitting.vertices
                     if not _absolute_group(h.kind, v.group)
                 ]
-                got = [c.group for c in node.children]
-                if len(expected) != len(got) or any(
-                    not isinstance(g, StallingsGraph) for g in got
-                ):
-                    raise SplittingViolation(
-                        f"node {node.name!r}: children do not match the splitting's non-absolute vertex groups"
-                    )
-                unmatched = list(expected)
-                for g in got:
-                    if g in unmatched:
-                        unmatched.remove(g)
-                if unmatched:
+                # a child's symbolic label never equals a vertex group
+                if Counter(expected) != Counter(c.group for c in node.children):
                     raise SplittingViolation(
                         f"node {node.name!r}: children do not match the splitting's non-absolute vertex groups"
                     )
@@ -667,6 +657,7 @@ def parse_splitting(
             edges.append(GogEdge(name.strip(), ends[0], ends[1], fiber, bu, bv, stable))
         elif section == "witness":
             parts = line.split()
+            head, colon, rest = line.partition(":")
             if parts[0] == "map" and len(parts) == 4 and parts[2] == "->":
                 entries, entry = vmap, (parts[1], parts[3])
             elif parts[0] == "edge" and len(parts) in (4, 5) and parts[2] == "->":
@@ -674,10 +665,8 @@ def parse_splitting(
                 if flip and parts[4] != "!":
                     raise WordSyntaxError(f"line {lineno}: expected '!' flip marker")
                 entries, entry = emap, (parts[1], parts[3], flip)
-            elif parts[0] == "corrector" and ":" in line:
-                head, rest = line.split(":", 1)
-                name = head.split()[1]
-                entries, entry = corr, (name, _parse_word(b, rest, lineno))
+            elif colon and len(head.split()) == 2 and head.split()[0] == "corrector":
+                entries, entry = corr, (head.split()[1], _parse_word(b, rest, lineno))
             else:
                 raise WordSyntaxError(f"line {lineno}: unrecognized witness line")
             if any(e[0] == entry[0] for e in entries):

@@ -1,6 +1,8 @@
 """CLI contract: output schemas, exit codes, determinism."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -304,6 +306,37 @@ def test_divergence_svg(capsys):
     )
     assert code == 0
     assert out.startswith("<svg ") and "<circle" in out
+
+
+def test_divergence_svg_fit_line_is_the_fitted_line(capsys):
+    # radius 2 is plotted but lies below FIT_MIN_RADIUS, so the fit skips it
+    args = (
+        "divergence", "--map", "a -> a; b -> b a", "--radii", "2,4,6",
+        "--samples", "8", "--seed", "0",
+    )
+    _, out, _ = run(capsys, *args)
+    result = json.loads(out)["result"]
+    slope = result["exponent"]
+    pts = [(math.log(p["radius"]), math.log(p["mean"])) for p in result["mean_detour"]]
+    fit = [(x, y) for (x, y), p in zip(pts, result["mean_detour"]) if p["radius"] >= 4]
+    intercept = sum(y - slope * x for x, y in fit) / len(fit)
+    _, svg, _ = run(capsys, *args, "--emit", "svg")
+    dots = [tuple(map(float, c)) for c in re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)"', svg)]
+    assert len(dots) == len(pts) == 3
+    # the plot's affine map, read off the plotted points
+    lo, hi = min(range(3), key=lambda i: pts[i][1]), max(range(3), key=lambda i: pts[i][1])
+    ax = (dots[2][0] - dots[0][0]) / (pts[2][0] - pts[0][0])
+    ay = (dots[hi][1] - dots[lo][1]) / (pts[hi][1] - pts[lo][1])
+    (line,) = re.findall(
+        r'<line x1="([\d.-]+)" y1="([\d.-]+)" x2="([\d.-]+)" y2="([\d.-]+)" '
+        r'stroke="gray" stroke-dasharray',
+        svg,
+    )
+    x1, y1, x2, y2 = map(float, line)
+    for px, py in ((x1, y1), (x2, y2)):
+        x = pts[0][0] + (px - dots[0][0]) / ax
+        y = pts[lo][1] + (py - dots[lo][1]) / ay
+        assert y == pytest.approx(slope * x + intercept, abs=1e-3)
 
 
 # -- cross-cutting contract ---------------------------------------------

@@ -226,6 +226,33 @@ def test_witnessed_graph_agrees_with_plain_fold(case):
         assert expr is not None and wg.evaluate(expr) == w
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just(F), gen_lists(2, 6, 4)),
+        st.tuples(st.just(F3), gen_lists(3, 8, 5)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_express_in_free_basis_matches_a_witnessed_fold_of_the_basis(case, seed):
+    b, lists = case
+    rng = random.Random(seed)
+    gens = [Word(b, free_reduce(ls)) for ls in lists]
+    g = stallings_graph(b, gens)
+    reference = witnessed_graph(b, g.free_basis())
+    words = [Word(b, random_letters(rng, b.rank, rng.randint(0, 10))) for _ in range(20)]
+    for _ in range(20):  # members: products of the generators
+        w = identity(b)
+        for _ in range(rng.randint(0, 5)):
+            h = rng.choice(gens)
+            w = w * (h if rng.random() < 0.5 else h.inverse())
+        words.append(w)
+    for w in words:
+        expr = g.express_in_free_basis(w)
+        assert expr == reference.express(w)
+        assert (expr is not None) == g.accepts(w)
+
+
 # -- cored, canonical graphs and the fiber product -------------------------
 
 
