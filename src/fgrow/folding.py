@@ -10,18 +10,22 @@ exactly when they present the same subgroup.
 
 The fold's own tables, ``succ[v][x]`` and ``pred[v][x]`` (the other
 end of v's outgoing or incoming x-edge), carry a folded graph from the
-fold to the canonical graph.  One fold engine, ``_fold_edges``, serves
-every entry point: a union-find fold with a worklist (Stallings 1983).
-``_core_and_canonical`` prunes its tables in place and numbers the core
-along ``_bfs_tree``, the one breadth-first spanning tree, which also
-gives ``free_basis`` its tree; ``intersect`` and ``double_coset_contains``
-share one product walk, ``_product``.  ``witnessed_graph`` runs the
-fold with potentials (Kapovich–Myasnikov 2002): with V(v) a fixed
-basepoint path word per vertex, the union-find keeps an expression for
-V(v)·V(parent)⁻¹ over the generators, composed on path compression and
-merges, so each folded edge (u, x, v) gets an expression for
-V(u)·x·V(v)⁻¹.  Stitching those along a member word yields its product
-certificate.  Plain folds store no expressions and pay nothing for it.
+fold to the canonical graph.  One fold engine serves every entry point:
+``_Fold``, a live union-find fold with a worklist (Stallings 1983)
+whose tables stay folded between insertions.  ``_Fold.add_path``
+reads a word along the graph before it adds vertices for the unread
+part, so ``stallings_graph`` and fiber saturation keep folding loops
+onto one live fold, a core graph that needs no pruning.
+``_canonical`` numbers it along ``_bfs_tree``, the one breadth-first
+spanning tree, which also gives ``free_basis`` its tree; ``intersect``
+and ``double_coset_contains`` share one product walk, ``_product``.
+``witnessed_graph`` folds a wedge of loops with potentials
+(Kapovich–Myasnikov 2002): with V(v) a fixed basepoint path word per
+vertex, the union-find keeps an expression for V(v)·V(parent)⁻¹ over
+the generators, composed on path compression and merges, so each
+folded edge (u, x, v) gets an expression for V(u)·x·V(v)⁻¹.  Stitching
+those along a member word yields its product certificate.  Plain folds
+store no expressions and pay nothing for it.
 """
 
 from __future__ import annotations
@@ -186,6 +190,7 @@ class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
+        self.roots = n
         self.pot: dict[int, Expr] = {}  # filled by _PotentialUnionFind only
 
     def find(self, v: int) -> int:
@@ -199,6 +204,7 @@ class _UnionFind:
     def link(self, winner: int, loser: int, pot: Expr = ()) -> None:
         self.parent[loser] = winner
         self.size[winner] += self.size[loser]
+        self.roots -= 1
         if pot:
             self.pot[loser] = pot
 
@@ -233,80 +239,78 @@ class _PotentialUnionFind(_UnionFind):
         return v
 
 
-def _fold_edges(
-    n: int, edges: Iterable[Edge], exprs: dict[int, Expr] | None = None
-) -> tuple[_UnionFind, Table, Table, dict[tuple[int, int], Expr]]:
-    """Fold an edge list; returns the vertex union-find and the folded
-    succ/pred tables.
+class _Fold:
+    """A Stallings fold kept live: a vertex union-find and the roots'
+    succ/pred tables ``out[v][x]`` and ``inn[v][x]``; ``insert`` adds an
+    edge and queues the merges it forces, ``drain`` performs them.
 
-    The tables are indexed by the original vertex ids; a vertex merged
-    away has none of their records, and every record names a root.
-    Vertex 0 stays a root.  With ``exprs`` (edge position → expression
-    for V(u)·x·V(v)⁻¹, empty ones left out) the fold is witnessed: the
-    union-find keeps potentials, every merge records the relation that
-    forced it, and the last result maps each folded edge (u, x) to an
-    expression for V(u)·x·V(v)⁻¹.  Without it that map is empty.
+    After each ``drain`` the tables are a folded graph on the roots:
+    every record names a root, and out[u][x] = v iff inn[v][x] = u.  A
+    merge deletes the loser's records with their partners before it
+    re-inserts the loser's edges, so no record ever names a merged-away
+    vertex.  Given ``exprs`` (edge position → expression for
+    V(u)·x·V(v)⁻¹, empty ones left out) the fold of ``edges`` is
+    witnessed: the union-find keeps potentials (a root has none), every
+    merge records the relation that forced it, and ex[(u, x)] is for
+    V(u)·x·V(out[u][x])⁻¹ when that is not empty.
     """
-    witnessed = exprs is not None
-    uf = _PotentialUnionFind(n) if witnessed else _UnionFind(n)
-    find, pot = uf.find, uf.pot
-    out: Table = [dict() for _ in range(n)]
-    inn: Table = [dict() for _ in range(n)]
-    # non-empty edge expressions by out-record: ex[(u, x)] is for
-    # V(u)·x·V(out[u][x])⁻¹, with the target as stored
-    ex: dict[tuple[int, int], Expr] = {}
-    # pending merges (a, b, d), d an expression for V(a)·V(b)⁻¹
-    unions: deque[tuple[int, int, Expr]] = deque()
 
-    def at_roots(u: int, e: Expr, v: int) -> Expr:
+    def __init__(self, n: int = 1, edges: Iterable[Edge] = (), exprs: dict | None = None):
+        self.witnessed = witnessed = exprs is not None
+        self.uf = _PotentialUnionFind(n) if witnessed else _UnionFind(n)
+        self.out: Table = [{} for _ in range(n)]
+        self.inn: Table = [{} for _ in range(n)]
+        self.ex: dict[tuple[int, int], Expr] = {}
+        # pending merges (a, b, d), d an expression for V(a)·V(b)⁻¹
+        self.unions: deque[tuple[int, int, Expr]] = deque()
+        for i, (u, x, v) in enumerate(edges):
+            self.insert(u, x, v, exprs.get(i, ()) if witnessed else ())
+            self.drain()
+
+    def _at_roots(self, u: int, e: Expr, v: int) -> Expr:
         """e, for V(u)·…·V(v)⁻¹, rewritten for the roots; u, v just found."""
+        pot = self.uf.pot
         pu, pv = pot.get(u), pot.get(v)
         if pu:
             e = _mul(_inv(pu), e)
         return _mul(e, pv) if pv else e
 
-    def insert(u: int, x: int, v: int, e: Expr = ()) -> None:
+    def insert(self, u: int, x: int, v: int, e: Expr = ()) -> None:
+        """Add the edge (u, x, v), or fold it into one with its label."""
+        find, out, inn, ex = self.uf.find, self.out, self.inn, self.ex
+        witnessed = self.witnessed
         ru, rv = find(u), find(v)
         if witnessed:
-            e = at_roots(u, e, v)
+            e = self._at_roots(u, e, v)
+        # stored ends are roots, so stored expressions need no rewriting
         t = out[ru].get(x)
-        if t is not None:
-            rt = find(t)
-            out[ru][x] = rt
-            d: Expr = ()
-            if witnessed:
-                f = at_roots(ru, ex.pop((ru, x), ()), t)
-                if f:
-                    ex[(ru, x)] = f
-                d = _mul(_inv(f), e)
-            if rt != rv:
-                unions.append((rt, rv, d))
-            return  # absorbed into the existing edge
+        if t is not None:  # absorbed into the edge (ru, x, t)
+            if t != rv:
+                d = _mul(_inv(ex.get((ru, x), ())), e) if witnessed else ()
+                self.unions.append((t, rv, d))
+            return
         s = inn[rv].get(x)
-        if s is not None:
-            rs = find(s)
-            inn[rv][x] = rs
-            if rs != ru:
-                d = ()
-                if witnessed:
-                    t = out[rs][x]
-                    find(t)
-                    d = _mul(at_roots(rs, ex.get((rs, x), ()), t), _inv(e))
-                unions.append((rs, ru, d))
+        if s is not None:  # absorbed into the edge (s, x, rv)
+            if s != ru:
+                d = _mul(ex.get((s, x), ()), _inv(e)) if witnessed else ()
+                self.unions.append((s, ru, d))
             return
         out[ru][x] = rv
         inn[rv][x] = ru
         if e:
             ex[(ru, x)] = e
 
-    def drain() -> None:
+    def drain(self) -> None:
+        """Perform the queued merges and every merge they force."""
+        uf, out, inn, ex, unions = self.uf, self.out, self.inn, self.ex, self.unions
+        find, insert, witnessed = uf.find, self.insert, self.witnessed
         while unions:
             a, b, d = unions.popleft()
             ra, rb = find(a), find(b)
             if ra == rb:
                 continue
             if witnessed:
-                d = at_roots(a, d, b)  # now for V(ra)·V(rb)⁻¹
+                d = self._at_roots(a, d, b)  # now for V(ra)·V(rb)⁻¹
             # union by size; vertex 0 always wins
             if rb == 0 or (ra != 0 and uf.size[ra] < uf.size[rb]):
                 winner, loser = rb, ra
@@ -314,43 +318,79 @@ def _fold_edges(
                 winner, loser = ra, rb
             lo_out, lo_in = out[loser], inn[loser]
             out[loser], inn[loser] = {}, {}
-            # Drop the moved edges' records held at other vertices first;
-            # a stale record would make insert() mistake the edge being
-            # re-homed for an already-present one and lose or keep it wrongly.
-            # Edges into the loser move with their out-record's expression;
-            # loops move with lo_out.
+            # Drop the partners of the loser's records before re-homing its
+            # edges, so that no record names it; a loop's partner is among
+            # the loser's own.  Edges into the loser move with their
+            # out-record's expression.
             for x, t in lo_out.items():
-                r = find(t)
-                if x in inn[r] and find(inn[r][x]) == loser:
-                    del inn[r][x]
+                if t != loser:
+                    del inn[t][x]
             moved_in = []
             for x, s in lo_in.items():
-                r = find(s)
-                if x in out[r] and find(out[r][x]) == loser:
-                    e = ex.pop((r, x), ()) if witnessed else ()
-                    moved_in.append((r, x, out[r].pop(x), e))
+                if s != loser:
+                    del out[s][x]
+                    moved_in.append((s, x, ex.pop((s, x), ()) if witnessed else ()))
             uf.link(winner, loser, _inv(d) if d and loser == rb else d)
             for x, t in lo_out.items():
                 insert(loser, x, t, ex.pop((loser, x), ()) if witnessed else ())
-            for s, x, t, e in moved_in:
-                insert(s, x, t, e)
+            for s, x, e in moved_in:
+                insert(s, x, loser, e)
 
-    for i, (u, x, v) in enumerate(edges):
-        insert(u, x, v, exprs.get(i, ()) if witnessed else ())
-        drain()
-    folded_ex: dict[tuple[int, int], Expr] = {}
-    for u, succ in enumerate(out):  # only roots have records
-        for x, t in succ.items():
-            r = find(t)
-            if witnessed:
-                e = at_roots(u, ex.get((u, x), ()), t)
-                if e:
-                    folded_ex[(u, x)] = e
-            succ[x] = r
-    for pred in inn:
-        for x, s in pred.items():
-            pred[x] = find(s)
-    return uf, out, inn, folded_ex
+    def walk(self, at: int, letters: Sequence[int]) -> tuple[int, int]:
+        """The root reached reading ``letters`` from root ``at`` while
+        edges exist, and the number of letters read."""
+        out, inn = self.out, self.inn
+        for i, x in enumerate(letters):
+            t = out[at].get(x) if x > 0 else inn[at].get(-x)
+            if t is None:
+                return at, i
+            at = t
+        return at, len(letters)
+
+    def add_path(self, letters: Sequence[int], end: int = 0) -> None:
+        """Fold a path from 0 to ``end`` spelling a reduced word onto a
+        plain fold; with ``end`` 0, a loop.
+
+        The word is read along the graph first (Stallings 1983,
+        Kapovich–Myasnikov 2002): its longest prefix forward from 0 to
+        p, the longest rest backward from ``end`` to q.  Only the unread
+        middle gets fresh vertices, a path from p to q; with nothing
+        unread, p and q merge.  Each middle edge but the last meets a
+        fresh vertex and a label p lacks, so it is written directly; the
+        closing edge may fold (p = q and inverse end letters, as a b a⁻¹
+        onto the trivial graph), so it goes through ``insert``.
+
+        A fold of loops needs no pruning: each edge of a loop lies on a
+        reduced loop at 0, and a fold maps a reduced loop onto a reduced
+        loop (a folded graph reads no backtracking word), so every
+        vertex but 0 keeps two records: the roots are the core graph.
+        """
+        p, i = self.walk(0, letters)
+        q, k = self.walk(end, _inv(letters[i:]))
+        j = len(letters) - k
+        if i == j:
+            self.unions.append((p, q, ()))
+        else:
+            uf, out, inn = self.uf, self.out, self.inn
+            n, fresh = len(out), j - i - 1
+            uf.parent.extend(range(n, n + fresh))
+            uf.size.extend([1] * fresh)
+            uf.roots += fresh
+            out.extend({} for _ in range(fresh))
+            inn.extend({} for _ in range(fresh))
+            path = [p, *range(n, n + fresh), q]
+            for a, x, c in zip(path, letters[i : j - 1], path[1:]):
+                if x > 0:
+                    out[a][x], inn[c][x] = c, a
+                else:
+                    out[c][-x], inn[a][-x] = a, c
+            a, x = path[-2], letters[j - 1]
+            self.insert(*((a, x, q) if x > 0 else (q, -x, a)))
+        self.drain()
+
+    def graph(self, basis: Basis) -> StallingsGraph:
+        """The canonical graph of a fold of loops, a core graph (``add_path``)."""
+        return _canonical(basis, self.out, self.inn)[0]
 
 
 def _bfs_tree(succ: Table, pred: Table, rank: int) -> dict[int, tuple[int, int]]:
@@ -378,27 +418,11 @@ def _bfs_tree(succ: Table, pred: Table, rank: int) -> dict[int, tuple[int, int]]
     return via
 
 
-def _core_and_canonical(
+def _canonical(
     basis: Basis, succ: Table, pred: Table
 ) -> tuple[StallingsGraph, dict[int, int]]:
-    """Core of a connected folded graph with base 0, canonically numbered.
-
-    Prunes hanging trees off the tables in place: a vertex other than
-    the base with one record is a leaf, and deleting its record may
-    make a leaf of its neighbour.  Returns the graph and the old-id →
-    new-id map of the core's vertices.
-    """
-    leaves = [v for v in range(1, len(succ)) if len(succ[v]) + len(pred[v]) == 1]
-    while leaves:
-        v = leaves.pop()
-        if succ[v]:
-            x, t = succ[v].popitem()
-            del pred[t][x]
-        else:
-            x, t = pred[v].popitem()
-            del succ[t][x]
-        if t and len(succ[t]) + len(pred[t]) == 1:
-            leaves.append(t)
+    """A connected folded core graph with base 0, canonically numbered
+    along ``_bfs_tree``, and the old-id → new-id map of its vertices."""
     via = _bfs_tree(succ, pred, basis.rank)
     new = dict(zip(via, range(len(via))))
     graph = StallingsGraph.__new__(StallingsGraph)
@@ -410,34 +434,6 @@ def _core_and_canonical(
     return graph, new
 
 
-def _petals(
-    gens: Sequence[Word], witnessed: bool = False, n: int = 1
-) -> tuple[int, list[Edge], dict[int, Expr] | None]:
-    """Wedge of loops at vertex 0 spelling the generators.
-
-    Inner petal vertices are numbered from ``n`` on.  Returns the vertex
-    count, the edges and, when ``witnessed``, the closing edges'
-    expressions by edge position.  V(v) of a petal vertex is a prefix of
-    its generator, so the other edges' are empty.
-    """
-    edges: list[Edge] = []
-    exprs: dict[int, Expr] | None = {} if witnessed else None
-    for j, g in enumerate(gens, start=1):
-        ls = free_reduce(g.letters)
-        if not ls:
-            continue
-        prev = 0
-        for i, x in enumerate(ls):
-            nxt = 0 if i == len(ls) - 1 else n
-            if nxt:
-                n += 1
-            elif witnessed:
-                exprs[len(edges)] = (j,) if x > 0 else (-j,)
-            edges.append((prev, x, nxt) if x > 0 else (nxt, -x, prev))
-            prev = nxt
-    return n, edges, exprs
-
-
 def _checked(b: Basis, gens: Iterable[Word]) -> list[Word]:
     gens = list(gens)
     for g in gens:
@@ -446,19 +442,12 @@ def _checked(b: Basis, gens: Iterable[Word]) -> list[Word]:
     return gens
 
 
-def _fold_onto(h: StallingsGraph, gens: Sequence[Word]) -> StallingsGraph:
-    """Folded core graph of ⟨H ∪ gens⟩: the petals of ``gens`` wedged at
-    H's basepoint and folded together with H's edges.  Folding is
-    confluent, so this equals folding H's generators and ``gens`` anew."""
-    n, edges, _ = _petals(gens, n=h.n_vertices)
-    _, succ, pred, _ = _fold_edges(n, list(h.edges) + edges)
-    graph, _ = _core_and_canonical(h.basis, succ, pred)
-    return graph
-
-
 def stallings_graph(b: Basis, gens: Iterable[Word]) -> StallingsGraph:
     """Folded core graph of the subgroup generated by ``gens``."""
-    return _fold_onto(trivial_subgroup(b), _checked(b, gens))
+    fold = _Fold()
+    for g in _checked(b, gens):
+        fold.add_path(g.letters)
+    return fold.graph(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,14 +501,28 @@ class WitnessedGraph:
 
 
 def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
-    """Folded graph of ⟨gens⟩ with membership certificates."""
+    """Folded graph of ⟨gens⟩ with membership certificates.
+
+    Folds a wedge of loops at 0 spelling the generators, a core graph
+    (see ``_Fold.add_path``).  V(v) of a loop's vertex is a prefix of
+    its generator, so only closing edges carry non-empty expressions.
+    """
     gens = _checked(b, gens)
-    n, edges, exprs = _petals(gens, witnessed=True)
-    _, succ, pred, folded_ex = _fold_edges(n, edges, exprs)
-    graph, new = _core_and_canonical(b, succ, pred)
-    # pruning deleted the records of edges off the core
-    kept = {(new[u], x): e for (u, x), e in folded_ex.items() if x in succ[u]}
-    return WitnessedGraph(tuple(gens), graph, kept)
+    n, edges, exprs = 1, [], {}
+    for j, g in enumerate(gens, start=1):
+        prev = 0
+        for i, x in enumerate(g.letters):
+            nxt = 0 if i == len(g) - 1 else n
+            if nxt:
+                n += 1
+            else:
+                exprs[len(edges)] = (j,) if x > 0 else (-j,)
+            edges.append((prev, x, nxt) if x > 0 else (nxt, -x, prev))
+            prev = nxt
+    fold = _Fold(n, edges, exprs)
+    graph, new = _canonical(b, fold.out, fold.inn)
+    exprs = {(new[u], x): e for (u, x), e in fold.ex.items()}
+    return WitnessedGraph(tuple(gens), graph, exprs)
 
 
 def trivial_subgroup(b: Basis) -> StallingsGraph:
@@ -578,8 +581,20 @@ def intersect(a: StallingsGraph, c: StallingsGraph) -> StallingsGraph:
     if a.basis != c.basis:
         raise BasisMismatchError("subgroups over different bases")
     _, succ, pred = _product(a._succ, a._pred, c._succ, c._pred, (0, 0))
-    graph, _ = _core_and_canonical(a.basis, succ, pred)
-    return graph
+    # prune hanging trees: a vertex other than the base with one record
+    # is a leaf, and deleting its record may make a leaf of its neighbour
+    leaves = [v for v in range(1, len(succ)) if len(succ[v]) + len(pred[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        if succ[v]:
+            x, t = succ[v].popitem()
+            del pred[t][x]
+        else:
+            x, t = pred[v].popitem()
+            del succ[t][x]
+        if t and len(succ[t]) + len(pred[t]) == 1:
+            leaves.append(t)
+    return _canonical(a.basis, succ, pred)[0]
 
 
 def is_invariant(h: StallingsGraph, theta) -> bool:
@@ -606,16 +621,10 @@ def _coset_automaton(
     reduced words readable from 0 to the end are exactly the coset
     ⟨g⟩·tail.
     """
-    edges: list[Edge] = list(g.edges)
-    n = g.n_vertices
-    prev = 0
-    for x in tail:
-        nxt = n
-        n += 1
-        edges.append((prev, x, nxt) if x > 0 else (nxt, -x, prev))
-        prev = nxt
-    uf, succ, pred, _ = _fold_edges(n, edges)
-    return succ, pred, uf.find(prev)
+    end = g.n_vertices  # a fresh vertex
+    fold = _Fold(end + 1, g.edges)
+    fold.add_path(tail, end)
+    return fold.out, fold.inn, fold.uf.find(end)
 
 
 def double_coset_contains(

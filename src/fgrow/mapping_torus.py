@@ -10,10 +10,12 @@ H = ⟨gens⟩ ≤ G: take n = gcd of the generators' t-exponents, build an
 explicit s ∈ H with exponent n by Euclidean combination, re-express
 the generators as fiber seeds gᵢ·s^{-kᵢ/n}, and saturate the folded
 seed subgroup under θ, conjugation by s (a ↦ x·Φⁿ(a)·x⁻¹ when
-s = x·tⁿ), folding the images that escape onto the graph built so far,
-until the subgroup is invariant both ways.  Stabilization is
-guaranteed only when H ∩ F is finitely generated, so budgets are
-enforced and exhaustion raises UnstabilizedError rather than guessing.
+s = x·tⁿ), until the subgroup is invariant both ways.  One live fold
+holds the subgroup throughout: each round traces the images on it and
+folds those that escape onto it, and the canonical graph is built once
+nothing escapes.  Stabilization is guaranteed only when H ∩ F is
+finitely generated, so budgets are enforced and exhaustion raises
+UnstabilizedError rather than guessing.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from .automorphisms import (
 from .folding import (
     StallingsGraph,
     WitnessedGraph,
-    _fold_onto,
+    _Fold,
     _inv,
     is_invariant,
-    stallings_graph,
     witnessed_graph,
 )
 from .words import (
@@ -321,7 +322,11 @@ def fiber_intersection(
             raise VerificationError("seed failed to land in the fiber")
         entries.append((h.w, (i,) + _pow_expr(s_expr, -m)))
 
-    graph = stallings_graph(b, [w for w, _ in entries])
+    # one live fold of the entries' loops; its roots are the core graph's
+    # vertices, so it is renumbered only once nothing escapes
+    fold = _Fold()
+    for w, _ in entries:
+        fold.add_path(w.letters)
     rounds = 0
     if n:
         theta = compose(inner_automorphism(b, s.w), map_power(group.phi, n))
@@ -329,13 +334,13 @@ def fiber_intersection(
         s_inv_expr = _inv(s_expr)
         # H_{r+1} = ⟨H_r ∪ θ(H_r) ∪ θ⁻¹(H_r)⟩: only the last round's new
         # entries need mapping, as older entries' images are already
-        # members.  is_invariant, not this bookkeeping, certifies the stop.
+        # members.  Every image is tested against H_r before any is folded.
         frontier = entries
         while True:
-            if graph.n_vertices > max_vertices:
+            if fold.uf.roots > max_vertices:
                 raise UnstabilizedError(
                     "fiber saturation exceeded the vertex budget",
-                    rounds, graph.n_vertices,
+                    rounds, fold.uf.roots,
                 )
             escapes = [
                 (img, pre + e + post)
@@ -344,19 +349,25 @@ def fiber_intersection(
                     (theta.apply(w), s_expr, s_inv_expr),
                     (theta_inv.apply(w), s_inv_expr, s_expr),
                 )
-                if not graph.accepts(img)
+                if fold.walk(0, img.letters) != (0, len(img))
             ]
-            if not escapes and is_invariant(graph, theta):
+            if not escapes:
                 break
             rounds += 1
             if rounds > max_rounds:
                 raise UnstabilizedError(
                     "fiber saturation exceeded the round budget",
-                    rounds, graph.n_vertices,
+                    rounds, fold.uf.roots,
                 )
             entries += escapes
-            graph = _fold_onto(graph, [w for w, _ in escapes])
+            for w, _ in escapes:
+                fold.add_path(w.letters)
             frontier = escapes
+    graph = fold.graph(b)
+    # nothing escapes, so θ^±1 of every entry is a member and θ(H) = H:
+    # this recheck, which certifies the stop, cannot fail
+    if n and not is_invariant(graph, theta):
+        raise VerificationError("saturated fiber subgroup is not invariant")
 
     result = FiberIntersection(group, gens, graph, n, s if n else None, rounds)
     if with_witnesses:

@@ -580,6 +580,17 @@ def induce_hierarchy(
 # file parsing
 
 
+def _basis_line(line: str, lineno: int, b: Basis | None) -> Basis:
+    """The basis a ``basis:`` line declares; it must match ``b`` if given."""
+    try:
+        declared = make_basis(line[len("basis:"):].strip())
+    except ValueError as exc:
+        raise WordSyntaxError(f"line {lineno}: {exc}") from None
+    if b is not None and b != declared:
+        raise WordSyntaxError(f"line {lineno}: basis does not match the ambient one")
+    return declared
+
+
 def parse_splitting(
     text: str, b: Basis | None = None
 ) -> tuple[GraphOfGroups, FixedSplittingWitness | None]:
@@ -600,12 +611,7 @@ def parse_splitting(
         if not line:
             continue
         if line.startswith("basis:"):
-            declared = make_basis(line[len("basis:"):].strip())
-            if b is not None and b != declared:
-                raise WordSyntaxError(
-                    f"line {lineno}: basis does not match the ambient one"
-                )
-            b = declared
+            b = _basis_line(line, lineno, b)
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
@@ -702,12 +708,7 @@ def parse_hierarchy(text: str, b: Basis | None = None) -> Hierarchy:
             continue
         stripped = line.lstrip()
         if stripped.startswith("basis:"):
-            declared = make_basis(stripped[len("basis:"):].strip())
-            if b is not None and b != declared:
-                raise WordSyntaxError(
-                    f"line {lineno}: basis does not match the ambient one"
-                )
-            b = declared
+            b = _basis_line(stripped, lineno, b)
             continue
         if stripped.startswith("kind:"):
             kind = stripped[len("kind:"):].strip()

@@ -5,7 +5,8 @@ enumeration, brute-force reduction.  None of it calls the package's
 own folding or growth paths, so agreement is evidence rather than
 tautology.  The one exception is ``reference_fiber_saturation``, a
 reference for the saturation loop only: it folds with the package's
-``stallings_graph`` but refolds everything each round.
+``witnessed_graph``, whose petal fold is independent of the live fold
+that saturation uses, and refolds everything each round.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def reference_fiber_saturation(group, gens, max_rounds, max_vertices):
     budgets.
     """
     from fgrow.automorphisms import compose, inner_automorphism, power
-    from fgrow.folding import is_invariant, stallings_graph
+    from fgrow.folding import is_invariant, witnessed_graph
     from fgrow.mapping_torus import UnstabilizedError, _ext_gcd
 
     n, s = 0, group.identity_element()
@@ -147,14 +148,17 @@ def reference_fiber_saturation(group, gens, max_rounds, max_vertices):
                 out.append(w)
         return out
 
+    def fold(words):
+        return witnessed_graph(group.basis, words).graph
+
     entries = unseen((g * (s ** (-(g.k // n))) if n else g).w for g in gens)
     if n == 0:
-        return stallings_graph(group.basis, entries), 0, None, 0
+        return fold(entries), 0, None, 0
     theta = compose(inner_automorphism(group.basis, s.w), power(group.phi, n))
     theta_inv = theta.inverse()
     pos, neg, rounds = list(entries), list(entries), 0
     while True:
-        graph = stallings_graph(group.basis, entries)
+        graph = fold(entries)
         if graph.n_vertices > max_vertices:
             raise UnstabilizedError("vertex budget", rounds, graph.n_vertices)
         if is_invariant(graph, theta):

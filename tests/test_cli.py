@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from fgrow import cli
+from fgrow import cli, mapping_torus
 from fgrow.cli import main
 from fgrow.words import VerificationError
 
@@ -376,6 +376,13 @@ def test_verification_error_exits_one(monkeypatch, capsys):
     code, out, err = run(capsys, "torus", "--map", FIB)
     assert code == 1 and out == ""
     assert err == "error: inverse readback failed verification\n"
+
+
+def test_failed_invariance_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(mapping_torus, "is_invariant", lambda graph, theta: False)
+    code, out, err = run(capsys, "torus", "--map", FIB, "--gens", "b; t")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_usage_errors_exit_one(capsys):

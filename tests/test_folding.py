@@ -226,6 +226,45 @@ def test_witnessed_graph_agrees_with_plain_fold(case):
         assert expr is not None and wg.evaluate(expr) == w
 
 
+def conjugated_gen_lists(rank: int, max_len: int, max_gens: int):
+    """Pairs (c, u) standing for the generator c·u·c⁻¹, reduced: with c
+    non-empty, most are not cyclically reduced."""
+    letters = [s * x for x in range(1, rank + 1) for s in (1, -1)]
+    word = st.lists(st.sampled_from(letters), max_size=max_len)
+    return st.lists(st.tuples(word, word), min_size=1, max_size=max_gens)
+
+
+# stallings_graph folds loops onto a live fold, reading each word along
+# the graph first; witnessed_graph folds a wedge of petals, edge by edge.
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just(F), conjugated_gen_lists(2, 4, 4)),
+        st.tuples(st.just(F3), conjugated_gen_lists(3, 5, 5)),
+    ),
+    st.randoms(use_true_random=False),
+)
+@example((F, [([1], [2])]), random.Random(0))  # a b a⁻¹: the closing edge folds
+@example((F3, [([], [1, 2, -1]), ([2], [3, 3]), ([], [-2, 1])]), random.Random(0))
+def test_loop_fold_equals_petal_fold_in_any_order(case, rng):
+    b, pairs = case
+    gens = [
+        Word(b, free_reduce(c + u + [-x for x in reversed(c)])) for c, u in pairs
+    ]
+    want = witnessed_graph(b, gens).graph
+    assert stallings_graph(b, gens) == want
+    rng.shuffle(gens)
+    assert stallings_graph(b, gens) == want
+
+
+def test_loop_whose_closing_edge_folds_into_its_first():
+    # reading a b a⁻¹ onto the trivial graph adds the path 0 -a- 1 -b- 2
+    # and a closing a-edge from 0 to 2, which folds 2 onto 1
+    g = graph("a b a'")
+    assert (g.n_vertices, len(g.edges)) == (2, 2)
+    assert g.edges == ((0, 1, 1), (1, 2, 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from fgrow import folding, mapping_torus
 from fgrow.automorphisms import identity_automorphism, parse_automorphism
 from fgrow.folding import subgroup_equal, stallings_graph, trivial_subgroup
 from fgrow.mapping_torus import (
@@ -17,7 +18,7 @@ from fgrow.mapping_torus import (
     fiber_intersection,
     torus_group,
 )
-from fgrow.words import basis
+from fgrow.words import VerificationError, basis
 
 from helpers import (
     image_table,
@@ -195,6 +196,33 @@ def test_unstabilized_budget():
             GID, [GID.element("a", 1), GID.element("b", 1)], max_rounds=8
         )
     assert info.value.rounds > 0
+
+
+def test_saturation_links_only_what_new_loops_fold(monkeypatch):
+    # A deterministic work count in place of a timing: refolding every
+    # edge of the graph each round took 20,748 links on this run; tracing
+    # each escaped image before adding vertices takes 1,884.
+    links = []
+    link = folding._UnionFind.link
+
+    def counted(self, *args):
+        links.append(args)
+        return link(self, *args)
+
+    monkeypatch.setattr(folding._UnionFind, "link", counted)
+    gens = [G.normalize("a b"), G.normalize("b a t' a")]
+    with pytest.raises(UnstabilizedError) as info:
+        fiber_intersection(G, gens, max_vertices=5000)
+    assert (info.value.rounds, info.value.vertices) == (14, 7020)
+    assert len(links) <= 4000
+
+
+def test_failed_invariance_recheck_raises(monkeypatch):
+    # With no escaping image, θ^±1 of every entry is a member, so the
+    # recheck cannot fail; if it did, saturation must stop, not spin.
+    monkeypatch.setattr(mapping_torus, "is_invariant", lambda graph, theta: False)
+    with pytest.raises(VerificationError):
+        fiber_intersection(G, [G.element("b"), G.t()])
 
 
 def test_mismatched_group_rejected():

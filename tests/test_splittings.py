@@ -432,6 +432,14 @@ def test_parse_splitting_diagnostics(snippet, message):
         parse_splitting(snippet)
 
 
+def test_parse_splitting_bad_basis_names_its_line():
+    with pytest.raises(WordSyntaxError, match="^line 1: duplicate generator name 'a'$"):
+        parse_splitting("basis: a a\n[vertices]\nv1: a")
+    text = "# a comment\n\n[vertices]\n\n\nbasis: a 1\n"
+    with pytest.raises(WordSyntaxError, match="^line 6: bad generator name '1'$"):
+        parse_splitting(text)
+
+
 HIER_TEXT = """\
 basis: a b
 kind: free
@@ -469,3 +477,10 @@ def test_parse_hierarchy():
 def test_parse_hierarchy_diagnostics(snippet, message):
     with pytest.raises(WordSyntaxError, match=message):
         parse_hierarchy(snippet)
+
+
+def test_parse_hierarchy_bad_basis_names_its_line():
+    with pytest.raises(WordSyntaxError, match="^line 1: duplicate generator name 'a'$"):
+        parse_hierarchy("basis: a a\ng")
+    with pytest.raises(WordSyntaxError, match="^line 2: basis needs at least one generator$"):
+        parse_hierarchy("kind: free\nbasis:\ng")
