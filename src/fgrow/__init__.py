@@ -48,11 +48,9 @@ from .growth import (
     Certificate,
     GrowthParams,
     GrowthReport,
-    ProbeReport,
     classify_growth,
     length_sequence,
     no_cancellation_certificate,
-    polynomial_probe,
     scc_polynomial_degree,
     spectral_radius,
     transition_matrix,

@@ -12,20 +12,20 @@ The fold's own tables, ``succ[v][x]`` and ``pred[v][x]`` (the other
 end of v's outgoing or incoming x-edge), carry a folded graph from the
 fold to the canonical graph.  One fold engine serves every entry point:
 ``_Fold``, a live union-find fold with a worklist (Stallings 1983)
-whose tables stay folded between insertions.  ``_Fold.add_path``
-reads a word along the graph before it adds vertices for the unread
-part, so ``stallings_graph`` and fiber saturation keep folding loops
-onto one live fold, a core graph that needs no pruning.
-``_canonical`` numbers it along ``_bfs_tree``, the one breadth-first
-spanning tree, which also gives ``free_basis`` its tree; ``intersect``
-and ``double_coset_contains`` share one product walk, ``_product``.
-``witnessed_graph`` folds a wedge of loops with potentials
-(Kapovich–Myasnikov 2002): with V(v) a fixed basepoint path word per
-vertex, the union-find keeps an expression for V(v)·V(parent)⁻¹ over
-the generators, composed on path compression and merges, so each
-folded edge (u, x, v) gets an expression for V(u)·x·V(v)⁻¹.  Stitching
-those along a member word yields its product certificate.  Plain folds
-store no expressions and pay nothing for it.
+whose tables stay folded between insertions.  Loops join it only
+through ``_Fold.add_path``, which reads a word along the graph before
+it adds vertices for the unread part, so the fold is a core graph that
+needs no pruning.  ``_canonical`` numbers it along ``_bfs_tree``, the
+one breadth-first spanning tree, which also gives ``free_basis`` its
+tree; ``intersect`` and ``double_coset_contains`` share one product
+walk, ``_product``; words are read along tables by ``_walk``, or by
+``_read`` where edges carry expressions.  A witnessed fold keeps
+potentials (Kapovich–Myasnikov 2002): with V(v) a fixed word per
+vertex, V(0) empty, the union-find keeps an expression for
+V(v)·V(parent)⁻¹ over the generators, composed on path compression and
+merges, so each folded edge (u, x, v) gets an expression for
+V(u)·x·V(v)⁻¹.  Stitching those along a member word yields its product
+certificate.
 """
 
 from __future__ import annotations
@@ -79,25 +79,10 @@ class StallingsGraph:
 
     # -- structure ---------------------------------------------------
 
-    def step(self, vertex: int, letter: int) -> int | None:
-        """Follow one signed letter; None if the edge is absent."""
-        if letter > 0:
-            return self._succ[vertex].get(letter)
-        return self._pred[vertex].get(-letter)
-
-    def trace(self, letters: Iterable[int], start: int = 0) -> int | None:
-        at = start
-        for x in letters:
-            nxt = self.step(at, x)
-            if nxt is None:
-                return None
-            at = nxt
-        return at
-
     def accepts(self, w: Word) -> bool:
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        return self.trace(w.letters) == 0
+        return _walk(self._succ, self._pred, 0, w.letters) == (0, len(w))
 
     def is_trivial(self) -> bool:
         return not self.edges
@@ -155,21 +140,13 @@ class StallingsGraph:
         """
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        index = {(u, x): j for j, (u, x, _) in enumerate(self._cotree()[1], start=1)}
-        at, out = 0, []
-        for x in w.letters:
-            nxt = self.step(at, x)
-            if nxt is None:
-                return None
-            j = index.get((at, x) if x > 0 else (nxt, -x))
-            if j is not None:
-                out.append(j if x > 0 else -j)
-            at = nxt
-        return tuple(out) if at == 0 else None
+        index = {(u, x): (j,) for j, (u, x, _) in enumerate(self._cotree()[1], start=1)}
+        at, expr = _read(self._succ, self._pred, index, 0, w.letters)
+        return expr if at == 0 else None
 
 
 # ---------------------------------------------------------------------------
-# the fold: union-find vertex merging with a worklist, optionally witnessed
+# reading words along folded tables
 
 Expr = tuple[int, ...]  # signed 1-based indices into the generators
 
@@ -184,6 +161,38 @@ def _mul(a: Expr, b: Expr) -> Expr:
     if not b:
         return a
     return free_reduce(a + b)
+
+
+def _walk(succ: Table, pred: Table, at: int, letters: Sequence[int]) -> tuple[int, int]:
+    """The vertex reached reading ``letters`` from ``at`` while edges
+    exist, and the number of letters read."""
+    for i, x in enumerate(letters):
+        t = succ[at].get(x) if x > 0 else pred[at].get(-x)
+        if t is None:
+            return at, i
+        at = t
+    return at, len(letters)
+
+
+def _read(
+    succ: Table, pred: Table, ex: dict[tuple[int, int], Expr], at: int, letters: Sequence[int]
+) -> tuple[int | None, Expr]:
+    """``_walk`` along edges that carry expressions, ex[(u, x)] for the
+    edge (u, x, succ[u][x]) when not empty: the end (None when an edge
+    is missing) and the reduced product of the expressions met, each
+    inverted where its edge is crossed backwards."""
+    out: list[int] = []
+    for x in letters:
+        t = succ[at].get(x) if x > 0 else pred[at].get(-x)
+        if t is None:
+            return None, ()
+        out.extend(ex.get((at, x), ()) if x > 0 else _inv(ex.get((t, -x), ())))
+        at = t
+    return at, free_reduce(out)
+
+
+# ---------------------------------------------------------------------------
+# the fold: union-find vertex merging with a worklist, optionally witnessed
 
 
 class _UnionFind:
@@ -248,24 +257,20 @@ class _Fold:
     every record names a root, and out[u][x] = v iff inn[v][x] = u.  A
     merge deletes the loser's records with their partners before it
     re-inserts the loser's edges, so no record ever names a merged-away
-    vertex.  Given ``exprs`` (edge position → expression for
-    V(u)·x·V(v)⁻¹, empty ones left out) the fold of ``edges`` is
-    witnessed: the union-find keeps potentials (a root has none), every
-    merge records the relation that forced it, and ex[(u, x)] is for
-    V(u)·x·V(out[u][x])⁻¹ when that is not empty.
+    vertex.  A witnessed fold also keeps potentials in its union-find
+    (a root has none), every merge records the relation that forced
+    it, and ex[(u, x)] is an expression for V(u)·x·V(out[u][x])⁻¹ when
+    that is not empty; a plain fold stores no expressions.
     """
 
-    def __init__(self, n: int = 1, edges: Iterable[Edge] = (), exprs: dict | None = None):
-        self.witnessed = witnessed = exprs is not None
+    def __init__(self, n: int = 1, witnessed: bool = False):
+        self.witnessed = witnessed
         self.uf = _PotentialUnionFind(n) if witnessed else _UnionFind(n)
         self.out: Table = [{} for _ in range(n)]
         self.inn: Table = [{} for _ in range(n)]
         self.ex: dict[tuple[int, int], Expr] = {}
         # pending merges (a, b, d), d an expression for V(a)·V(b)⁻¹
         self.unions: deque[tuple[int, int, Expr]] = deque()
-        for i, (u, x, v) in enumerate(edges):
-            self.insert(u, x, v, exprs.get(i, ()) if witnessed else ())
-            self.drain()
 
     def _at_roots(self, u: int, e: Expr, v: int) -> Expr:
         """e, for V(u)·…·V(v)⁻¹, rewritten for the roots; u, v just found."""
@@ -336,20 +341,10 @@ class _Fold:
             for s, x, e in moved_in:
                 insert(s, x, loser, e)
 
-    def walk(self, at: int, letters: Sequence[int]) -> tuple[int, int]:
-        """The root reached reading ``letters`` from root ``at`` while
-        edges exist, and the number of letters read."""
-        out, inn = self.out, self.inn
-        for i, x in enumerate(letters):
-            t = out[at].get(x) if x > 0 else inn[at].get(-x)
-            if t is None:
-                return at, i
-            at = t
-        return at, len(letters)
-
-    def add_path(self, letters: Sequence[int], end: int = 0) -> None:
-        """Fold a path from 0 to ``end`` spelling a reduced word onto a
-        plain fold; with ``end`` 0, a loop.
+    def add_path(self, letters: Sequence[int], end: int = 0, e: Expr = ()) -> None:
+        """Fold a path from 0 to root ``end`` spelling a reduced word w;
+        with ``end`` 0, a loop.  On a witnessed fold ``e`` is an
+        expression for w·V(end)⁻¹; the path's edges multiply out to it.
 
         The word is read along the graph first (Stallings 1983,
         Kapovich–Myasnikov 2002): its longest prefix forward from 0 to
@@ -360,18 +355,29 @@ class _Fold:
         closing edge may fold (p = q and inverse end letters, as a b a⁻¹
         onto the trivial graph), so it goes through ``insert``.
 
+        Witnessed, V of a fresh vertex is V(p) and the middle letters up
+        to it, so fresh edges carry no expression.  With E_p read along
+        the prefix (for prefix·V(p)⁻¹) and E_q along the suffix (for
+        V(q)·suffix·V(end)⁻¹), E_p⁻¹·e·E_q⁻¹ is for V(p)·middle·V(q)⁻¹:
+        it goes on the closing edge, inverted when the closing letter is
+        negative, or on the merge of p and q when nothing is unread.
+
         A fold of loops needs no pruning: each edge of a loop lies on a
         reduced loop at 0, and a fold maps a reduced loop onto a reduced
         loop (a folded graph reads no backtracking word), so every
         vertex but 0 keeps two records: the roots are the core graph.
         """
-        p, i = self.walk(0, letters)
-        q, k = self.walk(end, _inv(letters[i:]))
+        uf, out, inn, ex = self.uf, self.out, self.inn, self.ex
+        p, i = _walk(out, inn, 0, letters)
+        q, k = _walk(out, inn, end, _inv(letters[i:]))
         j = len(letters) - k
+        if self.witnessed and i:
+            e = _mul(_inv(_read(out, inn, ex, 0, letters[:i])[1]), e)
+        if self.witnessed and j < len(letters):
+            e = _mul(e, _inv(_read(out, inn, ex, q, letters[j:])[1]))
         if i == j:
-            self.unions.append((p, q, ()))
+            self.unions.append((p, q, e))
         else:
-            uf, out, inn = self.uf, self.out, self.inn
             n, fresh = len(out), j - i - 1
             uf.parent.extend(range(n, n + fresh))
             uf.size.extend([1] * fresh)
@@ -385,7 +391,7 @@ class _Fold:
                 else:
                     out[c][-x], inn[a][-x] = a, c
             a, x = path[-2], letters[j - 1]
-            self.insert(*((a, x, q) if x > 0 else (q, -x, a)))
+            self.insert(*((a, x, q, e) if x > 0 else (q, -x, a, _inv(e))))
         self.drain()
 
     def graph(self, basis: Basis) -> StallingsGraph:
@@ -475,20 +481,9 @@ class WitnessedGraph:
         """w as a signed product over ``gens`` (1-based), or None."""
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        at = 0
-        out: list[int] = []
-        for x in w.letters:
-            nxt = self.graph.step(at, x)
-            if nxt is None:
-                return None
-            if x > 0:
-                out.extend(self._exprs.get((at, x), ()))
-            else:
-                out.extend(_inv(self._exprs.get((nxt, -x), ())))
-            at = nxt
-        if at != 0:
-            return None
-        return free_reduce(out)
+        g = self.graph
+        at, expr = _read(g._succ, g._pred, self._exprs, 0, w.letters)
+        return expr if at == 0 else None
 
     def evaluate(self, expr: Iterable[int]) -> Word:
         """Evaluate a signed product over ``gens`` back to a word."""
@@ -503,23 +498,13 @@ class WitnessedGraph:
 def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
     """Folded graph of ⟨gens⟩ with membership certificates.
 
-    Folds a wedge of loops at 0 spelling the generators, a core graph
-    (see ``_Fold.add_path``).  V(v) of a loop's vertex is a prefix of
-    its generator, so only closing edges carry non-empty expressions.
+    Folds one loop at 0 per generator with ``_Fold.add_path``, whose
+    potentials give every edge its expression.
     """
     gens = _checked(b, gens)
-    n, edges, exprs = 1, [], {}
+    fold = _Fold(witnessed=True)
     for j, g in enumerate(gens, start=1):
-        prev = 0
-        for i, x in enumerate(g.letters):
-            nxt = 0 if i == len(g) - 1 else n
-            if nxt:
-                n += 1
-            else:
-                exprs[len(edges)] = (j,) if x > 0 else (-j,)
-            edges.append((prev, x, nxt) if x > 0 else (nxt, -x, prev))
-            prev = nxt
-    fold = _Fold(n, edges, exprs)
+        fold.add_path(g.letters, e=(j,))
     graph, new = _canonical(b, fold.out, fold.inn)
     exprs = {(new[u], x): e for (u, x), e in fold.ex.items()}
     return WitnessedGraph(tuple(gens), graph, exprs)
@@ -622,7 +607,9 @@ def _coset_automaton(
     ⟨g⟩·tail.
     """
     end = g.n_vertices  # a fresh vertex
-    fold = _Fold(end + 1, g.edges)
+    fold = _Fold(end + 1)
+    for u, x, v in g.edges:  # already folded: nothing merges
+        fold.insert(u, x, v)
     fold.add_path(tail, end)
     return fold.out, fold.inn, fold.uf.find(end)
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automorphisms import Automorphism, Endomorphism, _substitute
-from .folding import StallingsGraph
 from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word
 
 Matrix = list[list[int]]
@@ -522,53 +521,6 @@ def _aggregate(subject: str, reports: list[GrowthReport], cert: Certificate) -> 
     )
 
 
-# ---------------------------------------------------------------------------
-# subgroup probe
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Sampled growth survey of a subgroup's elements under a map.
-
-    A probe, not a construction: ``all-polynomial`` only says every
-    sampled class grew polynomially.
-    """
-
-    verdict: str  # all-polynomial | found-exponential | inconclusive
-    witness: Word | None
-    reports: tuple[GrowthReport, ...]
-    heuristic: bool = True
-
-
-def polynomial_probe(
-    phi: Endomorphism | Automorphism,
-    h: StallingsGraph,
-    params: GrowthParams | None = None,
-    max_products: int = 100,
-) -> ProbeReport:
-    """Classify each basis element of H plus short products of them."""
-    params = params or GrowthParams()
-    base = h.free_basis()
-    subjects: list[Word] = list(base)
-    products: list[Word] = []
-    for i in range(len(base)):
-        for j in range(len(base)):
-            if i == j:
-                continue
-            products.append(base[i] * base[j])
-            products.append(base[i] * base[j].inverse())
-    subjects.extend(products[:max_products])
-    reports = []
-    for w in subjects:
-        rep = classify_growth(phi, w, params)
-        reports.append(rep)
-        if rep.kind in (KIND_EXPONENTIAL, KIND_HEURISTIC_EXPONENTIAL):
-            return ProbeReport("found-exponential", w, tuple(reports))
-    if any(r.kind == KIND_INCONCLUSIVE for r in reports):
-        return ProbeReport("inconclusive", None, tuple(reports))
-    return ProbeReport("all-polynomial", None, tuple(reports))
-
-
 __all__ = [
     "Certificate",
     "GrowthParams",
@@ -579,11 +531,9 @@ __all__ = [
     "KIND_INCONCLUSIVE",
     "KIND_POLYNOMIAL",
     "Matrix",
-    "ProbeReport",
     "classify_growth",
     "length_sequence",
     "no_cancellation_certificate",
-    "polynomial_probe",
     "scc_polynomial_degree",
     "spectral_radius",
     "transition_matrix",

@@ -37,6 +37,7 @@ from .folding import (
     WitnessedGraph,
     _Fold,
     _inv,
+    _walk,
     is_invariant,
     witnessed_graph,
 )
@@ -349,7 +350,7 @@ def fiber_intersection(
                     (theta.apply(w), s_expr, s_inv_expr),
                     (theta_inv.apply(w), s_inv_expr, s_expr),
                 )
-                if fold.walk(0, img.letters) != (0, len(img))
+                if _walk(fold.out, fold.inn, 0, img.letters) != (0, len(img))
             ]
             if not escapes:
                 break

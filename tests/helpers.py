@@ -3,10 +3,10 @@
 Everything here is deliberately naive: direct substitution, bounded
 enumeration, brute-force reduction.  None of it calls the package's
 own folding or growth paths, so agreement is evidence rather than
-tautology.  The one exception is ``reference_fiber_saturation``, a
-reference for the saturation loop only: it folds with the package's
-``witnessed_graph``, whose petal fold is independent of the live fold
-that saturation uses, and refolds everything each round.
+tautology.  ``petal_fold`` is a reference Stallings fold: a wedge of
+petals merged until folded.  ``reference_fiber_saturation`` refolds
+every entry with it each round; only its stop test, ``is_invariant``
+on the folded graph, comes from the package.
 """
 
 from __future__ import annotations
@@ -115,6 +115,56 @@ def torus_words(rank: int, max_len: int):
         yield from product(alphabet, repeat=n)
 
 
+def petal_fold(rank: int, words) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(vertex count, sorted edges) of the canonical folded core graph
+    of the subgroup generated by reduced letter tuples.
+
+    A wedge of one petal per word at vertex 0 (a core graph, and a fold
+    of a core graph stays one) has its vertices merged while two edges
+    with one label share a source or a target.  The survivors are then
+    numbered breadth-first from 0, labels ascending, outgoing edges
+    before incoming ones.
+    """
+    edges, n = [], 1
+    for w in words:
+        prev = 0
+        for i, x in enumerate(w):
+            nxt = 0 if i == len(w) - 1 else n
+            if nxt:
+                n += 1
+            edges.append((prev, x, nxt) if x > 0 else (nxt, -x, prev))
+            prev = nxt
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    merged = True
+    while merged:
+        merged, ends = False, {}
+        for u, x, v in edges:
+            for key, other in (((find(u), x), v), ((find(v), -x), u)):
+                a, c = find(ends.setdefault(key, other)), find(other)
+                if a != c:
+                    parent[max(a, c)] = min(a, c)
+                    merged = True
+    edges = {(find(u), x, find(v)) for u, x, v in edges}
+    step = {}
+    for u, x, v in edges:
+        step[(u, x)], step[(v, -x)] = v, u
+    new, order = {0: 0}, [0]
+    for v in order:
+        for x in range(1, rank + 1):
+            for y in (x, -x):
+                w = step.get((v, y))
+                if w is not None and w not in new:
+                    new[w] = len(order)
+                    order.append(w)
+    return len(order), tuple(sorted((new[u], x, new[v]) for u, x, v in edges))
+
+
 def reference_fiber_saturation(group, gens, max_rounds, max_vertices):
     """(graph, n, s, rounds) of ``fiber_intersection``, by the plain loop.
 
@@ -125,7 +175,7 @@ def reference_fiber_saturation(group, gens, max_rounds, max_vertices):
     budgets.
     """
     from fgrow.automorphisms import compose, inner_automorphism, power
-    from fgrow.folding import is_invariant, witnessed_graph
+    from fgrow.folding import StallingsGraph, is_invariant
     from fgrow.mapping_torus import UnstabilizedError, _ext_gcd
 
     n, s = 0, group.identity_element()
@@ -149,7 +199,8 @@ def reference_fiber_saturation(group, gens, max_rounds, max_vertices):
         return out
 
     def fold(words):
-        return witnessed_graph(group.basis, words).graph
+        b = group.basis
+        return StallingsGraph(b, *petal_fold(b.rank, [w.letters for w in words]))
 
     entries = unseen((g * (s ** (-(g.k // n))) if n else g).w for g in gens)
     if n == 0:

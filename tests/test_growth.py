@@ -16,6 +16,7 @@ from fgrow.automorphisms import (
     parse_automorphism,
     parse_endomorphism,
     power,
+    restrict,
 )
 from fgrow.folding import stallings_graph
 from fgrow.growth import (
@@ -29,7 +30,6 @@ from fgrow.growth import (
     classify_growth,
     length_sequence,
     no_cancellation_certificate,
-    polynomial_probe,
     scc_polynomial_degree,
     spectral_radius,
     transition_matrix,
@@ -370,20 +370,24 @@ def test_report_invariants_enforced():
         )
 
 
-# -- subgroup probe --------------------------------------------------------
+# -- growth inside an invariant subgroup ----------------------------------
 
 
-def test_polynomial_probe_invariant_polynomial_part():
-    phi = parse_endomorphism("a -> a b; b -> a; c -> c")
+def test_restricted_growth_invariant_polynomial_part():
+    # Φ is the identity on the invariant ⟨c⟩
+    phi = parse_automorphism("a -> a b; b -> a; c -> c")
     b3 = phi.basis
     h = stallings_graph(b3, [b3.parse("c")])
-    probe = polynomial_probe(phi, h)
-    assert probe.verdict == "all-polynomial"
-    assert probe.witness is None
+    rep = classify_growth(restrict(phi, h).auto)
+    assert (rep.kind, rep.degree) == (KIND_POLYNOMIAL, 0)
 
 
-def test_polynomial_probe_finds_exponential():
-    h = stallings_graph(F, [F.parse("a")])
-    probe = polynomial_probe(FIB, h)
-    assert probe.verdict == "found-exponential"
-    assert probe.witness == F.parse("a")
+def test_restricted_growth_finds_exponential():
+    # the squares' subgroup has index 4 and is characteristic, so Φ
+    # restricted to it grows at Φ's own rate, the golden ratio
+    squares = ("a a", "b b", "a b a b", "b a b a", "a b b a'", "a' b a b")
+    h = stallings_graph(F, [F.parse(w) for w in squares])
+    assert h.index() == 4
+    rep = classify_growth(restrict(FIB, h).auto)
+    assert rep.kind in (KIND_EXPONENTIAL, KIND_HEURISTIC_EXPONENTIAL)
+    assert abs(rep.rate - (1 + math.sqrt(5)) / 2) < 0.05

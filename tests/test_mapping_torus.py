@@ -217,6 +217,21 @@ def test_saturation_links_only_what_new_loops_fold(monkeypatch):
     assert len(links) <= 4000
 
 
+@pytest.mark.parametrize("with_witnesses", [False, True])
+def test_saturation_builds_no_witnessed_fold(monkeypatch, with_witnesses):
+    # Saturation folds plainly; witnesses are folded once, after it stops.
+    # Composing potentials on every merge instead made this run, which
+    # never stabilizes, take about twice as long.
+    def refuse(self, n):
+        raise AssertionError("saturation built a witnessed fold")
+
+    monkeypatch.setattr(folding._PotentialUnionFind, "__init__", refuse)
+    gens = [G.normalize("a b"), G.normalize("b a t' a")]
+    with pytest.raises(UnstabilizedError) as info:
+        fiber_intersection(G, gens, max_vertices=5000, with_witnesses=with_witnesses)
+    assert (info.value.rounds, info.value.vertices) == (14, 7020)
+
+
 def test_failed_invariance_recheck_raises(monkeypatch):
     # With no escaping image, θ^±1 of every entry is a member, so the
     # recheck cannot fail; if it did, saturation must stop, not spin.
