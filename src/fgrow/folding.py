@@ -379,11 +379,12 @@ class _Fold:
             self.unions.append((p, q, e))
         else:
             n, fresh = len(out), j - i - 1
-            uf.parent.extend(range(n, n + fresh))
-            uf.size.extend([1] * fresh)
-            uf.roots += fresh
-            out.extend({} for _ in range(fresh))
-            inn.extend({} for _ in range(fresh))
+            if fresh:
+                uf.parent.extend(range(n, n + fresh))
+                uf.size.extend([1] * fresh)
+                uf.roots += fresh
+                out.extend({} for _ in range(fresh))
+                inn.extend({} for _ in range(fresh))
             path = [p, *range(n, n + fresh), q]
             for a, x, c in zip(path, letters[i : j - 1], path[1:]):
                 if x > 0:
@@ -392,7 +393,8 @@ class _Fold:
                     out[c][-x], inn[a][-x] = a, c
             a, x = path[-2], letters[j - 1]
             self.insert(*((a, x, q, e) if x > 0 else (q, -x, a, _inv(e))))
-        self.drain()
+        if self.unions:
+            self.drain()
 
     def graph(self, basis: Basis) -> StallingsGraph:
         """The canonical graph of a fold of loops, a core graph (``add_path``)."""

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 from .automorphisms import apply_power
 from .mapping_torus import TorusElement, TorusGroup
-from .words import Word, free_reduce
+from .words import Word, join
 
 State = tuple[tuple[int, ...], int]
 
@@ -42,24 +43,16 @@ class BudgetExceededError(RuntimeError):
         self.radius = radius
 
 
+@dataclass(eq=False, repr=False)
 class BallGraph:
     """Metric ball B(r) in Cay(G, basis ∪ {t}) with exact distances."""
 
-    def __init__(
-        self,
-        group: TorusGroup,
-        radius: int,
-        states: list[State],
-        dist: list[int],
-        adj: list[tuple[int, ...]],
-        index: dict[State, int],
-    ):
-        self.group = group
-        self.radius = radius
-        self._states = states
-        self._dist = dist
-        self._adj = adj
-        self._index = index
+    group: TorusGroup
+    radius: int
+    _states: list[State]
+    _dist: list[int]
+    _adj: list[tuple[int, ...]]
+    _index: dict[State, int]
 
     def __len__(self) -> int:
         return len(self._states)
@@ -69,14 +62,13 @@ class BallGraph:
         return TorusElement(self.group, Word(self.group.basis, w), k)
 
     def index_of(self, g: TorusElement) -> int:
-        key = (free_reduce(g.w.letters), g.k)
         try:
-            return self._index[key]
+            return self._index[(g.w.letters, g.k)]
         except KeyError:
             raise ValueError(f"{g} lies outside the ball") from None
 
     def contains(self, g: TorusElement) -> bool:
-        return (free_reduce(g.w.letters), g.k) in self._index
+        return (g.w.letters, g.k) in self._index
 
     def distance(self, g: TorusElement) -> int:
         return self._dist[self.index_of(g)]
@@ -91,40 +83,48 @@ class BallGraph:
         return [i for i, d in enumerate(self._dist) if d == k]
 
     def sphere_sizes(self) -> list[int]:
-        out = [0] * (self.radius + 1)
-        for d in self._dist:
-            out[d] += 1
-        return out
+        counts = Counter(self._dist)
+        return [counts[d] for d in range(self.radius + 1)]
 
     def ball_sizes(self) -> list[int]:
-        sizes = self.sphere_sizes()
-        total = 0
-        out = []
-        for s in sizes:
-            total += s
-            out.append(total)
-        return out
+        return list(accumulate(self.sphere_sizes()))
 
-    def distances_from(self, start: int, min_level: int | None = None) -> list[int | None]:
+    def distances_from(
+        self, start: int, min_level: int | None = None, target: int | None = None
+    ) -> list[int | None]:
         """BFS distances inside the ball, restricted to vertices whose
-        distance from the identity is at least ``min_level`` when given."""
-        dist0 = self._dist
-        allowed = (
-            None
-            if min_level is None or min_level <= 0
-            else [d >= min_level for d in dist0]
-        )
-        out: list[int | None] = [None] * len(self._states)
-        if allowed is not None and not allowed[start]:
+        distance from the identity is at least ``min_level`` when given.
+
+        With ``target``, only ``[target]`` is sought, by meeting in the
+        middle: the smaller frontier grows one whole layer at a time, so
+        balls of radii a and b first touch at distance a + b + 1.  The
+        other entries hold what the start side reached.
+        """
+        adj, level, low = self._adj, self._dist, min_level or 0
+        out: list[int | None] = [None] * len(adj)
+        far: list[int | None] = [None] * len(adj)
+        if level[start] < low:
             return out
         out[start] = 0
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in self._adj[i]:
-                if out[j] is None and (allowed is None or allowed[j]):
-                    out[j] = out[i] + 1  # type: ignore[operator]
-                    queue.append(j)
+        if target is not None:
+            if target == start or level[target] < low:
+                return out
+            far[target] = 0
+        sides = [(out, [start]), (far, [target])]
+        while sides[0][1] and sides[1][1]:
+            s = 0 if target is None or len(sides[0][1]) <= len(sides[1][1]) else 1
+            (mine, front), other = sides[s], sides[1 - s][0]
+            d = mine[front[0]] + 1  # type: ignore[operator]
+            nxt = []
+            for i in front:
+                for j in adj[i]:
+                    if mine[j] is None and level[j] >= low:
+                        mine[j] = d
+                        if other[j] is not None:
+                            out[target] = d + other[j]  # type: ignore[index]
+                            return out
+                        nxt.append(j)
+            sides[s] = (mine, nxt)
         return out
 
 
@@ -133,25 +133,10 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
     than returning a partial result."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    b = group.basis
-    phi = group.phi
-    twist_memo: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def twisted(k: int, letter: int) -> tuple[int, ...]:
-        key = (k, letter)
-        got = twist_memo.get(key)
-        if got is None:
-            got = apply_power(phi, k, Word(b, (letter,))).letters
-            twist_memo[key] = got
-        return got
-
-    fiber_letters = [s * i for i in range(1, b.rank + 1) for s in (1, -1)]
-
-    def neighbor_states(w: tuple[int, ...], k: int) -> Iterable[State]:
-        for x in fiber_letters:
-            yield free_reduce(w + twisted(k, x)), k
-        yield w, k + 1
-        yield w, k - 1
+    fiber = [Word(group.basis, (s * i,)) for i in range(1, group.basis.rank + 1) for s in (1, -1)]
+    # twists[k]: the images under Φᵏ of the fiber letters, in the order
+    # above; (w, k)·x = (w·Φᵏ(x), k), and only the junction can cancel.
+    twists: dict[int, list[tuple[int, ...]]] = {}
 
     # One pass in BFS order computes each vertex's neighbours once; at
     # radius r every neighbour inside the ball is already indexed.  The
@@ -162,11 +147,15 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
     dist: list[int] = [0]
     adj: list[tuple[int, ...]] = []
     for i, (w, k) in enumerate(states):  # states grows while it is read
+        images = twists.get(k)
+        if images is None:
+            images = twists[k] = [apply_power(group.phi, k, x).letters for x in fiber]
         nbrs = []
-        for st in neighbor_states(w, k):
+        inner = dist[i] < r
+        for st in [(join(w, y), k) for y in images] + [(w, k + 1), (w, k - 1)]:
             j = index.get(st)
             if j is None:
-                if dist[i] == r:
+                if not inner:
                     continue
                 if len(states) >= max_vertices:
                     raise BudgetExceededError(max_vertices, r)
@@ -264,23 +253,17 @@ def divergence_estimate(
     for r in rs:
         sphere = ball.sphere_indices(r)
         kept: list[DivergenceSample] = []
-        dist_cache: dict[int, list[int | None]] = {}
-        attempts = 0
-        limit = 20 * samples_per_radius
-        while len(kept) < samples_per_radius and attempts < limit:
-            attempts += 1
-            if len(sphere) < 2:
+        for _ in range(20 * samples_per_radius):
+            if len(kept) == samples_per_radius or len(sphere) < 2:
                 break
             p = sphere[rng.randrange(len(sphere))]
             q = sphere[rng.randrange(len(sphere))]
             if p == q:
                 continue
-            if p not in dist_cache:
-                dist_cache[p] = ball.distances_from(p)
-            d = dist_cache[p][q]
+            d = ball.distances_from(p, target=q)[q]
             if d is None or d < r:
                 continue
-            detour = ball.distances_from(p, min_level=r // 2)[q]
+            detour = ball.distances_from(p, min_level=r // 2, target=q)[q]
             kept.append(
                 DivergenceSample(r, ball.element(p), ball.element(q), d, detour)
             )

@@ -6,9 +6,10 @@ letters; a :class:`CyclicWord` stores a cyclically reduced tuple in its
 canonical rotation, so conjugacy-class comparison is plain equality.
 
 Text form: generators are whitespace-separated symbols, with ``'`` or
-``^-1`` marking an inverse, e.g. ``a b' c``.  When every generator name
-is a single character, unspaced run-together tokens such as ``ab'c`` are
-accepted too.  The empty word prints and parses as ``1``.
+``^-1`` marking an inverse and ``^k`` a power, e.g. ``a b' c^2``.  When
+every generator name is a single character, unspaced run-together tokens
+such as ``ab'c^2`` are accepted too.  The empty word prints and parses
+as ``1``.
 
 >>> F = basis("a b")
 >>> w = F.parse("a b' a")
@@ -20,6 +21,7 @@ accepted too.  The empty word prints and parses as ``1``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -91,25 +93,22 @@ class Basis:
         for token in text.split():
             if token == "1":
                 continue
-            name, sign = _split_marker(token)
+            name = re.split("['^]", token, maxsplit=1)[0]
             if name in self._index:
-                out.append(self.letter(name, sign))
-                continue
+                k, end = _exponent(token, len(name))
+                if end == len(token):
+                    out += [self.letter(name, k)] * abs(k)
+                    continue
             if not single:
                 raise WordSyntaxError(f"unknown symbol {token!r}")
-            # run-together single-character form, e.g. ab'c
+            # run-together single-character form, e.g. ab'c^2
             i = 0
             while i < len(token):
                 ch = token[i]
-                i += 1
-                s = 1
-                if token[i : i + 3] == "^-1":
-                    s, i = -1, i + 3
-                elif token[i : i + 1] == "'":
-                    s, i = -1, i + 1
                 if ch not in self._index:
                     raise WordSyntaxError(f"unknown symbol {ch!r} in {token!r}")
-                out.append(self.letter(ch, s))
+                k, i = _exponent(token, i + 1)
+                out += [self.letter(ch, k)] * abs(k)
         return out
 
 
@@ -125,12 +124,21 @@ def _valid_name(name: str) -> bool:
     return bool(name) and name[0].isalpha() and name.replace("_", "").isalnum()
 
 
-def _split_marker(token: str) -> tuple[str, int]:
-    if token.endswith("^-1"):
-        return token[:-3], -1
-    if token.endswith("'"):
-        return token[:-1], -1
-    return token, 1
+_POWER = re.compile(r"\^(-?[0-9]{1,9})(?![0-9])")
+MAX_POWER = 10**6
+
+
+def _exponent(token: str, i: int) -> tuple[int, int]:
+    """The exponent marked at ``token[i:]`` (none, ``'`` or ``^k``) and
+    the index past its marker."""
+    if token.startswith("'", i):
+        return -1, i + 1
+    if not token.startswith("^", i):
+        return 1, i
+    m = _POWER.match(token, i)
+    if m is None or abs(int(m[1])) > MAX_POWER:
+        raise WordSyntaxError(f"bad exponent in {token!r}: need ^k, |k| <= {MAX_POWER}")
+    return int(m[1]), m.end()
 
 
 def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -195,11 +203,6 @@ def reduce(b: Basis, letters: Iterable[int]) -> Word:
     return Word(b, free_reduce(letters))
 
 
-def _same_basis(u: Word, v: Word) -> None:
-    if u.basis != v.basis:
-        raise BasisMismatchError("words over different bases")
-
-
 def concat(u: Word, v: Word) -> Word:
     """Reduced product u·v.
 
@@ -207,17 +210,28 @@ def concat(u: Word, v: Word) -> Word:
     >>> str(concat(F.parse("a b"), F.parse("b' a")))
     'a a'
     """
-    _same_basis(u, v)
+    if u.basis != v.basis:
+        raise BasisMismatchError("words over different bases")
     if not u.letters:
         return v
     if not v.letters:
         return u
-    a, b = list(u.letters), v.letters
-    i = 0
-    while a and i < len(b) and a[-1] == -b[i]:
-        a.pop()
+    return Word(u.basis, join(u.letters, v.letters))
+
+
+def join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced product of two reduced letter tuples: only the junction
+    can cancel.
+
+    >>> join((1, 2), (-2, -1, 2))
+    (2,)
+    """
+    if not a or not b or a[-1] != -b[0]:
+        return a + b
+    n, i = len(a), 1
+    while i < n and i < len(b) and a[n - 1 - i] == -b[i]:
         i += 1
-    return Word(u.basis, tuple(a) + b[i:])
+    return a[: n - i] + b[i:]
 
 
 def concat_all(b: Basis, parts: Iterable[Word]) -> Word:

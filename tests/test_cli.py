@@ -189,6 +189,18 @@ def test_torus_fiber_json(capsys):
     assert result["rounds"] >= 1
 
 
+def test_torus_gens_take_powers(capsys):
+    # t^2 is how an induced splitting labels its section; it parses back
+    code, out, _ = run(
+        capsys, "torus", "--map", "a -> b; b -> a", "--gens", "t^2 a", "--emit", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["generators"] == ["a t t"]
+    code, out, err = run(capsys, "torus", "--map", FIB, "--gens", "a^x; t")
+    assert code == 1 and out == ""
+    assert err == "error: bad exponent in 'a^x': need ^k, |k| <= 1000000\n"
+
+
 def test_torus_unstabilized_exit_two(capsys):
     code, _, err = run(
         capsys, "torus", "--map", "a -> a; b -> b",

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fgrow.automorphisms import identity_automorphism, parse_automorphism
 from fgrow.geometry import (
+    BallGraph,
     BudgetExceededError,
     _loglog_fit,
     cayley_ball,
@@ -30,6 +31,7 @@ from helpers import torus_words
 F = basis("a b")
 GID = torus_group(identity_automorphism(F))
 GPOLY = torus_group(parse_automorphism("a -> a\nb -> b a"))
+GFIB = torus_group(parse_automorphism("a -> a b\nb -> a"))
 
 
 def shortest_spellings(group, max_len):
@@ -114,6 +116,55 @@ def test_distances_from_restriction():
             assert d2 >= d1
         if ball.distance_by_index(i) < 2 and i != start:
             assert d2 is None
+
+
+BALLS = [cayley_ball(g, r) for g in (GID, GPOLY, GFIB) for r in (4, 5)]
+
+
+def check_pair_search(ball, p, q, low):
+    full = ball.distances_from(p, min_level=low)
+    got = ball.distances_from(p, min_level=low, target=q)
+    assert len(got) == len(ball)
+    assert got[q] == full[q]
+    # the start side's entries are true restricted distances
+    assert all(g is None or g == f for g, f in zip(got, full))
+    return got[q]
+
+
+@pytest.mark.parametrize("ball", BALLS, ids=lambda b: f"{b.group.phi}B{b.radius}")
+def test_pair_search_edge_cases(ball):
+    r = ball.radius
+    sphere = ball.sphere_indices(r)
+    p = sphere[0]
+    fenced = ball.distances_from(p, min_level=r)
+    q = next(i for i in sphere if fenced[i] is None)
+    assert check_pair_search(ball, p, q, r) is None  # the fence cuts them apart
+    assert check_pair_search(ball, p, p, r) == 0
+    assert check_pair_search(ball, 0, 0, 1) is None  # start outside the fence
+    assert check_pair_search(ball, 0, p, 1) is None
+    assert check_pair_search(ball, p, 0, 1) is None  # target outside the fence
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(BALLS))), st.data())
+def test_pair_search_matches_full_bfs(which, data):
+    ball = BALLS[which]
+    p = data.draw(st.integers(0, len(ball) - 1), label="p")
+    q = data.draw(st.one_of(st.just(p), st.integers(0, len(ball) - 1)), label="q")
+    check_pair_search(ball, p, q, data.draw(st.integers(0, ball.radius), label="min_level"))
+
+
+def test_divergence_asks_only_for_pair_distances(monkeypatch):
+    seen = []
+    search = BallGraph.distances_from
+
+    def spy(self, start, min_level=None, target=None):
+        seen.append(target)
+        return search(self, start, min_level, target)
+
+    monkeypatch.setattr(BallGraph, "distances_from", spy)
+    divergence_estimate(GPOLY, [2, 4], samples_per_radius=6, seed=3)
+    assert seen and None not in seen
 
 
 # -- divergence ------------------------------------------------------------

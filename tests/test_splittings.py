@@ -18,6 +18,7 @@ from fgrow.splittings import (
     HierarchyNode,
     SplittingViolation,
     TorusSplitting,
+    _section_label,
     hierarchy_depth,
     identity_witness,
     induce_hierarchy,
@@ -239,6 +240,17 @@ def test_induce_free_swap_merges_orbit():
     assert v.period == 2 and v.label() == "< a, t^2 >"
     (e,) = ts.edges
     assert e.kind == "Z" and e.period == 2
+
+
+def test_induced_section_labels_parse_back():
+    gog, wit = make_free()
+    swap = parse_automorphism("a -> b\nb -> a")
+    g = torus_group(swap)
+    (v,) = induce_torus_splitting(gog, swap, wit).vertices
+    assert g.normalize(v.label().strip("<> ").split(", ")[-1]) == g.t(2)
+    for n in range(-3, 4):
+        label = _section_label(g.basis.parse("a b'"), n)
+        assert g.normalize(label) == g.element("a b'", n), label
 
 
 def test_induce_cyclic_twists():

@@ -19,6 +19,7 @@ from fgrow.words import (
     cyclic_word,
     free_reduce,
     identity,
+    join,
     power,
     translation_length,
 )
@@ -59,6 +60,21 @@ def test_parse_rejects_unknown():
         Basis(())
 
 
+def test_parse_powers():
+    assert F.parse("a^3").letters == (1, 1, 1)
+    assert F.parse("b^-2").letters == (-2, -2)
+    assert F.parse("a^0 b") == F.parse("b")
+    assert F.parse("ab^2a^-1") == F.parse("a b b a'")  # run-together powers
+    assert F.parse("a^2 a^-3") == F.parse("a'")
+    assert basis("x1 x2").parse("x1^2 x2^-1").letters == (1, 1, -2)
+
+
+@pytest.mark.parametrize("text", ["a^x", "a^", "a^+2", "a^1000001", "ab^x", "a^99999999999"])
+def test_parse_rejects_bad_exponents(text):
+    with pytest.raises(WordSyntaxError, match="bad exponent"):
+        F.parse(text)
+
+
 def test_multi_character_names():
     g = basis("x1 x2")
     w = g.parse("x1 x2' x1")
@@ -88,6 +104,12 @@ def test_free_reduce_idempotent(ls):
 def test_inverse_cancels(w):
     assert w * w.inverse() == identity(F)
     assert w.inverse().inverse() == w
+
+
+@given(words(F3), words(F3))
+def test_join_is_the_reduced_product(u, v):
+    assert join(u.letters, v.letters) == free_reduce(u.letters + v.letters)
+    assert join(u.letters, u.inverse().letters) == ()
 
 
 @given(words(), words(), words())
