@@ -67,14 +67,6 @@ def _signed_table(images: tuple[Word, ...]) -> dict[int, tuple[int, ...]]:
     return table
 
 
-def _substitute(table: dict[int, tuple[int, ...]], letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Freely reduced concatenation of the table's images of ``letters``."""
-    out: list[int] = []
-    for x in letters:
-        out.extend(table[x])
-    return free_reduce(out)
-
-
 @dataclass(frozen=True)
 class Endomorphism:
     """Map of a free group given by generator images, in basis order."""
@@ -99,7 +91,7 @@ class Endomorphism:
     def apply(self, w: Word) -> Word:
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        return Word(self.basis, _substitute(self._subst, w.letters))
+        return Word(self.basis, free_reduce(w.letters, self._subst))
 
     def is_identity(self) -> bool:
         return all(
@@ -272,7 +264,7 @@ class RestrictedAutomorphism:
     def to_ambient(self, w: Word) -> Word:
         if w.basis != self.auto.basis:
             raise BasisMismatchError("word over a different basis")
-        return Word(self.subgroup.basis, _substitute(self._embed, w.letters))
+        return Word(self.subgroup.basis, free_reduce(w.letters, self._embed))
 
     def to_subgroup(self, w: Word) -> Word | None:
         expr = self.subgroup.express_in_free_basis(w)

@@ -19,6 +19,7 @@ turns every error into one stderr line and exit 1 or 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -64,8 +65,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """argparse type for a budget: an integer no smaller than ``low``."""
+def _at_least(low: int, high: int | None = None) -> Callable[[str], int]:
+    """argparse type for a budget: an integer no smaller than ``low``
+    and, when given, no larger than ``high``."""
 
     def parse(text: str) -> int:
         try:
@@ -74,6 +76,8 @@ def _at_least(low: int) -> Callable[[str], int]:
             value = low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {high}, got {text!r}")
         return value
 
     return parse
@@ -526,14 +530,16 @@ def cmd_divergence(args) -> Report:
 # parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser, built on first use; ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="fgrow", description="free-by-cyclic group toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("growth", help="classify growth of a map or word")
     p.add_argument("--map", required=True, help="map file or inline 'a -> a b; b -> a'")
     p.add_argument("--word", default=None)
-    p.add_argument("--iters", type=_at_least(1), default=40)
+    p.add_argument("--iters", type=_at_least(1, 1000), default=40)
     p.add_argument("--cap", type=_at_least(1), default=10**6)
     p.add_argument("--emit", choices=["json", "csv", "svg", "text"], default="json")
 

@@ -37,8 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automorphisms import Automorphism, Endomorphism, _substitute
-from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word
+from .automorphisms import Automorphism, Endomorphism
+from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word, free_reduce
 
 Matrix = list[list[int]]
 
@@ -294,7 +294,7 @@ def _iterated_lengths(
     seq = [core.length]
     cur = core.letters
     for _ in range(n):
-        red = _substitute(endo._subst, cur)
+        red = free_reduce(cur, endo._subst)
         lo, hi = _cyclic_trim(red)
         cur = red[lo:hi]
         seq.append(len(cur))

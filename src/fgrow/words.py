@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class BasisMismatchError(ValueError):
@@ -141,18 +141,39 @@ def _exponent(token: str, i: int) -> tuple[int, int]:
     return int(m[1]), m.end()
 
 
-def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freely reduce a letter sequence (single stack pass).
+def free_reduce(
+    letters: Iterable[int], images: Mapping[int, tuple[int, ...]] | None = None
+) -> tuple[int, ...]:
+    """Freely reduce a letter sequence (single stack pass), or with
+    ``images`` the product of ``images[x]`` for x in ``letters``.
+
+    Images must be reduced, so only junctions cancel: each image is
+    pushed whole after popping what it cancels.  Below, b's image b' cancels whole.
 
     >>> free_reduce([1, 2, -2, -1, 3])
     (3,)
+    >>> free_reduce([1, 2, 1], {1: (1, 2), -1: (-2, -1), 2: (-2,), -2: (2,)})
+    (1, 1, 2)
     """
     stack: list[int] = []
+    if images is None:
+        for x in letters:
+            if stack and stack[-1] == -x:
+                stack.pop()
+            else:
+                stack.append(x)
+        return tuple(stack)
     for x in letters:
-        if stack and stack[-1] == -x:
+        y = images[x]
+        if not stack or not y or stack[-1] != -y[0]:
+            stack.extend(y)
+            continue
+        i, n = 1, len(y)
+        stack.pop()
+        while i < n and stack and stack[-1] == -y[i]:
             stack.pop()
-        else:
-            stack.append(x)
+            i += 1
+        stack.extend(y[i:])
     return tuple(stack)
 
 

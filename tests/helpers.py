@@ -25,6 +25,19 @@ def reduce_letters(letters) -> tuple[int, ...]:
     return tuple(out)
 
 
+def naive_reduce(letters) -> tuple[int, ...]:
+    """Delete adjacent x x⁻¹ pairs, rescanning, until none remain."""
+    ls = list(letters)
+    i = 0
+    while i + 1 < len(ls):
+        if ls[i] == -ls[i + 1]:
+            del ls[i : i + 2]
+            i = 0
+        else:
+            i += 1
+    return tuple(ls)
+
+
 def substitute(images: dict[int, tuple[int, ...]], letters) -> tuple[int, ...]:
     out: list[int] = []
     for x in letters:

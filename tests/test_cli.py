@@ -1,5 +1,6 @@
 """CLI contract: output schemas, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import re
@@ -431,6 +432,26 @@ def test_bad_budgets_exit_one(argv, flag, low, value, capsys):
     ]
 
 
+# unbounded, such runs take one matrix step per iterate for as long as
+# asked, or print lengths past Python's int-to-str digit limit
+@pytest.mark.parametrize("value", ["1001", "100000", "99999999999999999999"])
+def test_iters_above_bound_exit_one(value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["growth", "--map", FIB, "--iters", value])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: argument --iters: must be an integer <= 1000, got {value!r}"
+    ]
+
+
+def test_iters_bound_is_inclusive(capsys):
+    code, out, _ = run(capsys, "growth", "--map", "a -> a; b -> b a", "--iters", "1000")
+    assert code == 0
+    assert json.loads(out)["budgets"]["iters"] == 1000
+
+
 @pytest.mark.parametrize("value", ["4,x", "0", "4,-2", ","])
 def test_bad_radii_exit_one(value, capsys):
     with pytest.raises(SystemExit) as info:
@@ -442,3 +463,40 @@ def test_bad_radii_exit_one(value, capsys):
         "error: argument --radii: must be comma-separated integers >= 1, "
         f"got {value!r}"
     ]
+
+
+# -- one parser per process ---------------------------------------------
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    added = []
+    original = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    cli._build_parser.cache_clear()
+    assert run(capsys, "growth", "--map", FIB)[0] == 0
+    assert ("--iters",) in added
+    added.clear()
+    assert run(capsys, "fold", "--gens", "a b, b a")[0] == 0
+    assert added == []
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    code, out, _ = run(capsys, "growth", "--map", FIB, "--iters", "5", "--cap", "9")
+    assert code == 0 and json.loads(out)["budgets"] == {"cap": 9, "iters": 5}
+    code, out, _ = run(capsys, "growth", "--map", FIB)
+    assert code == 0 and json.loads(out)["budgets"] == {"cap": 1000000, "iters": 40}
+    base = ("divergence", "--map", "a -> a; b -> b", "--samples", "2")
+    code, out, _ = run(capsys, *base, "--radii", "2,3")
+    assert code == 0 and json.loads(out)["budgets"]["radii"] == "2,3"
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and json.loads(out)["budgets"]["radii"] == "4,6,8"
+    with pytest.raises(SystemExit) as info:
+        main(["growth", "--map", FIB, "--iters", "0"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: argument --iters")

@@ -7,7 +7,7 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fgrow import growth
+from fgrow import automorphisms, growth
 from fgrow.automorphisms import (
     Endomorphism,
     compose,
@@ -34,7 +34,7 @@ from fgrow.growth import (
     spectral_radius,
     transition_matrix,
 )
-from fgrow.words import BasisMismatchError, Word, basis, free_reduce, identity
+from fgrow.words import BasisMismatchError, Word, basis, cyclic_word, free_reduce, identity
 
 from helpers import finite_difference_degree, naive_length_sequence, random_letters
 
@@ -391,3 +391,30 @@ def test_restricted_growth_finds_exponential():
     rep = classify_growth(restrict(FIB, h).auto)
     assert rep.kind in (KIND_EXPONENTIAL, KIND_HEURISTIC_EXPONENTIAL)
     assert abs(rep.rate - (1 + math.sqrt(5)) / 2) < 0.05
+
+
+# -- layer guard ------------------------------------------------------------
+
+
+def test_substitutions_reach_free_reduce(monkeypatch):
+    """apply, to_ambient and the growth iterates substitute inside
+    free_reduce, so a tracer wrapping it sees every substitution."""
+    tables = []
+
+    def spy(letters, images=None):
+        tables.append(images)
+        return free_reduce(letters, images)
+
+    monkeypatch.setattr(automorphisms, "free_reduce", spy)
+    monkeypatch.setattr(growth, "free_reduce", spy)
+    w = F.parse("a b")
+    assert FIB.apply(w) == F.parse("a b a")
+    assert tables == [FIB.endo._subst]
+    ra = restrict(FIB, stallings_graph(F, [F.parse("a"), F.parse("b")]))
+    tables.clear()
+    x, y = ra.embedding
+    assert ra.to_ambient(Word(ra.auto.basis, (1, -2))) == x * y.inverse()
+    assert tables == [ra._embed]
+    tables.clear()
+    assert growth._iterated_lengths(FIB.endo, cyclic_word(w), 3, None) == ([2, 3, 5, 8], False)
+    assert tables == [FIB.endo._subst] * 3

@@ -3,7 +3,7 @@
 import doctest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import fgrow.words
 from fgrow.words import (
@@ -23,6 +23,8 @@ from fgrow.words import (
     power,
     translation_length,
 )
+
+from helpers import naive_reduce
 
 F = basis("a b")
 F3 = basis("a b c")
@@ -98,6 +100,37 @@ def test_free_reduce_is_reduced(ls):
 def test_free_reduce_idempotent(ls):
     r = free_reduce(ls)
     assert free_reduce(r) == r
+
+
+def signed_table(*images) -> dict[int, tuple[int, ...]]:
+    """Images of every signed letter, from the generators' images."""
+    table = {}
+    for j, img in enumerate(images, start=1):
+        table[j], table[-j] = tuple(img), tuple(-t for t in reversed(img))
+    return table
+
+
+@st.composite
+def substitutions(draw):
+    """A rank 1-3 table of reduced (possibly empty) images, and unreduced letters."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    images = [naive_reduce(draw(letters(rank, 6))) for _ in range(rank)]
+    return signed_table(*images), draw(letters(rank, 20))
+
+
+# b's image b' c loses b' at its left junction and c at its right one
+@example((signed_table((1, 2), (-2, 3), (-3, 1)), [1, 2, 3]))
+@example((signed_table((1, 2), (-2, 3), (-3, 1)), [1, 2, 3, -3, -2, 2, 3]))
+# b's image b' a' empties the stack and cancels whole against the stack
+@example((signed_table((1, 2), (-2, -1)), [1, 2, 1, 2]))
+# the empty image, and letters that cancel before substitution
+@example((signed_table((), (2, 1)), [1, 2, -2, 1, -1, 2]))
+@given(substitutions())
+def test_free_reduce_with_images_is_reduced_substitution(case):
+    table, ls = case
+    want = naive_reduce(y for x in ls for y in table[x])
+    assert free_reduce(ls, table) == want
+    assert free_reduce(ls) == naive_reduce(ls)
 
 
 @given(words())
