@@ -72,8 +72,11 @@ def _at_least(low: int, high: int | None = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
             value = int(text)
-        except ValueError:
-            value = low - 1
+        except ValueError:  # not an integer, or one past int()'s digit limit
+            digits = text.strip().removeprefix("+")
+            if digits.isdecimal() and high is None:
+                raise argparse.ArgumentTypeError(f"has too many digits ({len(digits)})")
+            value = high + 1 if digits.isdecimal() and high is not None else low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
         if high is not None and value > high:

@@ -2,9 +2,10 @@
 
 The ball is built by breadth-first search over the generating set
 (fiber basis and the section letter t, with inverses), using the
-normal form (w, k) with w·tᵏ·a = w·Φᵏ(a)·tᵏ to stay exact.  Balls are
-all or nothing: exceeding the vertex budget raises instead of
-returning a partial metric.
+normal form (w, k) with w·tᵏ·a = w·Φᵏ(a)·tᵏ to stay exact.  Only the
+levels below r are expanded; the outer sphere S(r) gets its neighbour
+lists on first use, by a search or a query.  Balls are all or nothing:
+exceeding the vertex budget raises instead of returning a partial metric.
 
 The divergence probe samples far-apart pairs on a sphere and measures
 detour lengths around a forbidden inner ball, then fits a log-log
@@ -20,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automorphisms import apply_power
 from .mapping_torus import TorusElement, TorusGroup
@@ -45,14 +46,16 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(eq=False, repr=False)
 class BallGraph:
-    """Metric ball B(r) in Cay(G, basis ∪ {t}) with exact distances."""
+    """Metric ball B(r) in Cay(G, basis ∪ {t}) with exact distances;
+    the neighbour lists of S(r) are built together on first use."""
 
     group: TorusGroup
     radius: int
     _states: list[State]
     _dist: list[int]
-    _adj: list[tuple[int, ...]]
+    _adj: list[tuple[int, ...] | None]  # None on S(r) until first asked
     _index: dict[State, int]
+    _expand: Callable[[int], None]
 
     def __len__(self) -> int:
         return len(self._states)
@@ -77,7 +80,9 @@ class BallGraph:
         return self._dist[i]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adj[i]
+        if self._adj[i] is None:  # all of S(r) at once: BFS order keeps lookups cache-local
+            self._expand(self.radius + 1)
+        return self._adj[i]  # type: ignore[return-value]
 
     def sphere_indices(self, k: int) -> list[int]:
         return [i for i, d in enumerate(self._dist) if d == k]
@@ -101,6 +106,8 @@ class BallGraph:
         other entries hold what the start side reached.
         """
         adj, level, low = self._adj, self._dist, min_level or 0
+        if adj[-1] is None:  # any search may reach S(r)
+            self.neighbors(len(adj) - 1)
         out: list[int | None] = [None] * len(adj)
         far: list[int | None] = [None] * len(adj)
         if level[start] < low:
@@ -117,7 +124,7 @@ class BallGraph:
             d = mine[front[0]] + 1  # type: ignore[operator]
             nxt = []
             for i in front:
-                for j in adj[i]:
+                for j in adj[i]:  # type: ignore[union-attr]
                     if mine[j] is None and level[j] >= low:
                         mine[j] = d
                         if other[j] is not None:
@@ -130,7 +137,8 @@ class BallGraph:
 
 def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallGraph:
     """Exact BFS ball of radius r; raises BudgetExceededError rather
-    than returning a partial result."""
+    than returning a partial result.  Only the levels below r are
+    expanded; the neighbour lists of S(r) are built together on first use."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     fiber = [Word(group.basis, (s * i,)) for i in range(1, group.basis.rank + 1) for s in (1, -1)]
@@ -138,33 +146,41 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
     # above; (w, k)·x = (w·Φᵏ(x), k), and only the junction can cancel.
     twists: dict[int, list[tuple[int, ...]]] = {}
 
-    # One pass in BFS order computes each vertex's neighbours once; at
-    # radius r every neighbour inside the ball is already indexed.  The
+    # expand(stop) lists, in BFS order, the neighbours of each vertex
+    # below level stop without a list, adding vertices only inside B(r):
+    # expand(r) finds B(r), and expand(r + 1) later lists S(r).  The
     # generating set is symmetric, hence so is the adjacency.
     start: State = ((), 0)
     index: dict[State, int] = {start: 0}
     states: list[State] = [start]
     dist: list[int] = [0]
-    adj: list[tuple[int, ...]] = []
-    for i, (w, k) in enumerate(states):  # states grows while it is read
-        images = twists.get(k)
-        if images is None:
-            images = twists[k] = [apply_power(group.phi, k, x).letters for x in fiber]
-        nbrs = []
-        inner = dist[i] < r
-        for st in [(join(w, y), k) for y in images] + [(w, k + 1), (w, k - 1)]:
-            j = index.get(st)
-            if j is None:
-                if not inner:
-                    continue
-                if len(states) >= max_vertices:
-                    raise BudgetExceededError(max_vertices, r)
-                j = index[st] = len(states)
-                states.append(st)
-                dist.append(dist[i] + 1)
-            nbrs.append(j)
-        adj.append(tuple(sorted(nbrs)))
-    return BallGraph(group, r, states, dist, adj, index)
+    adj: list[tuple[int, ...] | None] = [None]
+
+    def expand(stop: int) -> None:
+        i = adj.index(None)
+        while i < len(states) and dist[i] < stop:
+            w, k = states[i]
+            images = twists.get(k)
+            if images is None:
+                images = twists[k] = [apply_power(group.phi, k, x).letters for x in fiber]
+            nbrs = []
+            for st in [(join(w, y), k) for y in images] + [(w, k + 1), (w, k - 1)]:
+                j = index.get(st)
+                if j is None:
+                    if dist[i] == r:
+                        continue
+                    if len(states) >= max_vertices:
+                        raise BudgetExceededError(max_vertices, r)
+                    j = index[st] = len(states)
+                    states.append(st)
+                    dist.append(dist[i] + 1)
+                    adj.append(None)
+                nbrs.append(j)
+            adj[i] = tuple(sorted(nbrs))
+            i += 1
+
+    expand(r)
+    return BallGraph(group, r, states, dist, adj, index, expand)
 
 
 def free_times_z_ball_size(rank: int, r: int) -> int:

@@ -452,6 +452,29 @@ def test_iters_bound_is_inclusive(capsys):
     assert json.loads(out)["budgets"]["iters"] == 1000
 
 
+# past Python's int-to-str digit limit int() raises ValueError, which
+# must not read as "not an integer"
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    [
+        (("growth", "--map", FIB), "--iters", "9" * 5000, "must be an integer <= 1000, got {!r}"),
+        (("growth", "--map", FIB), "--iters", "+" + "9" * 5000, "must be an integer <= 1000, got {!r}"),
+        (("growth", "--map", FIB), "--cap", "9" * 5000, "has too many digits (5000)"),
+        (("growth", "--map", FIB), "--cap", " +" + "9" * 5000, "has too many digits (5000)"),
+        (("growth", "--map", FIB), "--cap", "-" + "9" * 5000, "must be an integer >= 1, got {!r}"),
+        (("divergence", "--map", "a -> a; b -> b"), "--samples", "7" * 4301, "has too many digits (4301)"),
+    ],
+    ids=["iters", "iters-plus", "cap", "cap-plus", "cap-negative", "samples"],
+)
+def test_overlong_budgets_exit_one(argv, flag, value, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, flag, value])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: argument {flag}: {message.format(value)}"]
+
+
 @pytest.mark.parametrize("value", ["4,x", "0", "4,-2", ","])
 def test_bad_radii_exit_one(value, capsys):
     with pytest.raises(SystemExit) as info:

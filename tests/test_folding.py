@@ -207,7 +207,7 @@ def gen_lists(rank: int, max_len: int, max_gens: int):
 # through path compression.  Few draws read such a composed potential
 # back; the first explicit example does.  The others reach the cases of
 # a witnessed add_path that short random draws seldom combine.
-@settings(max_examples=80)
+@settings(max_examples=80, deadline=None)
 @given(
     st.one_of(
         st.tuples(st.just(F), gen_lists(2, 5, 3)),

@@ -14,6 +14,7 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fgrow import geometry
 from fgrow.automorphisms import identity_automorphism, parse_automorphism
 from fgrow.geometry import (
     BallGraph,
@@ -24,7 +25,7 @@ from fgrow.geometry import (
     free_times_z_ball_size,
 )
 from fgrow.mapping_torus import torus_group
-from fgrow.words import basis
+from fgrow.words import basis, join
 
 from helpers import torus_words
 
@@ -32,6 +33,7 @@ F = basis("a b")
 GID = torus_group(identity_automorphism(F))
 GPOLY = torus_group(parse_automorphism("a -> a\nb -> b a"))
 GFIB = torus_group(parse_automorphism("a -> a b\nb -> a"))
+G3 = torus_group(parse_automorphism("a -> a\nb -> b a\nc -> c b"))
 
 
 def shortest_spellings(group, max_len):
@@ -99,10 +101,50 @@ def test_adjacency_is_unit_distance_and_symmetric():
             assert any(e * s == f for s in steps)
 
 
+@pytest.mark.parametrize("r", [3, 4, 5])
+@pytest.mark.parametrize("group", [GID, GPOLY, GFIB, G3], ids=["id", "poly", "fib", "rank3"])
+def test_adjacency_is_complete(group, r):
+    # every in-ball e·s is listed, on the outer sphere S(r) too
+    ball = cayley_ball(group, r)
+    gens = [group.element(name) for name in group.basis.names] + [group.t()]
+    steps = gens + [g.inverse() for g in gens]
+    for i in reversed(range(len(ball))):  # S(r) first: the first call lists it
+        e = ball.element(i)
+        near = [f for f in (e * s for s in steps) if ball.contains(f)]
+        assert ball.neighbors(i) == tuple(sorted(ball.index_of(f) for f in near))
+
+
+def test_ball_expands_only_inner_levels(monkeypatch):
+    calls = []
+
+    def spy(u, v):
+        calls.append(u)
+        return join(u, v)
+
+    monkeypatch.setattr(geometry, "join", spy)
+    for group in (GID, GFIB, G3):
+        per_vertex = 2 * group.basis.rank
+        for r in (0, 3, 4):
+            calls.clear()
+            ball = cayley_ball(group, r)
+            expanded = len(ball) - ball.sphere_sizes()[r]
+            assert len(calls) == per_vertex * expanded
+            outer = ball.sphere_indices(r)[-1]
+            assert ball.neighbors(outer) == ball.neighbors(outer)
+            # S(r) is listed in one pass, once
+            assert len(calls) == per_vertex * len(ball)
+
+
 def test_budget_is_all_or_nothing():
     with pytest.raises(BudgetExceededError):
         cayley_ball(GID, 4, max_vertices=50)
     assert len(cayley_ball(GID, 4, max_vertices=1000)) == 313
+
+
+def test_budget_boundary_is_exact():
+    assert len(cayley_ball(GID, 4, max_vertices=313)) == 313
+    with pytest.raises(BudgetExceededError):
+        cayley_ball(GID, 4, max_vertices=312)
 
 
 def test_distances_from_restriction():
