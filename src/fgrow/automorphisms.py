@@ -1,11 +1,13 @@
 """Endomorphisms and automorphisms of a finite-rank free group.
 
-A map is stored by its generator images.  Inverting is done
-constructively: fold the graph of the image subgroup while threading
-witness expressions, check the result is the full rose (surjective
-plus free-group Hopficity means bijective), then read each generator's
-preimage off its loop expression.  The certificate is verified by
-composing both ways before anything is returned.
+A map is stored by its generator images; an automorphism is an
+endomorphism that also carries certified inverse images, so it goes
+wherever an endomorphism does.  Inverting is done constructively: fold
+the graph of the image subgroup while threading witness expressions,
+check the result is the full rose (surjective plus free-group Hopficity
+means bijective), then read each generator's preimage off its loop
+expression.  The certificate is verified by composing both ways before
+anything is returned.
 
 >>> from .words import basis
 >>> b = basis("a b")
@@ -108,30 +110,13 @@ class Endomorphism:
 
 
 @dataclass(frozen=True)
-class Automorphism:
-    """Invertible endomorphism bundled with its certified inverse images."""
+class Automorphism(Endomorphism):
+    """An endomorphism with certified inverse images, in basis order."""
 
-    endo: Endomorphism
     inverse_images: tuple[Word, ...]
 
-    @property
-    def basis(self) -> Basis:
-        return self.endo.basis
-
-    @property
-    def images(self) -> tuple[Word, ...]:
-        return self.endo.images
-
-    def apply(self, w: Word) -> Word:
-        return self.endo.apply(w)
-
     def inverse(self) -> "Automorphism":
-        return Automorphism(
-            Endomorphism(self.basis, self.inverse_images), self.endo.images
-        )
-
-    def __str__(self) -> str:
-        return str(self.endo)
+        return Automorphism(self.basis, self.inverse_images, self.images)
 
     def __repr__(self) -> str:
         return f"<automorphism {self}>"
@@ -142,8 +127,8 @@ def identity_endomorphism(b: Basis) -> Endomorphism:
 
 
 def identity_automorphism(b: Basis) -> Automorphism:
-    e = identity_endomorphism(b)
-    return Automorphism(e, e.images)
+    images = identity_endomorphism(b).images
+    return Automorphism(b, images, images)
 
 
 def inner_automorphism(b: Basis, g: Word) -> Automorphism:
@@ -153,39 +138,34 @@ def inner_automorphism(b: Basis, g: Word) -> Automorphism:
     ginv = g.inverse()
     fwd = tuple(g * Word(b, (i,)) * ginv for i in range(1, b.rank + 1))
     bwd = tuple(ginv * Word(b, (i,)) * g for i in range(1, b.rank + 1))
-    return Automorphism(Endomorphism(b, fwd), bwd)
+    return Automorphism(b, fwd, bwd)
 
 
-def compose(f: Endomorphism | Automorphism, g: Endomorphism | Automorphism):
+def compose(f: Endomorphism, g: Endomorphism):
     """f after g.  Automorphism when both arguments are."""
-    fe = f.endo if isinstance(f, Automorphism) else f
-    ge = g.endo if isinstance(g, Automorphism) else g
-    if fe.basis != ge.basis:
+    if f.basis != g.basis:
         raise BasisMismatchError("maps over different bases")
-    endo = Endomorphism(fe.basis, tuple(fe.apply(w) for w in ge.images))
+    images = tuple(f.apply(w) for w in g.images)
     if isinstance(f, Automorphism) and isinstance(g, Automorphism):
         ginv = g.inverse()
-        return Automorphism(endo, tuple(ginv.apply(w) for w in f.inverse_images))
-    return endo
+        return Automorphism(f.basis, images, tuple(ginv.apply(w) for w in f.inverse_images))
+    return Endomorphism(f.basis, images)
 
 
-def power(phi: Endomorphism | Automorphism, k: int):
+def power(phi: Endomorphism, k: int):
     """k-fold composition; negative k inverts first (automorphisms only)."""
     if k < 0:
         if not isinstance(phi, Automorphism):
             raise ValueError("negative power of a non-invertible map")
         return power(phi.inverse(), -k)
-    out: Endomorphism | Automorphism
-    if isinstance(phi, Automorphism):
-        out = identity_automorphism(phi.basis)
-    else:
-        out = identity_endomorphism(phi.basis)
+    identity = identity_automorphism if isinstance(phi, Automorphism) else identity_endomorphism
+    out = identity(phi.basis)
     for _ in range(k):
         out = compose(phi, out)
     return out
 
 
-def apply_power(phi: Endomorphism | Automorphism, k: int, w: Word) -> Word:
+def apply_power(phi: Endomorphism, k: int, w: Word) -> Word:
     """Φ^k(w) by repeated application."""
     if k < 0:
         if not isinstance(phi, Automorphism):
@@ -222,7 +202,7 @@ def certify_automorphism(phi: Endomorphism) -> Automorphism:
         # expression indices name the images, so they substitute
         # directly as preimage letters
         inverse_images.append(Word(b, expr))
-    auto = Automorphism(phi, tuple(inverse_images))
+    auto = Automorphism(b, phi.images, tuple(inverse_images))
     inv = auto.inverse()
     # each expression multiplies images out to its generator, so
     # phi∘inv = id; free groups are Hopfian, so inv∘phi = id follows

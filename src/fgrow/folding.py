@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .words import Basis, BasisMismatchError, Word, concat_all, free_reduce
+from .words import Basis, BasisMismatchError, Word, concat_all, free_reduce, join
 
 Edge = tuple[int, int, int]  # (source, label, target), label positive
 Table = list[dict[int, int]]  # by vertex, then label: the edge's other end
@@ -155,14 +155,6 @@ def _inv(e: Expr) -> Expr:
     return tuple(-j for j in reversed(e))
 
 
-def _mul(a: Expr, b: Expr) -> Expr:
-    if not a:
-        return b
-    if not b:
-        return a
-    return free_reduce(a + b)
-
-
 def _walk(succ: Table, pred: Table, at: int, letters: Sequence[int]) -> tuple[int, int]:
     """The vertex reached reading ``letters`` from ``at`` while edges
     exist, and the number of letters read."""
@@ -239,7 +231,7 @@ class _PotentialUnionFind(_UnionFind):
         pot = self.pot
         acc: Expr = ()
         for w in reversed(path):
-            acc = _mul(pot.get(w, ()), acc)
+            acc = join(pot.get(w, ()), acc)
             parent[w] = v
             if acc:
                 pot[w] = acc
@@ -275,10 +267,7 @@ class _Fold:
     def _at_roots(self, u: int, e: Expr, v: int) -> Expr:
         """e, for V(u)·…·V(v)⁻¹, rewritten for the roots; u, v just found."""
         pot = self.uf.pot
-        pu, pv = pot.get(u), pot.get(v)
-        if pu:
-            e = _mul(_inv(pu), e)
-        return _mul(e, pv) if pv else e
+        return join(join(_inv(pot.get(u, ())), e), pot.get(v, ()))
 
     def insert(self, u: int, x: int, v: int, e: Expr = ()) -> None:
         """Add the edge (u, x, v), or fold it into one with its label."""
@@ -291,13 +280,13 @@ class _Fold:
         t = out[ru].get(x)
         if t is not None:  # absorbed into the edge (ru, x, t)
             if t != rv:
-                d = _mul(_inv(ex.get((ru, x), ())), e) if witnessed else ()
+                d = join(_inv(ex.get((ru, x), ())), e) if witnessed else ()
                 self.unions.append((t, rv, d))
             return
         s = inn[rv].get(x)
         if s is not None:  # absorbed into the edge (s, x, rv)
             if s != ru:
-                d = _mul(ex.get((s, x), ()), _inv(e)) if witnessed else ()
+                d = join(ex.get((s, x), ()), _inv(e)) if witnessed else ()
                 self.unions.append((s, ru, d))
             return
         out[ru][x] = rv
@@ -372,9 +361,9 @@ class _Fold:
         q, k = _walk(out, inn, end, _inv(letters[i:]))
         j = len(letters) - k
         if self.witnessed and i:
-            e = _mul(_inv(_read(out, inn, ex, 0, letters[:i])[1]), e)
+            e = join(_inv(_read(out, inn, ex, 0, letters[:i])[1]), e)
         if self.witnessed and j < len(letters):
-            e = _mul(e, _inv(_read(out, inn, ex, q, letters[j:])[1]))
+            e = join(e, _inv(_read(out, inn, ex, q, letters[j:])[1]))
         if i == j:
             self.unions.append((p, q, e))
         else:

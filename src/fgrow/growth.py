@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automorphisms import Automorphism, Endomorphism
+from .automorphisms import Endomorphism
 from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word, free_reduce
 
 Matrix = list[list[int]]
@@ -47,10 +47,6 @@ KIND_POLYNOMIAL = "Polynomial"
 KIND_HEURISTIC_EXPONENTIAL = "Heuristic-Exponential"
 KIND_HEURISTIC_POLYNOMIAL = "Heuristic-Polynomial"
 KIND_INCONCLUSIVE = "Inconclusive"
-
-
-def _endo(phi: Endomorphism | Automorphism) -> Endomorphism:
-    return phi.endo if isinstance(phi, Automorphism) else phi
 
 
 def _core(endo: Endomorphism, x: Word | CyclicWord) -> CyclicWord:
@@ -128,20 +124,19 @@ def _close_pairs(
     return True, frozenset(pairs), None
 
 
-def no_cancellation_certificate(phi: Endomorphism | Automorphism) -> Certificate:
+def no_cancellation_certificate(phi: Endomorphism) -> Certificate:
     """Close image-adjacent pairs under evolution; certify if none cancels."""
-    endo = _endo(phi)
     seeds: set[tuple[int, int]] = set()
-    for img in endo.images:
+    for img in phi.images:
         ls = img.letters
         seeds.update(zip(ls, ls[1:]))
         if ls:
             seeds.add((ls[-1], ls[0]))
-    ok, pairs, offender = _close_pairs(endo, seeds)
+    ok, pairs, offender = _close_pairs(phi, seeds)
     witness = None
     if offender is not None:
-        witness = (endo.image(offender[0]), endo.image(offender[1]))
-    return Certificate(endo, ok, pairs, offender, witness)
+        witness = (phi.image(offender[0]), phi.image(offender[1]))
+    return Certificate(phi, ok, pairs, offender, witness)
 
 
 def _inner_normalize(endo: Endomorphism) -> tuple[Endomorphism, Word]:
@@ -176,11 +171,10 @@ def _inner_normalize(endo: Endomorphism) -> tuple[Endomorphism, Word]:
 # transition matrix and its component structure
 
 
-def transition_matrix(phi: Endomorphism | Automorphism) -> Matrix:
-    endo = _endo(phi)
-    r = endo.basis.rank
+def transition_matrix(phi: Endomorphism) -> Matrix:
+    r = phi.basis.rank
     m = [[0] * r for _ in range(r)]
-    for j, img in enumerate(endo.images):
+    for j, img in enumerate(phi.images):
         for letter in img.letters:
             m[abs(letter) - 1][j] += 1
     return m
@@ -304,7 +298,7 @@ def _iterated_lengths(
 
 
 def length_sequence(
-    phi: Endomorphism | Automorphism,
+    phi: Endomorphism,
     x: Word | CyclicWord,
     n: int,
     cap: int | None = 10**6,
@@ -316,8 +310,7 @@ def length_sequence(
     """
     if n < 1:
         raise ValueError("need at least one iterate")
-    endo = _endo(phi)
-    seq, _ = _iterated_lengths(endo, _core(endo, x), n, cap)
+    seq, _ = _iterated_lengths(phi, _core(phi, x), n, cap)
     return seq[1:]
 
 
@@ -423,7 +416,7 @@ def _heuristic_verdict(
 
 
 def classify_growth(
-    phi: Endomorphism | Automorphism,
+    phi: Endomorphism,
     x: Word | CyclicWord | None = None,
     params: GrowthParams | None = None,
 ) -> GrowthReport:
@@ -436,16 +429,15 @@ def classify_growth(
     report that stays heuristic carries Φ's failed certificate.
     """
     params = params or GrowthParams()
-    endo = _endo(phi)
-    cert = no_cancellation_certificate(endo)
-    psi, h, psi_cert = endo, None, cert
+    cert = no_cancellation_certificate(phi)
+    psi, h, psi_cert = phi, None, cert
     if not cert.holds:
-        psi, g = _inner_normalize(endo)
+        psi, g = _inner_normalize(phi)
         if g:
             h, psi_cert = g, no_cancellation_certificate(psi)
 
     if x is not None:
-        core = _core(endo, x)
+        core = _core(phi, x)
         subject = str(core)
         if core.length == 0:
             return GrowthReport(

@@ -142,7 +142,7 @@ class TorusGroup:
         return f"< {gens} | {rels} >"
 
 
-def torus_group(phi: Automorphism | Endomorphism) -> TorusGroup:
+def torus_group(phi: Endomorphism) -> TorusGroup:
     """Build the mapping torus, certifying the map when needed."""
     if not isinstance(phi, Automorphism):
         phi = certify_automorphism(phi)

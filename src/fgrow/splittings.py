@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .automorphisms import Automorphism, _parse_word, apply_power
 from .folding import (
@@ -177,11 +177,10 @@ class FixedSplittingWitness:
     correctors: tuple[tuple[str, Word], ...]
 
     def __post_init__(self) -> None:
-        # lookups by name; built reversed, so a name's first entry wins
-        sigma_e = {a: (b, flip) for a, b, flip in reversed(self.edge_map)}
-        object.__setattr__(self, "_sigma_v", dict(reversed(self.vertex_map)))
+        sigma_e = {a: (b, flip) for a, b, flip in self.edge_map}
+        object.__setattr__(self, "_sigma_v", dict(self.vertex_map))
         object.__setattr__(self, "_sigma_e", sigma_e)
-        object.__setattr__(self, "_correctors", dict(reversed(self.correctors)))
+        object.__setattr__(self, "_correctors", dict(self.correctors))
 
     def sigma_vertex(self, name: str) -> str:
         return self._sigma_v.get(name, name)
@@ -210,6 +209,14 @@ def _check_witness_shape(gog: GraphOfGroups, witness: FixedSplittingWitness) -> 
     for a, _ in witness.correctors:
         if a not in vnames:
             raise ValueError(f"corrector for unknown vertex {a!r}")
+    for what, entries in (
+        ("vertex map", witness.vertex_map),
+        ("edge map", witness.edge_map),
+        ("corrector", witness.correctors),
+    ):
+        twice = [name for name, n in Counter(e[0] for e in entries).items() if n > 1]
+        if twice:
+            raise ValueError(f"witness repeats the {what} entry for {twice[0]!r}")
     if len({witness.sigma_vertex(n) for n in vnames}) != len(vnames):
         raise ValueError("witness vertex map is not a permutation")
     if len({witness.sigma_edge(n)[0] for n in enames}) != len(enames):
@@ -239,15 +246,6 @@ def verify_fixed(
         src, tgt = (f.v, f.u) if flip else (f.u, f.v)
         if (witness.sigma_vertex(e.u), witness.sigma_vertex(e.v)) != (src, tgt):
             return False
-    for v in gog.vertices:
-        x = witness.corrector(v.name, b)
-        target = by_name[witness.sigma_vertex(v.name)].group
-        for w in v.group.free_basis():
-            if not target.accepts(x * phi.apply(w) * x.inverse()):
-                return False
-    for e in gog.edges:
-        f_name, flip = witness.sigma_edge(e.name)
-        f = by_edge[f_name]
         if e.fiber is not None:
             if f.fiber is None:
                 return False
@@ -270,6 +268,12 @@ def verify_fixed(
             s = f.stable_letter.inverse() if flip else f.stable_letter
             moved = xu * phi.apply(e.stable_letter) * xv.inverse()
             if not double_coset_contains(left, s, right, moved):
+                return False
+    for v in gog.vertices:
+        x = witness.corrector(v.name, b)
+        target = by_name[witness.sigma_vertex(v.name)].group
+        for w in v.group.free_basis():
+            if not target.accepts(x * phi.apply(w) * x.inverse()):
                 return False
     return True
 
@@ -330,7 +334,7 @@ class TorusSplitting:
     edges: tuple[TorusEdgeGroup, ...]
 
 
-def _orbit(start: str, step) -> list[str]:
+def _orbit(start, step) -> list:
     out = [start]
     cur = step(start)
     while cur != start:
@@ -376,35 +380,27 @@ def induce_torus_splitting(
     for v in gog.vertices:
         orbit = _orbit(v.name, witness.sigma_vertex)
         rep = min(orbit)
-        for name in orbit:
-            vertex_rep[name] = rep
+        vertex_rep.update(dict.fromkeys(orbit, rep))
         if v.name != rep:
             continue
-        xs = [witness.corrector(name, b) for name in orbit]
-        x = _accumulate_corrector(phi, b, xs)
+        x = _accumulate_corrector(phi, b, [witness.corrector(name, b) for name in orbit])
         out_vertices.append(TorusVertexGroup(rep, by_name[rep].group, x, len(orbit)))
+
+    def edge_step(state: tuple[str, bool]) -> tuple[str, bool]:
+        image, flip = witness.sigma_edge(state[0])
+        return image, state[1] ^ flip
 
     out_edges = []
     done: set[str] = set()
     for e in gog.edges:
         if e.name in done:
             continue
-        # walk the oriented orbit until the edge returns with even flip
-        chain: list[tuple[str, bool]] = [(e.name, False)]
-        name, flip = witness.sigma_edge(e.name)
-        parity = flip
-        while not (name == e.name and not parity):
-            chain.append((name, parity))
-            nxt, fl = witness.sigma_edge(name)
-            name, parity = nxt, parity ^ fl
+        # the oriented orbit: it ends when the edge returns with even flip
+        chain = _orbit((e.name, False), edge_step)
         n = len(chain)
         done.update(nm for nm, _ in chain)
-        srcs = []
-        for nm, par in chain:
-            edge = by_edge[nm]
-            srcs.append(edge.v if par else edge.u)
-        xs = [witness.corrector(s, b) for s in srcs]
-        x = _accumulate_corrector(phi, b, xs)
+        ends = [by_edge[nm].v if par else by_edge[nm].u for nm, par in chain]
+        x = _accumulate_corrector(phi, b, [witness.corrector(s, b) for s in ends])
         twist: int | None = None
         if e.fiber is not None:
             y = e.fiber
@@ -459,27 +455,23 @@ class Hierarchy:
     root: HierarchyNode
 
 
-def hierarchy_depth(h: Hierarchy) -> int:
-    def depth(node: HierarchyNode) -> int:
-        if not node.children:
-            return 0
-        return 1 + max(depth(c) for c in node.children)
+def _nodes(h: Hierarchy) -> Iterator[tuple[HierarchyNode, int]]:
+    """Every node of h with its depth below the root, parents first."""
+    stack = [(h.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((c, depth + 1) for c in reversed(node.children))
 
-    return depth(h.root)
+
+def hierarchy_depth(h: Hierarchy) -> int:
+    return max(depth for _, depth in _nodes(h))
 
 
 def is_complete(h: Hierarchy) -> bool | None:
     """True when every leaf is absolute, None (unknown) when any leaf
     is unexpanded, False otherwise."""
-    leaves: list[HierarchyNode] = []
-
-    def walk(node: HierarchyNode) -> None:
-        if node.is_leaf():
-            leaves.append(node)
-        for c in node.children:
-            walk(c)
-
-    walk(h.root)
+    leaves = [node for node, _ in _nodes(h) if node.is_leaf()]
     if any(n.status == "unexpanded" for n in leaves):
         return None
     return all(n.status == "absolute" for n in leaves)
@@ -496,8 +488,7 @@ def validate_hierarchy(h: Hierarchy) -> None:
     children matching the non-absolute vertex groups, and leaf status
     claims verified where groups are explicit."""
     seen: set[str] = set()
-
-    def walk(node: HierarchyNode) -> None:
+    for node, _ in _nodes(h):
         if node.name in seen:
             raise SplittingViolation(f"duplicate hierarchy node name {node.name!r}")
         seen.add(node.name)
@@ -532,10 +523,6 @@ def validate_hierarchy(h: Hierarchy) -> None:
                 raise SplittingViolation(
                     f"leaf {node.name!r} claims absolute but its group is not"
                 )
-        for c in node.children:
-            walk(c)
-
-    walk(h.root)
 
 
 def induce_hierarchy(
@@ -591,6 +578,16 @@ def _basis_line(line: str, lineno: int, b: Basis | None) -> Basis:
     return declared
 
 
+def _named(line: str, lineno: int, what: str, layout: str) -> tuple[str, str]:
+    """A ``name: rest`` line's nonempty name and its rest."""
+    if ":" not in line:
+        raise WordSyntaxError(f"line {lineno}: expected '{layout}'")
+    name, rest = line.split(":", 1)
+    if not name.strip():
+        raise WordSyntaxError(f"line {lineno}: missing {what} name")
+    return name.strip(), rest
+
+
 def parse_splitting(
     text: str, b: Basis | None = None
 ) -> tuple[GraphOfGroups, FixedSplittingWitness | None]:
@@ -623,19 +620,15 @@ def parse_splitting(
         if b is None:
             raise WordSyntaxError(f"line {lineno}: basis must come first")
         if section == "vertices":
-            if ":" not in line:
-                raise WordSyntaxError(f"line {lineno}: expected 'name: words'")
-            name, rest = line.split(":", 1)
+            name, rest = _named(line, lineno, "vertex", "name: words")
             gens = [
                 _parse_word(b, part, lineno)
                 for part in rest.split("|")
                 if part.strip()
             ]
-            vertices.append(GogVertex(name.strip(), stallings_graph(b, gens)))
+            vertices.append(GogVertex(name, stallings_graph(b, gens)))
         elif section == "edges":
-            if ":" not in line:
-                raise WordSyntaxError(f"line {lineno}: expected 'name: u v ; fields'")
-            name, rest = line.split(":", 1)
+            name, rest = _named(line, lineno, "edge", "name: u v ; fields")
             fields = rest.split(";")
             ends = fields[0].split()
             if len(ends) != 2:
@@ -660,7 +653,7 @@ def parse_splitting(
                     stable = w
                 else:
                     raise WordSyntaxError(f"line {lineno}: unknown edge field {key!r}")
-            edges.append(GogEdge(name.strip(), ends[0], ends[1], fiber, bu, bv, stable))
+            edges.append(GogEdge(name, ends[0], ends[1], fiber, bu, bv, stable))
         elif section == "witness":
             parts = line.split()
             head, colon, rest = line.partition(":")
@@ -699,7 +692,7 @@ def parse_hierarchy(text: str, b: Basis | None = None) -> Hierarchy:
     One node per line, two-space indentation for children, fields
     ``group=w1|w2`` and ``status=...`` after the node name.
     """
-    kind = "free"
+    kind: str | None = None
     stack: list[tuple[int, dict]] = []
     root: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -711,6 +704,10 @@ def parse_hierarchy(text: str, b: Basis | None = None) -> Hierarchy:
             b = _basis_line(stripped, lineno, b)
             continue
         if stripped.startswith("kind:"):
+            if kind is not None:
+                raise WordSyntaxError(f"line {lineno}: duplicate kind line")
+            if root is not None:
+                raise WordSyntaxError(f"line {lineno}: kind must come before the nodes")
             kind = stripped[len("kind:"):].strip()
             if kind not in ("free", "cyclic"):
                 raise WordSyntaxError(f"line {lineno}: kind must be free or cyclic")
@@ -768,7 +765,7 @@ def parse_hierarchy(text: str, b: Basis | None = None) -> Hierarchy:
             status=d["status"],
         )
 
-    return Hierarchy(kind, build(root))
+    return Hierarchy(kind or "free", build(root))
 
 
 __all__ = [

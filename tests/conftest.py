@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# One hypothesis profile for the suite: no per-example deadline, since a
+# loaded machine can stretch one example past it; example counts stay per test.
+settings.register_profile("fgrow", deadline=None)
+settings.load_profile("fgrow")
 
 ACCEPTANCE_LINES: list[str] = []
 

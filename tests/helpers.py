@@ -51,8 +51,7 @@ def substitute(images: dict[int, tuple[int, ...]], letters) -> tuple[int, ...]:
 
 
 def image_table(phi) -> dict[int, tuple[int, ...]]:
-    endo = getattr(phi, "endo", phi)
-    return {j + 1: endo.images[j].letters for j in range(endo.basis.rank)}
+    return {j + 1: phi.images[j].letters for j in range(phi.basis.rank)}
 
 
 def cyclic_trim(letters) -> tuple[int, ...]:

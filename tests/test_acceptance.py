@@ -173,7 +173,7 @@ def test_criterion_3_invariance_suite():
     rng = random.Random(3)
     for i in range(20):
         phi = suite[i % len(suite)]
-        b = phi.endo.basis
+        b = phi.basis
         g = Word(b, random_letters(rng, b.rank, rng.randint(1, 4)))
         psi = compose(inner_automorphism(b, g), phi)
         expect_same(phi, classify_growth(psi), f"conjugation by {g}")

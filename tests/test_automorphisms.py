@@ -24,6 +24,13 @@ from fgrow.automorphisms import (
     restrict,
 )
 from fgrow.folding import stallings_graph, subgroup_equal
+from fgrow.growth import (
+    classify_growth,
+    length_sequence,
+    no_cancellation_certificate,
+    transition_matrix,
+)
+from fgrow.mapping_torus import torus_group
 from fgrow.words import VerificationError, WordSyntaxError, Word, basis, free_reduce, identity
 
 from helpers import random_letters
@@ -41,11 +48,11 @@ def W(text: str) -> Word:
 
 def test_parse_layouts():
     one_line = parse_endomorphism("a -> a b; b -> a")
-    assert one_line == FIB.endo
+    assert one_line.images == FIB.images
     commented = parse_endomorphism("a -> a b  # grows\nb -> a\n")
-    assert commented == FIB.endo
+    assert commented.images == FIB.images
     explicit = parse_endomorphism("b -> a; a -> a b", F)
-    assert explicit == FIB.endo
+    assert explicit.images == FIB.images
 
 
 def test_parse_diagnostics_carry_line_numbers():
@@ -88,7 +95,7 @@ def test_bad_generator_name_names_its_line():
 
 
 def test_parse_str_roundtrip():
-    assert parse_endomorphism(str(FIB)) == FIB.endo
+    assert parse_endomorphism(str(FIB)).images == FIB.images
     theta = parse_endomorphism("a -> b a b'\nb -> b b")
     assert parse_endomorphism(str(theta)) == theta
 
@@ -127,7 +134,7 @@ def test_failed_inverse_readback_is_a_typed_error(monkeypatch):
 
     monkeypatch.setattr(automorphisms, "witnessed_graph", lambda b, gens: ForgedFold())
     with pytest.raises(VerificationError):
-        certify_automorphism(FIB.endo)
+        certify_automorphism(FIB)
 
 
 def test_non_injective_shape_rejected():
@@ -148,7 +155,7 @@ def test_random_nielsen_products_certify(seed):
         else:
             step = parse_automorphism("a -> a b\nb -> b")
         phi = compose(step, phi)
-    again = certify_automorphism(phi.endo)
+    again = certify_automorphism(phi)
     inv = again.inverse()
     for _ in range(20):
         w = Word(F, random_letters(rng, 2, rng.randint(0, 6)))
@@ -158,11 +165,35 @@ def test_random_nielsen_products_certify(seed):
 # -- algebra ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("rules", ["a -> a b\nb -> a", "a -> a\nb -> b a", "a -> b a b'\nb -> b a'"])
+def test_automorphism_is_an_endomorphism(rules):
+    endo = parse_endomorphism(rules)
+    auto = certify_automorphism(endo)
+    assert isinstance(auto, Endomorphism)
+    assert auto.images == endo.images and str(auto) == str(endo)
+    assert repr(auto) == f"<automorphism {endo}>"
+    # every consumer of a map takes the automorphism as it is
+    got, want = classify_growth(auto), classify_growth(endo)
+    assert (got.kind, got.certified, got.rate, got.degree, got.lengths, got.conjugator) == (
+        want.kind, want.certified, want.rate, want.degree, want.lengths, want.conjugator
+    )
+    cert, plain = no_cancellation_certificate(auto), no_cancellation_certificate(endo)
+    assert cert.endo is auto and (cert.holds, cert.pairs) == (plain.holds, plain.pairs)
+    assert transition_matrix(auto) == transition_matrix(endo)
+    w = W("a b'")
+    assert length_sequence(auto, w, 6) == length_sequence(endo, w, 6)
+    assert isinstance(compose(auto, auto), Automorphism)
+    assert type(compose(auto, endo)) is Endomorphism
+    assert compose(auto, endo).images == compose(endo, auto).images == compose(auto, auto).images
+    assert torus_group(auto).phi is auto
+    assert torus_group(endo).phi == auto
+
+
 def test_compose_and_power():
     sq = compose(FIB, FIB)
     assert isinstance(sq, Automorphism)
     assert sq.apply(W("a")) == FIB.apply(FIB.apply(W("a")))
-    assert power(FIB, 0).endo == identity_endomorphism(F)
+    assert power(FIB, 0).images == identity_endomorphism(F).images
     assert power(FIB, 3).images == compose(FIB, sq).images
     assert power(FIB, -1).images == FIB.inverse().images
     w = W("a b' a")

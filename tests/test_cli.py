@@ -270,6 +270,25 @@ def test_split_duplicate_witness_entry(tmp_path, capsys, extra, name):
     assert err.splitlines() == [f"error: line {n}: duplicate witness entry for {name!r}"]
 
 
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("split", "basis: a b\n[vertices]\n: a | b\n", "line 3: missing vertex name"),
+        ("split", "basis: a b\n[vertices]\nv: a\n[edges]\n: v v ; s = b\n", "line 5: missing edge name"),
+        ("hierarchy", "basis: a b\nkind: free\nkind: cyclic\ng\n", "line 3: duplicate kind line"),
+        ("hierarchy", "basis: a b\ng\nkind: cyclic\n", "line 3: kind must come before the nodes"),
+    ],
+    ids=["nameless-vertex", "nameless-edge", "second-kind", "late-kind"],
+)
+def test_malformed_structure_files_exit_one(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flag = "--gog" if command == "split" else "--file"
+    maps = ["--map", "a -> a b; b -> a"] if command == "split" else []
+    code, out, err = run(capsys, command, *maps, flag, str(path))
+    assert (code, out, err.splitlines()) == (1, "", [f"error: {message}"])
+
+
 # -- hierarchy ---------------------------------------------------------
 
 

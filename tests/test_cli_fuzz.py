@@ -186,7 +186,7 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 @example((["split", "--map", "a -> a; b -> b", "--gog", "{gog}"],
           {"gog": "basis: a b\n[vertices]\nv1: a\n[witness]\ncorrector : a\n"}))

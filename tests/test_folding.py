@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fgrow import folding
 from fgrow.folding import (
     StallingsGraph,
     conjugate_subgroup,
@@ -207,7 +208,7 @@ def gen_lists(rank: int, max_len: int, max_gens: int):
 # through path compression.  Few draws read such a composed potential
 # back; the first explicit example does.  The others reach the cases of
 # a witnessed add_path that short random draws seldom combine.
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     st.one_of(
         st.tuples(st.just(F), gen_lists(2, 5, 3)),
@@ -231,6 +232,19 @@ def test_witnessed_graph_agrees_with_plain_fold(case):
     for w in plain.free_basis() + products:
         expr = wg.express(w)
         assert expr is not None and wg.evaluate(expr) == w
+    # the fold multiplies stored expressions at their junction only, so
+    # each one, and each queued merge's, must stay reduced
+    fold = folding._Fold(witnessed=True)
+    drain = fold.drain
+
+    def checked_drain():
+        assert all(free_reduce(d) == d for *_, d in fold.unions)
+        drain()
+
+    fold.drain = checked_drain
+    for j, g in enumerate(gens, start=1):
+        fold.add_path(g.letters, e=(j,))
+        assert all(free_reduce(e) == e for e in [*fold.ex.values(), *fold.uf.pot.values()])
 
 
 def conjugated_gen_lists(rank: int, max_len: int, max_gens: int):
@@ -244,7 +258,7 @@ def conjugated_gen_lists(rank: int, max_len: int, max_gens: int):
 # stallings_graph folds loops onto a live fold, reading each word along
 # the graph first; helpers.petal_fold merges a wedge of petals and shares
 # no code with it.
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.one_of(
         st.tuples(st.just(F), conjugated_gen_lists(2, 4, 4)),
@@ -273,7 +287,7 @@ def test_loop_whose_closing_edge_folds_into_its_first():
     assert g.edges == ((0, 1, 1), (1, 2, 1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.one_of(
         st.tuples(st.just(F), gen_lists(2, 6, 4)),
@@ -324,7 +338,7 @@ def assert_cored_and_canonical(g: StallingsGraph) -> None:
     assert all(d >= 2 for d in degree[1:])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.one_of(
         st.tuples(st.just(F), gen_lists(2, 6, 3), gen_lists(2, 6, 3)),

@@ -187,7 +187,7 @@ def test_pair_search_edge_cases(ball):
     assert check_pair_search(ball, p, 0, 1) is None  # target outside the fence
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from(range(len(BALLS))), st.data())
 def test_pair_search_matches_full_bfs(which, data):
     ball = BALLS[which]
@@ -264,7 +264,7 @@ def fit_points(draw):
     return [(r, draw(st.floats(1e-3, 1e6))) for r in radii]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(fit_points())
 def test_loglog_fit_is_the_exact_least_squares_line(points):
     exponent, residual = _loglog_fit(points)

@@ -154,7 +154,7 @@ def test_certified_rate_is_the_perron_root(rules, root):
     assert abs(rep.rate / root - 1) < 1e-12
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.integers(1, 5).flatmap(
         lambda n: st.lists(
@@ -294,7 +294,7 @@ def test_conjugated_maps_certify_without_iterating(monkeypatch):
     rng = random.Random(3)
     for i in range(20):
         phi = suite[i % len(suite)]
-        b = phi.endo.basis
+        b = phi.basis
         g = Word(b, random_letters(rng, b.rank, rng.randint(1, 4)))
         rep = classify_growth(compose(inner_automorphism(b, g), phi))
         base = classify_growth(phi)
@@ -322,7 +322,7 @@ def _random_automorphism(rng, rank):
     return Endomorphism(b, tuple(Word(b, free_reduce(g + w + ginv)) for w in imgs))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.integers(2, 3), st.randoms(use_true_random=False), st.booleans())
 def test_lengths_are_translation_lengths_of_the_map(rank, rng, whole_map):
     phi = _random_automorphism(rng, rank)
@@ -409,12 +409,12 @@ def test_substitutions_reach_free_reduce(monkeypatch):
     monkeypatch.setattr(growth, "free_reduce", spy)
     w = F.parse("a b")
     assert FIB.apply(w) == F.parse("a b a")
-    assert tables == [FIB.endo._subst]
+    assert tables == [FIB._subst]
     ra = restrict(FIB, stallings_graph(F, [F.parse("a"), F.parse("b")]))
     tables.clear()
     x, y = ra.embedding
     assert ra.to_ambient(Word(ra.auto.basis, (1, -2))) == x * y.inverse()
     assert tables == [ra._embed]
     tables.clear()
-    assert growth._iterated_lengths(FIB.endo, cyclic_word(w), 3, None) == ([2, 3, 5, 8], False)
-    assert tables == [FIB.endo._subst] * 3
+    assert growth._iterated_lengths(FIB, cyclic_word(w), 3, None) == ([2, 3, 5, 8], False)
+    assert tables == [FIB._subst] * 3

@@ -172,19 +172,27 @@ def test_validate_rejects_non_generating_decomposition():
 # -- witnesses -------------------------------------------------------------
 
 
+SWAP_V = (("v1", "v2"), ("v2", "v1"))
+SWAP_E = (("e1", "e1", True),)
+BAD_WITNESSES = [
+    ((("zz", "v1"),), (), (), "unknown vertex"),
+    ((), (("zz", "e1", False),), (), "unknown edge"),
+    ((), (), (("zz", F.parse("a")),), "corrector"),
+    ((("v1", "v2"),), (), (), "not a permutation"),
+    # a contradictory later entry is refused, not ignored
+    (SWAP_V + (("v1", "v1"),), SWAP_E, (), "^witness repeats the vertex map entry for 'v1'$"),
+    (SWAP_V, SWAP_E + (("e1", "e1", False),), (), "^witness repeats the edge map entry for 'e1'$"),
+    (SWAP_V, SWAP_E, (("v2", F.parse("a")), ("v2", F.parse("b"))),
+     "^witness repeats the corrector entry for 'v2'$"),
+]
+
+
 def test_witness_shape_errors():
     gog, _ = make_free()
-    phi = identity_automorphism(F)
-    with pytest.raises(ValueError, match="unknown vertex"):
-        verify_fixed(gog, phi, FixedSplittingWitness((("zz", "v1"),), (), ()))
-    with pytest.raises(ValueError, match="unknown edge"):
-        verify_fixed(gog, phi, FixedSplittingWitness((), (("zz", "e1", False),), ()))
-    with pytest.raises(ValueError, match="corrector"):
-        verify_fixed(gog, phi, FixedSplittingWitness((), (), (("zz", F.parse("a")),)))
-    with pytest.raises(ValueError, match="not a permutation"):
-        verify_fixed(
-            gog, phi, FixedSplittingWitness((("v1", "v2"),), (), ())
-        )
+    for phi in (identity_automorphism(F), parse_automorphism("a -> b; b -> a")):
+        for vmap, emap, corr, message in BAD_WITNESSES:
+            with pytest.raises(ValueError, match=message):
+                verify_fixed(gog, phi, FixedSplittingWitness(vmap, emap, corr))
 
 
 def test_verify_identity_and_swap():
@@ -437,6 +445,8 @@ def test_parse_splitting_accepts_matching_basis_argument():
         ("basis: a b\n[vertices]\nv1 a", "expected"),
         ("basis: a b\n[witness]\nmap v1 v2", "unrecognized witness"),
         ("basis: a b\n[vertices]\nv1: q", "line 3"),
+        ("basis: a b\n[vertices]\n: a | b", "^line 3: missing vertex name$"),
+        ("basis: a b\n[vertices]\nv: a\n[edges]\n : v v ; s = b", "^line 5: missing edge name$"),
     ],
 )
 def test_parse_splitting_diagnostics(snippet, message):
@@ -484,6 +494,9 @@ def test_parse_hierarchy():
         ("basis: a b\ng status=done", "unknown status"),
         ("basis: a b", "no hierarchy nodes"),
         ("g", "basis must come first"),
+        ("basis: a b\nkind: free\nkind: cyclic\ng", "^line 3: duplicate kind line$"),
+        ("kind: cyclic\nbasis: a b\nkind: cyclic\ng", "^line 3: duplicate kind line$"),
+        ("basis: a b\ng\n  h\nkind: cyclic", "^line 4: kind must come before the nodes$"),
     ],
 )
 def test_parse_hierarchy_diagnostics(snippet, message):
