@@ -10,11 +10,12 @@ each image's cyclic wraparound) under the evolution
 inversion; if no pair in the closure cancels, concatenated images stay
 reduced for every iterate, and matrix arithmetic is exact.
 
-A certified exponential rate is the Perron root of the transition
-matrix, the stretch factor of the map as a train track on the rose:
-each strong component's characteristic polynomial is computed exactly
-in integers, and its largest real root is found by Newton's method
-from above, to float precision.
+The matrix is read through its strata: the strong components of the
+digraph with edge j→i when aᵢ occurs in Φ(aⱼ), listed sinks first and
+ordered by reach.  A certified rate is the largest radius over the
+strata the subject reaches, each the Perron root of its block, exact
+in integers and then by Newton's method from above to float precision;
+a certified degree is one less than the most radius-1 strata on a chain.
 
 Certification is up to inner automorphism.  Φ and i_h∘Φ have conjugate
 iterates, so every translation length, and hence the growth of every
@@ -210,17 +211,17 @@ def _perron_root(a: Matrix) -> float:
         x -= p / dp
 
 
-def _reach(m: Matrix, support: Sequence[int] | None) -> tuple[bool, int, float]:
-    """What ``support`` (all letters when None) reaches in the digraph
-    with edge j→i iff M[i][j] > 0: whether a component of radius > 1,
-    the most radius-1 components on one path, and the largest radius.
+def _strata(m: Matrix) -> list[tuple[int, float]]:
+    """Strong components of the digraph with edge j→i iff M[i][j] > 0,
+    sinks first, each as (reach mask, radius).
 
-    Reach sets are Warshall-closed bit masks.  Letters share a strong
-    component exactly when they share a reach set, which strictly
-    contains the reach set of any component below, so ordering by size
-    visits sinks first.  A component's largest inner column sum is 0
-    for a lone letter without a loop, 1 for a simple cycle, and equals
-    the radius in both cases; otherwise it and the radius exceed 1.
+    Reach sets are Warshall-closed bit masks.  Letters share a stratum
+    exactly when they share a reach set, which strictly contains the
+    reach set of any stratum below, so ordering by size lists sinks
+    first, and stratum C reaches D exactly when D's mask ⊆ C's.  A
+    stratum's largest inner column sum is 0 for a lone letter without
+    a loop, 1 for a simple cycle, and equals the radius in both cases;
+    otherwise it and the radius exceed 1.
     """
     n = len(m)
     reach = [sum(1 << i for i in range(n) if i == j or m[i][j]) for j in range(n)]
@@ -231,46 +232,47 @@ def _reach(m: Matrix, support: Sequence[int] | None) -> tuple[bool, int, float]:
     comps: dict[int, list[int]] = {}
     for j, mask in enumerate(reach):
         comps.setdefault(mask, []).append(j)
-
-    def join(top: int, radius: float, succ: list[tuple[bool, int, float]]):
-        return (
-            top > 1 or any(e for e, _, _ in succ),
-            (top == 1) + max((c for _, c, _ in succ), default=0),
-            max([radius] + [r for _, _, r in succ]),
-        )
-
-    below: dict[int, tuple[bool, int, float]] = {}
+    strata = []
     for mask in sorted(comps, key=int.bit_count):
         comp = comps[mask]
         top = max(sum(m[i][j] for i in comp) for j in comp)
         root = _perron_root([[m[i][j] for j in comp] for i in comp]) if top > 1 else float(top)
-        succ = [below[reach[i]] for j in comp for i in range(n) if m[i][j] and reach[i] != mask]
-        below[mask] = join(top, root, succ)
-    return join(0, 0.0, [below[reach[j]] for j in (range(n) if support is None else support)])
+        strata.append((mask, root))
+    return strata
 
 
-def scc_polynomial_degree(m: Matrix, x: Word | CyclicWord | None = None) -> int | None:
-    """Polynomial degree read off the component chain, None if the
-    reachable part contains a component of radius > 1.
+def _reached(m: Matrix, support: Sequence[int] | None) -> list[tuple[int, float]]:
+    """The strata that ``support`` (all letters when None) reaches,
+    sinks first.  A letter's own stratum is the first whose mask holds it."""
+    strata, got = _strata(m), 0
+    own = [next(mask for mask, _ in strata if mask >> j & 1) for j in range(len(m))]
+    for j in range(len(m)) if support is None else support:
+        got |= own[j]
+    return [(mask, r) for mask, r in strata if mask | got == got]
 
-    The degree is (number of radius-1 components on the heaviest
-    condensation path from x's letters, or from anywhere when x is
-    absent) − 1, floored at 0.
-    """
-    exp, chain, _ = _reach(m, None if x is None else [abs(t) - 1 for t in x.letters])
-    return None if exp else max(0, chain - 1)
+
+def scc_polynomial_degree(m: Matrix, support: Sequence[int] | None = None) -> int | None:
+    """Polynomial degree from the strata that ``support`` (all letters
+    when None) reaches: one less than the most radius-1 strata on a
+    chain of the reach order, floored at 0; None if one has radius > 1."""
+    strata = _reached(m, support)
+    if any(r > 1.0 for _, r in strata):
+        return None
+    chains: list[int] = []
+    for mask, r in strata:
+        below = (c for (d, _), c in zip(strata, chains) if d | mask == mask)
+        chains.append((r == 1.0) + max(below, default=0))
+    return max(0, max(chains, default=0) - 1)
 
 
 def spectral_radius(m: Matrix, support: Sequence[int] | None = None) -> float:
-    """Largest component radius reachable from ``support`` (all when None).
-
-    Each component's radius is the Perron root of its block, exact to
-    float precision.
+    """Largest radius, a Perron root exact to float precision, over the
+    strata that ``support`` (all letters when None) reaches.
 
     >>> spectral_radius([[1, 1], [1, 0]])
     1.618033988749895
     """
-    return _reach(m, support)[2]
+    return max((r for _, r in _reached(m, support)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +478,15 @@ def _certified_report(
     m = transition_matrix(endo)
     support = range(len(m)) if core is None else [abs(t) - 1 for t in core.letters]
     lengths = tuple(_matrix_lengths(m, support, params.iterations)[1:])
-    # one walk computes each reachable Perron root once.  Certified
-    # images are nonempty, so every letter reaches a cycle and the rate
-    # is 1.0 exactly when no component of radius > 1 is reachable; only
-    # then is the chain walked, a walk with no root to compute
+    # one walk computes each Perron root once.  Certified images are
+    # nonempty, so every letter reaches a cycle: a rate of 1.0 means no
+    # reached stratum has radius > 1, and only then is the chain counted
     rate = spectral_radius(m, support)
     if rate > 1.0:
         return GrowthReport(
             subject, KIND_EXPONENTIAL, True, rate, None, lengths, False, None, cert, conjugator
         )
-    # the heaviest path holds degree + 1 radius-1 components
-    degree = max(0, _reach(m, support)[1] - 1)
+    degree = scc_polynomial_degree(m, support)
     return GrowthReport(
         subject, KIND_POLYNOMIAL, True, None, degree, lengths, False, degree + 1, cert, conjugator
     )

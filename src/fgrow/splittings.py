@@ -363,7 +363,9 @@ def induce_torus_splitting(
 
     Quotient graph = σ-orbits; an orbit of period n contributes the
     extension of its representative's group by x·tⁿ, where x is the
-    corrector product accumulated along the orbit.
+    corrector product accumulated along the orbit.  With ``check``
+    false the splitting and Φ's action are trusted, not the witness's
+    shape.
     """
     b = gog.basis
     if b.rank < 2:
@@ -372,6 +374,10 @@ def induce_torus_splitting(
         validate_splitting(gog)
         if not verify_fixed(gog, phi, witness):
             raise ValueError("witness does not certify the splitting as fixed")
+    else:
+        # verify_fixed checks the shape too; the orbit walks below end
+        # only when σ is a permutation
+        _check_witness_shape(gog, witness)
     by_name = {v.name: v for v in gog.vertices}
     by_edge = {e.name: e for e in gog.edges}
 
@@ -579,13 +585,16 @@ def _basis_line(line: str, lineno: int, b: Basis | None) -> Basis:
 
 
 def _named(line: str, lineno: int, what: str, layout: str) -> tuple[str, str]:
-    """A ``name: rest`` line's nonempty name and its rest."""
+    """A ``name: rest`` line's name, one whitespace-free token, and its rest."""
     if ":" not in line:
         raise WordSyntaxError(f"line {lineno}: expected '{layout}'")
     name, rest = line.split(":", 1)
-    if not name.strip():
+    name = name.strip()
+    if not name:
         raise WordSyntaxError(f"line {lineno}: missing {what} name")
-    return name.strip(), rest
+    if len(name.split()) > 1:
+        raise WordSyntaxError(f"line {lineno}: {what} name {name!r} contains whitespace")
+    return name, rest
 
 
 def parse_splitting(

@@ -52,6 +52,8 @@ CASES = [
     ("growth-svg", ["growth", "--map", FIB, "--iters", "8", "--emit", "svg"]),
     ("growth-text", ["growth", "--map", "a -> a\nb -> b a", "--word", "b", "--emit", "text"]),
     ("growth-inconclusive", ["growth", "--map", WILD, "--cap", "100000", "--emit", "text"]),
+    ("growth-chain-json", ["growth", "--map", "a -> a; b -> b a; c -> c b"]),
+    ("growth-reducible-word-json", ["growth", "--map", "a -> a b; b -> a; c -> c", "--word", "c a"]),
     ("fold-text", ["fold", "--gens", "a a, b", "--basis", "a b"]),
     ("fold-json", ["fold", "--gens", "a a, b, a b a'", "--emit", "json"]),
     ("fold-dot", ["fold", "--gens", "a, b a b", "--emit", "dot"]),

@@ -176,7 +176,7 @@ def test_spectral_radius_matches_eigenvalues(m):
 def test_certified_report_computes_each_perron_root_once(monkeypatch):
     rules = "; ".join(f"x{i} -> x{i + 1}" for i in range(1, 60)) + "; x60 -> x1 x2"
     phi = parse_endomorphism(rules)
-    calls = {"_perron_root": 0, "_reach": 0}
+    calls = {"_perron_root": 0, "_strata": 0}
     for name in calls:
         def counted(*args, _real=getattr(growth, name), _name=name):
             calls[_name] += 1
@@ -185,7 +185,7 @@ def test_certified_report_computes_each_perron_root_once(monkeypatch):
         monkeypatch.setattr(growth, name, counted)
     rep = classify_growth(phi)
     assert rep.kind == KIND_EXPONENTIAL and rep.certified
-    assert calls == {"_perron_root": 1, "_reach": 1}
+    assert calls == {"_perron_root": 1, "_strata": 1}
     m = numpy.array(transition_matrix(phi), dtype=float)
     want = max(abs(numpy.linalg.eigvals(m)))
     assert abs(rep.rate - want) <= 1e-9 * want
@@ -196,6 +196,83 @@ def test_spectral_radius_respects_support():
     m = transition_matrix(phi)
     assert abs(spectral_radius(m) - GOLDEN) < 1e-6
     assert spectral_radius(m, support=[2]) == 1.0
+
+
+def reached_letters(m, support):
+    """Letters that ``support`` reaches along edges j→i with M[i][j] > 0."""
+    seen = set(support)
+    stack = list(seen)
+    while stack:
+        j = stack.pop()
+        for i in range(len(m)):
+            if m[i][j] and i not in seen:
+                seen.add(i)
+                stack.append(i)
+    return sorted(seen)
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def reducible_cases(draw):
+    """A nonnegative integer matrix of rank ≤ 6 with no zero column, as
+    a certified image's transition matrix, and a support or None."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 1, 1, 2, 3))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for j, i in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+        if not any(row[j] for row in m):
+            m[i][j] = 1
+    support = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    return m, support
+
+
+@settings(max_examples=300)
+@given(reducible_cases())
+def test_strata_readers_match_oracles_on_reducible_matrices(case):
+    m, support = case
+    n = len(m)
+    letters = reached_letters(m, range(n) if support is None else support)
+    sub = numpy.array([[m[i][j] for j in letters] for i in letters], dtype=float)
+    want = max(abs(numpy.linalg.eigvals(sub)))
+    # equal radii chained in one support make a defective eigenvalue,
+    # which numpy finds only to about ε^(1/k); 1e-6 was the worst seen
+    assert abs(spectral_radius(m, support) - want) <= 1e-5 * want
+    degree = scc_polynomial_degree(m, support)
+    assert (degree is None) == (want > 1 + 1e-5)
+    if degree is None:
+        return
+    # 1ᵀMⁿu is quasi-polynomial when the strata are cycles; read it at
+    # n = 60k + 6, past every nilpotent transient and a multiple of
+    # every cycle length ≤ 6, where it is a polynomial of the same degree
+    u = [[0] for _ in range(n)]
+    for j in range(n) if support is None else support:
+        u[j][0] += 1
+    step = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(60):
+        step = matmul(step, m)
+    for _ in range(6):
+        u = matmul(m, u)
+    sums = []
+    for _ in range(12):
+        sums.append(sum(row[0] for row in u))
+        u = matmul(step, u)
+    assert degree == finite_difference_degree(sums)
+
+
+def test_certified_polynomial_report_computes_no_perron_root(monkeypatch):
+    calls = []
+    real = growth._perron_root
+    monkeypatch.setattr(growth, "_perron_root", lambda a: calls.append(a) or real(a))
+    for rules, expected in UNIPOTENT:
+        phi = parse_endomorphism(rules)
+        for x in (None, Word(phi.basis, (phi.basis.rank,))):
+            rep = classify_growth(phi, x)
+            assert rep.kind == KIND_POLYNOMIAL and rep.certified
+            assert rep.degree == expected and rep.chain_length == expected + 1
+    assert calls == []
 
 
 def test_scc_degrees_unipotent_family():

@@ -1,5 +1,7 @@
 """Graph-of-groups splittings, fixedness witnesses, hierarchies."""
 
+import signal
+
 import pytest
 
 from fgrow.automorphisms import (
@@ -300,6 +302,25 @@ def test_induce_rejects_unverified_and_small_rank():
         induce_torus_splitting(tiny, identity_automorphism(f1), identity_witness())
 
 
+def test_induce_without_check_still_refuses_a_non_permutation():
+    # v1 ↦ v2 ↦ v2 is no permutation, so the orbit walk from v1 would
+    # never return; the alarm turns such a hang into a failure
+    gog, _ = make_free()
+    witness = FixedSplittingWitness((("v1", "v2"),), (), ())
+
+    def hung(signum, frame):
+        raise TimeoutError("induce_torus_splitting did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="^witness vertex map is not a permutation$"):
+            induce_torus_splitting(gog, identity_automorphism(F), witness, check=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_induce_rejects_holonomy_escaping_edge_group():
     gog = make_cyclic()
     push = parse_automorphism("a -> a\nb -> a b\nc -> c")
@@ -447,6 +468,7 @@ def test_parse_splitting_accepts_matching_basis_argument():
         ("basis: a b\n[vertices]\nv1: q", "line 3"),
         ("basis: a b\n[vertices]\n: a | b", "^line 3: missing vertex name$"),
         ("basis: a b\n[vertices]\nv: a\n[edges]\n : v v ; s = b", "^line 5: missing edge name$"),
+        ("basis: a b\n[vertices]\nv 1: a | b", "^line 3: vertex name 'v 1' contains whitespace$"),
     ],
 )
 def test_parse_splitting_diagnostics(snippet, message):
