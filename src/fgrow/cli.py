@@ -375,17 +375,20 @@ def cmd_split(args) -> Report:
     gog_text = _read_file(args.gog)
     phi = certify_automorphism(parse_endomorphism(source))
     gog, witness = parse_splitting(gog_text, phi.basis)
-    validate_splitting(gog)
-    meta = _meta("split", source + "\n" + gog_text, {})
-    verified = verify_fixed(gog, phi, witness) if witness is not None else None
-    result: dict = {"kind": gog.kind, "valid": True, "verified": verified}
-    code = 0
-    if args.induce:
-        if witness is None:
+    induced = None
+    if args.induce and witness is not None:
+        # induction validates the splitting and verifies the witness first
+        induced = induce_torus_splitting(gog, phi, witness)
+        verified: bool | None = True
+    else:
+        validate_splitting(gog)
+        if args.induce:
             raise SplittingViolation("--induce needs a [witness] section")
-        if not verified:
-            raise SplittingViolation("witness does not certify the splitting as fixed")
-        induced = induce_torus_splitting(gog, phi, witness, check=False)
+        verified = verify_fixed(gog, phi, witness) if witness is not None else None
+    meta = _meta("split", source + "\n" + gog_text, {})
+    result: dict = {"kind": gog.kind, "valid": True, "verified": verified}
+    code = 1 if verified is False else 0
+    if induced is not None:
         result["induced"] = {
             "kind": induced.kind,
             "vertices": [
@@ -409,8 +412,6 @@ def cmd_split(args) -> Report:
                 for e in induced.edges
             ],
         }
-    elif verified is False:
-        code = 1
 
     def text() -> str:
         lines = [f"kind: {result['kind']}", "valid: true"]

@@ -245,7 +245,6 @@ def divergence_estimate(
     samples_per_radius: int = 32,
     seed: int = 0,
     max_vertices: int = 500_000,
-    ball: BallGraph | None = None,
 ) -> DivergenceReport:
     """Sample sphere pairs at distance ≥ r, measure detours around the
     open ball of radius ⌊r/2⌋, and fit log(mean detour) against log(r).
@@ -257,11 +256,7 @@ def divergence_estimate(
     rs = sorted(set(int(r) for r in radii))
     if not rs or rs[0] < 1:
         raise ValueError("radii must be positive")
-    r_max = rs[-1]
-    if ball is None:
-        ball = cayley_ball(group, r_max, max_vertices)
-    elif ball.radius < r_max:
-        raise ValueError("supplied ball is smaller than the largest radius")
+    ball = cayley_ball(group, rs[-1], max_vertices)
     rng = random.Random(seed)
     samples: list[DivergenceSample] = []
     means: list[tuple[int, float | None]] = []

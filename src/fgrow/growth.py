@@ -211,17 +211,20 @@ def _perron_root(a: Matrix) -> float:
         x -= p / dp
 
 
-def _strata(m: Matrix) -> list[tuple[int, float]]:
-    """Strong components of the digraph with edge j→i iff M[i][j] > 0,
-    sinks first, each as (reach mask, radius).
+def _strata(m: Matrix, support: Sequence[int] | None = None) -> list[tuple[int, float]]:
+    """Strong components of the digraph with edge j→i iff M[i][j] > 0
+    that ``support`` (all letters when None) reaches, sinks first, each
+    as (reach mask, radius).
 
     Reach sets are Warshall-closed bit masks.  Letters share a stratum
     exactly when they share a reach set, which strictly contains the
     reach set of any stratum below, so ordering by size lists sinks
     first, and stratum C reaches D exactly when D's mask ⊆ C's.  A
-    stratum's largest inner column sum is 0 for a lone letter without
-    a loop, 1 for a simple cycle, and equals the radius in both cases;
-    otherwise it and the radius exceed 1.
+    letter's reach set is its stratum's mask, so the support reaches
+    the strata inside the union of its letters' masks.  A stratum's
+    largest inner column sum is 0 for a lone letter without a loop, 1
+    for a simple cycle, and equals the radius in both cases; otherwise
+    it and the radius exceed 1, and only then is a Perron root taken.
     """
     n = len(m)
     reach = [sum(1 << i for i in range(n) if i == j or m[i][j]) for j in range(n)]
@@ -229,9 +232,13 @@ def _strata(m: Matrix) -> list[tuple[int, float]]:
         for j in range(n):
             if reach[j] >> k & 1:
                 reach[j] |= reach[k]
+    got = 0
+    for j in range(n) if support is None else support:
+        got |= reach[j]
     comps: dict[int, list[int]] = {}
     for j, mask in enumerate(reach):
-        comps.setdefault(mask, []).append(j)
+        if mask | got == got:
+            comps.setdefault(mask, []).append(j)
     strata = []
     for mask in sorted(comps, key=int.bit_count):
         comp = comps[mask]
@@ -241,21 +248,11 @@ def _strata(m: Matrix) -> list[tuple[int, float]]:
     return strata
 
 
-def _reached(m: Matrix, support: Sequence[int] | None) -> list[tuple[int, float]]:
-    """The strata that ``support`` (all letters when None) reaches,
-    sinks first.  A letter's own stratum is the first whose mask holds it."""
-    strata, got = _strata(m), 0
-    own = [next(mask for mask, _ in strata if mask >> j & 1) for j in range(len(m))]
-    for j in range(len(m)) if support is None else support:
-        got |= own[j]
-    return [(mask, r) for mask, r in strata if mask | got == got]
-
-
 def scc_polynomial_degree(m: Matrix, support: Sequence[int] | None = None) -> int | None:
     """Polynomial degree from the strata that ``support`` (all letters
     when None) reaches: one less than the most radius-1 strata on a
     chain of the reach order, floored at 0; None if one has radius > 1."""
-    strata = _reached(m, support)
+    strata = _strata(m, support)
     if any(r > 1.0 for _, r in strata):
         return None
     chains: list[int] = []
@@ -272,7 +269,7 @@ def spectral_radius(m: Matrix, support: Sequence[int] | None = None) -> float:
     >>> spectral_radius([[1, 1], [1, 0]])
     1.618033988749895
     """
-    return max((r for _, r in _reached(m, support)), default=0.0)
+    return max((r for _, r in _strata(m, support)), default=0.0)
 
 
 # ---------------------------------------------------------------------------

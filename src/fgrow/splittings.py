@@ -3,7 +3,7 @@ the induced decomposition of the mapping torus.
 
 A splitting of the fiber F is stored as its quotient graph of groups:
 vertex groups are folded subgroup graphs, edge groups are trivial or
-cyclic with boundary words into the endpoint groups, and free
+cyclic (one word y, lying in both endpoint groups), and free
 splittings may carry one stable letter per independent loop so that
 generation of F can be folded and checked.
 
@@ -34,7 +34,7 @@ from .folding import (
     stallings_graph,
     subgroup_equal,
 )
-from .words import Basis, Word, WordSyntaxError, basis as make_basis, cyclic_word, identity, power as word_power
+from .words import Basis, VerificationError, Word, WordSyntaxError, basis as make_basis, cyclic_word, identity
 
 
 class SplittingViolation(ValueError):
@@ -53,15 +53,7 @@ class GogEdge:
     u: str
     v: str
     fiber: Word | None = None
-    boundary_u: Word | None = None
-    boundary_v: Word | None = None
     stable_letter: Word | None = None
-
-    def boundary_at_u(self) -> Word | None:
-        return self.boundary_u if self.boundary_u is not None else self.fiber
-
-    def boundary_at_v(self) -> Word | None:
-        return self.boundary_v if self.boundary_v is not None else self.fiber
 
 
 @dataclass(frozen=True)
@@ -127,19 +119,11 @@ def validate_splitting(gog: GraphOfGroups) -> None:
                 raise SplittingViolation(
                     f"edge {e.name}: edge word is not cyclically reduced"
                 )
-            for side, w in (("u", e.boundary_at_u()), ("v", e.boundary_at_v())):
-                group = by_name[e.u if side == "u" else e.v].group
-                if w is None or not w.letters:
-                    raise SplittingViolation(f"edge {e.name}: missing boundary word")
-                if not group.accepts(w):
+            for side, end in (("u", e.u), ("v", e.v)):
+                if not by_name[end].group.accepts(e.fiber):
                     raise SplittingViolation(
-                        f"edge {e.name}: boundary word {w} is not in the {side}-side vertex group"
+                        f"edge {e.name}: boundary word {e.fiber} is not in the {side}-side vertex group"
                     )
-        else:
-            if e.boundary_u is not None or e.boundary_v is not None:
-                raise SplittingViolation(
-                    f"edge {e.name}: trivial edge cannot carry boundary words"
-                )
     tree, reached = _spanning_tree(gog)
     if reached != set(names):
         raise SplittingViolation("underlying graph is not connected")
@@ -229,10 +213,10 @@ def verify_fixed(
     """Whether the witness certifies that Φ fixes the splitting.
 
     Checks that σ is a graph automorphism, that corrected images of
-    vertex groups land in the image vertex groups, that edge boundary
-    words map into the image edge's cyclic group, and (when stable
-    letters are given) that corrected stable-letter images lie in the
-    matching double coset.
+    vertex groups land in the image vertex groups, that each cyclic
+    edge's word, corrected at either end, maps into the image edge's
+    cyclic group, and (when stable letters are given) that corrected
+    stable-letter images lie in the matching double coset.
     """
     b = gog.basis
     if phi.basis != b:
@@ -249,14 +233,11 @@ def verify_fixed(
         if e.fiber is not None:
             if f.fiber is None:
                 return False
-            pairs = (
-                (e.u, e.boundary_at_u(), f.boundary_at_v() if flip else f.boundary_at_u()),
-                (e.v, e.boundary_at_v(), f.boundary_at_u() if flip else f.boundary_at_v()),
-            )
-            for vertex_name, w, target_word in pairs:
-                x = witness.corrector(vertex_name, b)
-                image = x * phi.apply(w) * x.inverse()
-                if not stallings_graph(b, [target_word]).accepts(image):
+            target = stallings_graph(b, [f.fiber])
+            image = phi.apply(e.fiber)
+            for end in (e.u, e.v):
+                x = witness.corrector(end, b)
+                if not target.accepts(x * image * x.inverse()):
                     return False
         elif f.fiber is not None:
             return False
@@ -357,27 +338,20 @@ def induce_torus_splitting(
     gog: GraphOfGroups,
     phi: Automorphism,
     witness: FixedSplittingWitness,
-    check: bool = True,
 ) -> TorusSplitting:
     """Splitting of F ⋊ Z induced by a verified fixed splitting of F.
 
+    The splitting is validated and the witness verified first.
     Quotient graph = σ-orbits; an orbit of period n contributes the
     extension of its representative's group by x·tⁿ, where x is the
-    corrector product accumulated along the orbit.  With ``check``
-    false the splitting and Φ's action are trusted, not the witness's
-    shape.
+    corrector product accumulated along the orbit.
     """
+    validate_splitting(gog)
+    if not verify_fixed(gog, phi, witness):
+        raise ValueError("witness does not certify the splitting as fixed")
     b = gog.basis
     if b.rank < 2:
         raise ValueError("the fiber group must be noncyclic")
-    if check:
-        validate_splitting(gog)
-        if not verify_fixed(gog, phi, witness):
-            raise ValueError("witness does not certify the splitting as fixed")
-    else:
-        # verify_fixed checks the shape too; the orbit walks below end
-        # only when σ is a permutation
-        _check_witness_shape(gog, witness)
     by_name = {v.name: v for v in gog.vertices}
     by_edge = {e.name: e for e in gog.edges}
 
@@ -411,18 +385,17 @@ def induce_torus_splitting(
         if e.fiber is not None:
             y = e.fiber
             z = x * apply_power(phi, n, y) * x.inverse()
-            m, rem = divmod(len(z), max(len(y), 1))
-            if rem or (z != word_power(y, m) and z != word_power(y, -m)):
-                raise ValueError(
+            # the verified witness puts z in ⟨y⟩, so z = yᵐ.  With r the
+            # root of y, ψ = i_x∘Φⁿ has ψ(r) = rᵐ, so r = ψ⁻¹(r)ᵐ, and a
+            # root is no proper power: m = ±1.  A miss here is a bug.
+            if z == y:
+                twist = 1
+            elif z == y.inverse():
+                twist = -1
+            else:
+                raise VerificationError(
                     f"edge {e.name}: holonomy does not preserve the edge group"
                 )
-            if z != word_power(y, m):
-                m = -m
-            if abs(m) != 1:
-                raise ValueError(
-                    f"edge {e.name}: holonomy scales the edge group by {m}"
-                )
-            twist = m
         out_edges.append(
             TorusEdgeGroup(
                 e.name, vertex_rep[e.u], vertex_rep[e.v], e.fiber, x, n, twist
@@ -642,7 +615,7 @@ def parse_splitting(
             ends = fields[0].split()
             if len(ends) != 2:
                 raise WordSyntaxError(f"line {lineno}: expected two endpoints")
-            fiber = bu = bv = stable = None
+            fiber = stable = None
             for f in fields[1:]:
                 f = f.strip()
                 if not f:
@@ -654,15 +627,11 @@ def parse_splitting(
                 key = key.strip()
                 if key == "y":
                     fiber = w
-                elif key == "yu":
-                    bu = w
-                elif key == "yv":
-                    bv = w
                 elif key == "s":
                     stable = w
                 else:
                     raise WordSyntaxError(f"line {lineno}: unknown edge field {key!r}")
-            edges.append(GogEdge(name, ends[0], ends[1], fiber, bu, bv, stable))
+            edges.append(GogEdge(name, ends[0], ends[1], fiber, stable))
         elif section == "witness":
             parts = line.split()
             head, colon, rest = line.partition(":")

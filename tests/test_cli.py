@@ -276,10 +276,13 @@ def test_split_duplicate_witness_entry(tmp_path, capsys, extra, name):
         ("split", "basis: a b\n[vertices]\n: a | b\n", "line 3: missing vertex name"),
         ("split", "basis: a b\n[vertices]\nv: a\n[edges]\n: v v ; s = b\n", "line 5: missing edge name"),
         ("split", "basis: a b\n[vertices]\nv 1: a | b\n", "line 3: vertex name 'v 1' contains whitespace"),
+        ("split", "basis: a b\n[vertices]\nv: a | b\n[edges]\ne: v v ; y = b ; yu = b\n",
+         "line 5: unknown edge field 'yu'"),
         ("hierarchy", "basis: a b\nkind: free\nkind: cyclic\ng\n", "line 3: duplicate kind line"),
         ("hierarchy", "basis: a b\ng\nkind: cyclic\n", "line 3: kind must come before the nodes"),
     ],
-    ids=["nameless-vertex", "nameless-edge", "spaced-vertex", "second-kind", "late-kind"],
+    ids=["nameless-vertex", "nameless-edge", "spaced-vertex", "boundary-field", "second-kind",
+         "late-kind"],
 )
 def test_malformed_structure_files_exit_one(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.txt"

@@ -35,6 +35,9 @@ FILES = {
         "[witness]\nmap v1 -> v2\nmap v2 -> v1\nedge e1 -> e1 !\n"
     ),
     "plain.gog": "basis: a b\n[vertices]\nv1: a\nv2: b\n[edges]\ne1: v1 v2\n",
+    "cyclic.gog": (
+        "basis: a b c\n[vertices]\nv1: a | b\nv2: b | c\n[edges]\ne1: v1 v2 ; y = b\n[witness]\n"
+    ),
     "done.h": (
         "basis: a b\nkind: cyclic\ng\n"
         "  h1 group=a status=absolute\n  h2 group=b status=absolute\n"
@@ -72,6 +75,10 @@ CASES = [
                            "--emit", "text"]),
     ("split-unverified-text", ["split", "--map", FIB, "--gog", "{free.gog}", "--emit", "text"]),
     ("split-no-witness-json", ["split", "--map", IDENTITY, "--gog", "{plain.gog}"]),
+    ("split-induce-twist-json", ["split", "--map", "a -> a; b -> b'; c -> c", "--gog", "{cyclic.gog}",
+                                 "--induce"]),
+    ("split-induce-no-witness", ["split", "--map", IDENTITY, "--gog", "{plain.gog}", "--induce"]),
+    ("split-induce-unverified", ["split", "--map", FIB, "--gog", "{free.gog}", "--induce"]),
     ("hierarchy-json", ["hierarchy", "--file", "{done.h}"]),
     ("hierarchy-text", ["hierarchy", "--file", "{done.h}", "--emit", "text"]),
     ("hierarchy-open-text", ["hierarchy", "--file", "{open.h}", "--emit", "text"]),

@@ -189,6 +189,12 @@ def test_certified_report_computes_each_perron_root_once(monkeypatch):
     m = numpy.array(transition_matrix(phi), dtype=float)
     want = max(abs(numpy.linalg.eigvals(m)))
     assert abs(rep.rate - want) <= 1e-9 * want
+    # c reaches only its own loop, so the {a, b} root is never taken
+    calls["_perron_root"] = 0
+    phi = parse_endomorphism("a -> a b; b -> a; c -> c")
+    rep = classify_growth(phi, Word(phi.basis, (3,)))
+    assert rep.kind == KIND_POLYNOMIAL and rep.certified and rep.degree == 0
+    assert calls["_perron_root"] == 0
 
 
 def test_spectral_radius_respects_support():

@@ -123,21 +123,7 @@ def test_validate_rejects_bad_edge_words():
             with_edge(GogEdge("e", "v1", "v2", fiber=F3.parse("a b a'")))
         )
     with pytest.raises(SplittingViolation, match="not in the v-side"):
-        validate_splitting(
-            with_edge(
-                GogEdge("e", "v1", "v2", fiber=F3.parse("b"), boundary_v=F3.parse("a"))
-            )
-        )
-    with pytest.raises(SplittingViolation, match="missing boundary"):
-        validate_splitting(
-            with_edge(
-                GogEdge("e", "v1", "v2", fiber=F3.parse("b"), boundary_u=F3.parse(""))
-            )
-        )
-    with pytest.raises(SplittingViolation, match="cannot carry boundary"):
-        validate_splitting(
-            with_edge(GogEdge("e", "v1", "v2", boundary_u=F3.parse("b")))
-        )
+        validate_splitting(with_edge(GogEdge("e", "v1", "v2", fiber=F3.parse("a"))))
 
 
 def test_validate_rejects_disconnected_and_bad_counts():
@@ -147,17 +133,8 @@ def test_validate_rejects_disconnected_and_bad_counts():
         validate_splitting(GraphOfGroups(F, (v1, v2), ()))
     overcounted = GraphOfGroups(
         F,
-        (v1, v2),
-        (
-            GogEdge(
-                "e",
-                "v1",
-                "v2",
-                fiber=F.parse("a"),
-                boundary_u=F.parse("a"),
-                boundary_v=F.parse("b"),
-            ),
-        ),
+        (v1, GogVertex("v2", stallings_graph(F, [F.parse("a")]))),
+        (GogEdge("e", "v1", "v2", fiber=F.parse("a")),),
     )
     with pytest.raises(SplittingViolation, match="rank count"):
         validate_splitting(overcounted)
@@ -226,6 +203,11 @@ def test_verify_cyclic_boundaries():
     assert verify_fixed(gog, neg, identity_witness())
     push = parse_automorphism("a -> a\nb -> a b\nc -> c")
     assert not verify_fixed(gog, push, identity_witness())
+    # each corrector keeps its vertex group but moves y = b off ⟨b⟩,
+    # so the edge word fails at that end alone
+    for end, x in (("v1", "a"), ("v2", "c")):
+        wit = FixedSplittingWitness((), (), ((end, F3.parse(x)),))
+        assert not verify_fixed(gog, ident, wit)
 
 
 # -- induced splittings ----------------------------------------------------
@@ -302,8 +284,8 @@ def test_induce_rejects_unverified_and_small_rank():
         induce_torus_splitting(tiny, identity_automorphism(f1), identity_witness())
 
 
-def test_induce_without_check_still_refuses_a_non_permutation():
-    # v1 ↦ v2 ↦ v2 is no permutation, so the orbit walk from v1 would
+def test_induce_refuses_a_non_permutation_witness():
+    # v1 ↦ v2 ↦ v2 is no permutation, so an orbit walk from v1 would
     # never return; the alarm turns such a hang into a failure
     gog, _ = make_free()
     witness = FixedSplittingWitness((("v1", "v2"),), (), ())
@@ -315,17 +297,20 @@ def test_induce_without_check_still_refuses_a_non_permutation():
     signal.alarm(5)
     try:
         with pytest.raises(ValueError, match="^witness vertex map is not a permutation$"):
-            induce_torus_splitting(gog, identity_automorphism(F), witness, check=False)
+            induce_torus_splitting(gog, identity_automorphism(F), witness)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
 
 def test_induce_rejects_holonomy_escaping_edge_group():
+    # b ↦ a b leaves ⟨b⟩, so the identity witness fails verification
+    # before any holonomy is read
     gog = make_cyclic()
     push = parse_automorphism("a -> a\nb -> a b\nc -> c")
-    with pytest.raises(ValueError, match="edge group"):
-        induce_torus_splitting(gog, push, identity_witness(), check=False)
+    assert verify_fixed(gog, push, identity_witness()) is False
+    with pytest.raises(ValueError, match="^witness does not certify the splitting as fixed$"):
+        induce_torus_splitting(gog, push, identity_witness())
 
 
 # -- hierarchies -----------------------------------------------------------
@@ -445,7 +430,7 @@ def test_parse_splitting_contents():
     cyc, no_wit = parse_splitting(CYCLIC_SPLIT)
     assert no_wit is None
     assert str(cyc.edges[0].fiber) == "b"
-    assert cyc.edges[0].boundary_at_u() == cyc.edges[0].fiber
+    assert cyc.edges[0].fiber == F3.parse("b")
 
 
 def test_parse_splitting_accepts_matching_basis_argument():
@@ -463,6 +448,7 @@ def test_parse_splitting_accepts_matching_basis_argument():
         ("basis: a b\nv1: a", "outside any section"),
         ("basis: a b\n[edges]\ne1: v1", "two endpoints"),
         ("basis: a b\n[edges]\ne1: v1 v2 ; z = a", "unknown edge field"),
+        ("basis: a b\n[edges]\ne1: v1 v2 ; y = b ; yu = b", "^line 3: unknown edge field 'yu'$"),
         ("basis: a b\n[vertices]\nv1 a", "expected"),
         ("basis: a b\n[witness]\nmap v1 v2", "unrecognized witness"),
         ("basis: a b\n[vertices]\nv1: q", "line 3"),
