@@ -176,6 +176,34 @@ def apply_power(phi: Endomorphism, k: int, w: Word) -> Word:
     return w
 
 
+def _inner_normalize(endo: Endomorphism) -> tuple[Endomorphism, Word]:
+    """ψ = i_h∘Φ of least total image length Σ|ψ(aⱼ)|, and h.
+
+    Conjugating by a letter x changes a nonempty image's length by
+    2 − 2·[it starts with x⁻¹] − 2·[it ends with x], so the total falls
+    iff x gets more than half of these end-letter votes; at most one
+    letter can.  Each |g·w·g⁻¹| is convex in g on the Cayley tree, and
+    so is the sum, so the one-letter descent stops at a global minimum.
+    """
+    imgs = [img.letters for img in endo.images]
+    h: tuple[int, ...] = ()
+    while True:
+        votes: dict[int, int] = {}
+        for w in imgs:
+            if w:
+                votes[-w[0]] = votes.get(-w[0], 0) + 1
+                votes[w[-1]] = votes.get(w[-1], 0) + 1
+        x = max(votes, key=votes.__getitem__, default=0)
+        if not x or 2 * votes[x] <= sum(votes.values()):
+            break
+        for j, w in enumerate(imgs):
+            w = w[1:] if w and w[0] == -x else (x,) + w
+            imgs[j] = w[:-1] if w and w[-1] == x else w + (-x,)
+        h = (x,) + h  # i_x∘i_h = i_{xh}; x never undoes the last step
+    b = endo.basis
+    return Endomorphism(b, tuple(Word(b, w) for w in imgs)), Word(b, h)
+
+
 # ---------------------------------------------------------------------------
 # inversion
 

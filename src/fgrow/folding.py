@@ -178,7 +178,10 @@ def _read(
         t = succ[at].get(x) if x > 0 else pred[at].get(-x)
         if t is None:
             return None, ()
-        out.extend(ex.get((at, x), ()) if x > 0 else _inv(ex.get((t, -x), ())))
+        if x > 0:
+            out.extend(ex.get((at, x), ()))
+        elif e := ex.get((t, -x)):
+            out.extend(_inv(e))
         at = t
     return at, free_reduce(out)
 

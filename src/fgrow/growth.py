@@ -24,9 +24,10 @@ conjugacy class, is the same for both.  When Φ's own certificate fails,
 Σ|ψ(aⱼ)|; a certificate for ψ then settles Φ exactly, and the report
 carries h as its receipt.
 
-Without a certificate the classifier falls back to observation:
-iterate ψ on the cyclic core, then read the length sequence, calling a
-polynomial degree only on exactly vanishing finite differences and an
+Without a certificate the classifier falls back to observation.  It
+iterates ψ on the cyclic core, reading each iterate off an earlier one
+through a table of powers of ψ, and reads the length sequence, calling
+a polynomial degree only on exactly vanishing finite differences and an
 exponential rate only on a stable tail of n-th root estimates.
 Budgets make the heuristic honest: a truncated or ambiguous sequence
 is reported Inconclusive rather than forced into a class.
@@ -34,11 +35,11 @@ is reported Inconclusive rather than forced into a class.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automorphisms import Endomorphism
+from .automorphisms import Endomorphism, _inner_normalize
 from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word, free_reduce
 
 Matrix = list[list[int]]
@@ -140,34 +141,6 @@ def no_cancellation_certificate(phi: Endomorphism) -> Certificate:
     return Certificate(phi, ok, pairs, offender, witness)
 
 
-def _inner_normalize(endo: Endomorphism) -> tuple[Endomorphism, Word]:
-    """ψ = i_h∘Φ of least total image length Σ|ψ(aⱼ)|, and h.
-
-    Conjugating by a letter x changes a nonempty image's length by
-    2 − 2·[it starts with x⁻¹] − 2·[it ends with x], so the total falls
-    iff x gets more than half of these end-letter votes; at most one
-    letter can.  Each |g·w·g⁻¹| is convex in g on the Cayley tree, and
-    so is the sum, so the one-letter descent stops at a global minimum.
-    """
-    imgs = [img.letters for img in endo.images]
-    h: tuple[int, ...] = ()
-    while True:
-        votes: dict[int, int] = {}
-        for w in imgs:
-            if w:
-                votes[-w[0]] = votes.get(-w[0], 0) + 1
-                votes[w[-1]] = votes.get(w[-1], 0) + 1
-        x = max(votes, key=votes.__getitem__, default=0)
-        if not x or 2 * votes[x] <= sum(votes.values()):
-            break
-        for j, w in enumerate(imgs):
-            w = w[1:] if w and w[0] == -x else (x,) + w
-            imgs[j] = w[:-1] if w and w[-1] == x else w + (-x,)
-        h = (x,) + h  # i_x∘i_h = i_{xh}; x never undoes the last step
-    b = endo.basis
-    return Endomorphism(b, tuple(Word(b, w) for w in imgs)), Word(b, h)
-
-
 # ---------------------------------------------------------------------------
 # transition matrix and its component structure
 
@@ -248,11 +221,9 @@ def _strata(m: Matrix, support: Sequence[int] | None = None) -> list[tuple[int, 
     return strata
 
 
-def scc_polynomial_degree(m: Matrix, support: Sequence[int] | None = None) -> int | None:
-    """Polynomial degree from the strata that ``support`` (all letters
-    when None) reaches: one less than the most radius-1 strata on a
-    chain of the reach order, floored at 0; None if one has radius > 1."""
-    strata = _strata(m, support)
+def _chain_degree(strata: list[tuple[int, float]]) -> int | None:
+    """One less than the most radius-1 strata on a chain of the reach
+    order, floored at 0; None if a stratum has radius > 1."""
     if any(r > 1.0 for _, r in strata):
         return None
     chains: list[int] = []
@@ -262,14 +233,29 @@ def scc_polynomial_degree(m: Matrix, support: Sequence[int] | None = None) -> in
     return max(0, max(chains, default=0) - 1)
 
 
-def spectral_radius(m: Matrix, support: Sequence[int] | None = None) -> float:
+def scc_polynomial_degree(m: Matrix, support: Sequence[int] | None = None) -> int | None:
+    """Polynomial degree from the strata that ``support`` (all letters
+    when None) reaches: one less than the most radius-1 strata on a
+    chain of the reach order, floored at 0; None if one has radius > 1."""
+    return _chain_degree(_strata(m, support))
+
+
+def spectral_radius(
+    m: Matrix,
+    support: Sequence[int] | None = None,
+    *,
+    strata: list[tuple[int, float]] | None = None,
+) -> float:
     """Largest radius, a Perron root exact to float precision, over the
-    strata that ``support`` (all letters when None) reaches.
+    strata that ``support`` (all letters when None) reaches.  ``strata``
+    is ``_strata(m, support)`` when the caller has already walked it.
 
     >>> spectral_radius([[1, 1], [1, 0]])
     1.618033988749895
     """
-    return max((r for _, r in _strata(m, support)), default=0.0)
+    if strata is None:
+        strata = _strata(m, support)
+    return max((r for _, r in strata), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +267,38 @@ def _iterated_lengths(
 ) -> tuple[list[int], bool]:
     """Translation lengths for iterates 0..n, stopping past the cap.
 
-    Works on raw letter tuples: each iterate is freely reduced and
-    cyclically trimmed, but not rotated, since only its length is read.
+    Iterate n is read as ψ^(n−j)(w_j) from an earlier iterate w_j, the
+    base, through a power table T = ψ^(n−j) on the base's signed
+    letters; ψ^(n−j)(w_j) is conjugate to ψⁿ(x), so its cyclic trim has
+    the same length.  T advances one ψ step while that step, with the
+    letters its product is expected to cancel at the last product's
+    rate, reads no more letters than a plain step over w₍ₙ₋₁₎, and while
+    the raw product Σ count(x)·|T[x]| stays within 2·max|ψ(x)|·|w₍ₙ₋₁₎|;
+    otherwise the base moves to w₍ₙ₋₁₎ with T = ψ, which is a plain step.
     """
+    psi = endo._subst
+    width = max(map(len, psi.values()))
     seq = [core.length]
-    cur = core.letters
-    for _ in range(n):
-        red = free_reduce(cur, endo._subst)
+    base = cur = core.letters
+    table, counts, raw = psi, None, 0
+    for i in range(n):  # the first iterate is a plain step
+        ahead = None
+        reads = len(base) + sum(map(len, table.values()))
+        if i and reads <= len(cur):
+            if counts is None:
+                counts = Counter(base)
+                raw = sum(k * len(psi[x]) for x, k in counts.items())
+            ahead = {x: free_reduce(table[x], psi) for x in counts}
+            nxt = sum(k * len(ahead[x]) for x, k in counts.items())
+            pops = nxt * (raw - len(red)) / (2 * raw) if raw else 0
+            if reads + pops > len(cur) or nxt > 2 * width * len(cur):
+                ahead = None
+            raw = nxt
+        if ahead is None:
+            base, table, counts = cur, psi, None
+        else:
+            table = ahead
+        red = free_reduce(base, table)
         lo, hi = _cyclic_trim(red)
         cur = red[lo:hi]
         seq.append(len(cur))
@@ -305,11 +316,13 @@ def length_sequence(
     """[‖Φ(x)‖, ‖Φ²(x)‖, …] up to n entries, stopping past the cap.
 
     Translation lengths, so each iterate is cyclically reduced before
-    measuring.  A shorter list than requested means the cap hit.
+    measuring.  They are read from Φ's inner normalization, whose
+    iterates are conjugate to Φ's and cancel less.  A shorter list than
+    requested means the cap hit.
     """
     if n < 1:
         raise ValueError("need at least one iterate")
-    seq, _ = _iterated_lengths(phi, _core(phi, x), n, cap)
+    seq, _ = _iterated_lengths(_inner_normalize(phi)[0], _core(phi, x), n, cap)
     return seq[1:]
 
 
@@ -475,15 +488,16 @@ def _certified_report(
     m = transition_matrix(endo)
     support = range(len(m)) if core is None else [abs(t) - 1 for t in core.letters]
     lengths = tuple(_matrix_lengths(m, support, params.iterations)[1:])
-    # one walk computes each Perron root once.  Certified images are
-    # nonempty, so every letter reaches a cycle: a rate of 1.0 means no
-    # reached stratum has radius > 1, and only then is the chain counted
-    rate = spectral_radius(m, support)
+    # one strata walk computes each Perron root once and serves both
+    # readers.  Certified images are nonempty, so every letter reaches a
+    # cycle: a rate of 1.0 means no reached stratum has radius > 1
+    strata = _strata(m, support)
+    rate = spectral_radius(m, support, strata=strata)
     if rate > 1.0:
         return GrowthReport(
             subject, KIND_EXPONENTIAL, True, rate, None, lengths, False, None, cert, conjugator
         )
-    degree = scc_polynomial_degree(m, support)
+    degree = _chain_degree(strata)
     return GrowthReport(
         subject, KIND_POLYNOMIAL, True, None, degree, lengths, False, degree + 1, cert, conjugator
     )

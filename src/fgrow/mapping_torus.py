@@ -10,12 +10,14 @@ H = ⟨gens⟩ ≤ G: take n = gcd of the generators' t-exponents, build an
 explicit s ∈ H with exponent n by Euclidean combination, re-express
 the generators as fiber seeds gᵢ·s^{-kᵢ/n}, and saturate the folded
 seed subgroup under θ, conjugation by s (a ↦ x·Φⁿ(a)·x⁻¹ when
-s = x·tⁿ), until the subgroup is invariant both ways.  One live fold
-holds the subgroup throughout: each round traces the images on it and
-folds those that escape onto it, and the canonical graph is built once
-nothing escapes.  Stabilization is guaranteed only when H ∩ F is
-finitely generated, so budgets are enforced and exhaustion raises
-UnstabilizedError rather than guessing.
+s = x·tⁿ), until the subgroup is invariant both ways.  θ^±1 is applied
+as w ↦ y·ψ(w)·y⁻¹ on letter tuples, where ψ is the inner conjugate of
+Φ^±n of least total image length, so only the two ends of ψ(w) meet
+the conjugator.  One live fold holds the subgroup throughout: each
+round traces the images on it and folds those that escape onto it, and
+the canonical graph is built once nothing escapes.  Stabilization is
+guaranteed only when H ∩ F is finitely generated, so budgets are
+enforced and exhaustion raises UnstabilizedError rather than guessing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Iterable, Sequence
 from .automorphisms import (
     Automorphism,
     Endomorphism,
+    _inner_normalize,
     apply_power,
     certify_automorphism,
     compose,
@@ -47,7 +50,9 @@ from .words import (
     VerificationError,
     Word,
     basis as make_basis,
+    free_reduce,
     identity,
+    join,
 )
 
 
@@ -280,6 +285,17 @@ class FiberIntersection:
         return out
 
 
+def _conjugation(
+    theta: Automorphism,
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], tuple[int, ...]]:
+    """(y, ψ's substitution table, y⁻¹) with θ = i_y∘ψ, where ψ is θ's
+    inner normalization: θ(w) = y·ψ(w)·y⁻¹, so y meets ψ(w) at its two
+    ends only, where θ's own images would cancel at every junction."""
+    psi, h = _inner_normalize(theta)
+    y = _inv(h.letters)
+    return y, psi._subst, h.letters
+
+
 def fiber_intersection(
     group: TorusGroup,
     gens: Sequence[TorusElement],
@@ -314,25 +330,30 @@ def fiber_intersection(
         n = d
 
     # n = gcd of the exponents divides each g.k (and g.k = 0 when n = 0),
-    # so g·s^(−m) has exponent g.k − m·n = 0
-    entries: list[tuple[Word, tuple[int, ...]]] = []
+    # so g·s^(−m) has exponent g.k − m·n = 0.  Entries stay letter tuples.
+    entries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for i, g in enumerate(gens, start=1):
         m = g.k // n if n else 0
         h = g * (s ** (-m))
         if h.k != 0:
             raise VerificationError("seed failed to land in the fiber")
-        entries.append((h.w, (i,) + _pow_expr(s_expr, -m)))
+        entries.append((h.w.letters, (i,) + _pow_expr(s_expr, -m)))
 
     # one live fold of the entries' loops; its roots are the core graph's
     # vertices, so it is renumbered only once nothing escapes
     fold = _Fold()
     for w, _ in entries:
-        fold.add_path(w.letters)
+        fold.add_path(w)
     rounds = 0
     if n:
+        # the composed θ serves only the closing recheck; rounds apply
+        # θ^±1 = i_y∘ψ through _conjugation
         theta = compose(inner_automorphism(b, s.w), map_power(group.phi, n))
-        theta_inv = theta.inverse()
         s_inv_expr = _inv(s_expr)
+        moves = (
+            (*_conjugation(theta), s_expr, s_inv_expr),
+            (*_conjugation(theta.inverse()), s_inv_expr, s_expr),
+        )
         # H_{r+1} = ⟨H_r ∪ θ(H_r) ∪ θ⁻¹(H_r)⟩: only the last round's new
         # entries need mapping, as older entries' images are already
         # members.  Every image is tested against H_r before any is folded.
@@ -343,15 +364,12 @@ def fiber_intersection(
                     "fiber saturation exceeded the vertex budget",
                     rounds, fold.uf.roots,
                 )
-            escapes = [
-                (img, pre + e + post)
-                for w, e in frontier
-                for img, pre, post in (
-                    (theta.apply(w), s_expr, s_inv_expr),
-                    (theta_inv.apply(w), s_inv_expr, s_expr),
-                )
-                if _walk(fold.out, fold.inn, 0, img.letters) != (0, len(img))
-            ]
+            escapes = []
+            for w, e in frontier:
+                for y, table, y_inv, pre, post in moves:
+                    img = join(join(y, free_reduce(w, table)), y_inv)
+                    if _walk(fold.out, fold.inn, 0, img) != (0, len(img)):
+                        escapes.append((img, pre + e + post))
             if not escapes:
                 break
             rounds += 1
@@ -362,7 +380,7 @@ def fiber_intersection(
                 )
             entries += escapes
             for w, _ in escapes:
-                fold.add_path(w.letters)
+                fold.add_path(w)
             frontier = escapes
     graph = fold.graph(b)
     # nothing escapes, so θ^±1 of every entry is a member and θ(H) = H:
@@ -372,7 +390,7 @@ def fiber_intersection(
 
     result = FiberIntersection(group, gens, graph, n, s if n else None, rounds)
     if with_witnesses:
-        result._witnessed = witnessed_graph(b, [w for w, _ in entries])
+        result._witnessed = witnessed_graph(b, [Word(b, w) for w, _ in entries])
         result._entry_exprs = tuple(e for _, e in entries)
     return result
 

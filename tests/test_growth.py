@@ -36,7 +36,7 @@ from fgrow.growth import (
 )
 from fgrow.words import BasisMismatchError, Word, basis, cyclic_word, free_reduce, identity
 
-from helpers import finite_difference_degree, naive_length_sequence, random_letters
+from helpers import cyclic_trim, finite_difference_degree, naive_length_sequence, random_letters
 
 F = basis("a b")
 FIB = parse_automorphism("a -> a b\nb -> a")
@@ -108,6 +108,90 @@ def test_length_sequence_cap():
     seq = length_sequence(FIB, F.parse("a"), 60, cap=1000)
     assert len(seq) < 60
     assert seq[-1] > 1000 and all(v <= 1000 for v in seq[:-1])
+
+
+@st.composite
+def _maps_and_words(draw):
+    """A random endomorphism of F2 or F3 (images of 0-3 letters, empty
+    ones included), maybe a power of it conjugated by a short word, and
+    a word of up to 60 letters."""
+    rng = draw(st.randoms(use_true_random=False))
+    rank = draw(st.integers(2, 3))
+    b = basis(["a", "b", "c"][:rank])
+    phi = Endomorphism(
+        b, tuple(Word(b, random_letters(rng, rank, rng.randint(0, 3))) for _ in range(rank))
+    )
+    if draw(st.booleans()):
+        g = Word(b, random_letters(rng, rank, rng.randint(1, 4)))
+        phi = compose(inner_automorphism(b, g), power(phi, rng.randint(1, 2)))
+    return phi, random_letters(rng, rank, draw(st.integers(0, 60)))
+
+
+@settings(max_examples=150)
+@given(_maps_and_words(), st.sampled_from([None, 1, 40, 2000]))
+def test_iterated_lengths_match_substitution_oracle(case, cap):
+    # the power table reads iterates from earlier ones; every length
+    # must still be the plain iteration's, truncation included
+    phi, letters = case
+    n = 3 if cap is None else 25  # images of up to 17 letters
+    seq, truncated = growth._iterated_lengths(phi, cyclic_word(Word(phi.basis, letters)), n, cap)
+    assert seq[1:] == naive_length_sequence(phi, letters, n, cap)
+    assert truncated == (cap is not None and seq[-1] > cap)
+
+
+def _work(monkeypatch, phi, letters, n, cap):
+    """(letters fed to free_reduce, letter pairs it cancelled) for the
+    iteration, then for a plain step loop over the same iterates; both
+    are per-letter Python work in free_reduce."""
+    tally = [0, 0]
+
+    def counted(w, images=None):
+        out = free_reduce(w, images)
+        pushed = sum(len(images[x]) for x in w) if images else len(w)
+        tally[0] += len(w)
+        tally[1] += (pushed - len(out)) // 2
+        return out
+
+    monkeypatch.setattr(growth, "free_reduce", counted)
+    core = cyclic_word(Word(phi.basis, letters))
+    seq, _ = growth._iterated_lengths(phi, core, n, cap)
+    fast = tuple(tally)
+    tally[:] = [0, 0]
+    cur = core.letters
+    for _ in seq[1:]:
+        cur = cyclic_trim(counted(cur, phi._subst))
+    monkeypatch.undo()
+    return fast, tuple(tally)
+
+
+WORK_SHAPES = [
+    # iterates that never grow: a power table never pays
+    ("a -> b; b -> a; c -> c'", [random_letters(random.Random(k), 3, 700) for k in range(3)], 40),
+    # linear growth from short words
+    ("a -> a; b -> b; c -> a c a'",
+     [random_letters(random.Random(k), 3, k) for k in range(1, 7)] + [(3, 3) * k for k in (1, 5, 40)],
+     1000),
+    # each c c junction of the base cancels more the further T advances
+    ("a -> a; b -> b; c -> d e c e' d'; d -> d e; e -> d",
+     [(3, 3) * k + (4,) for k in (1, 5, 50, 200)], 40),
+]
+
+
+@pytest.mark.parametrize("rules,words,n", WORK_SHAPES)
+def test_power_table_works_at_most_twice_a_plain_loop(monkeypatch, rules, words, n):
+    phi = parse_endomorphism(rules)
+    for letters in words:
+        fast, plain = _work(monkeypatch, phi, free_reduce(letters), n, 10**5)
+        assert fast[0] <= 2 * plain[0], (letters, fast, plain)
+        assert sum(fast) <= 2 * sum(plain), (letters, fast, plain)
+
+
+def test_power_table_reads_less_on_a_growing_word(monkeypatch):
+    # a long word over the golden-ratio map: the base is read once per
+    # iterate instead of every whole iterate
+    letters = random_letters(random.Random(7), 2, 600)
+    fast, plain = _work(monkeypatch, FIB, letters, 40, 10**5)
+    assert 10 * fast[0] < plain[0] and 2 * sum(fast) < sum(plain)
 
 
 def test_certified_matrix_lengths_equal_iteration():
@@ -189,12 +273,13 @@ def test_certified_report_computes_each_perron_root_once(monkeypatch):
     m = numpy.array(transition_matrix(phi), dtype=float)
     want = max(abs(numpy.linalg.eigvals(m)))
     assert abs(rep.rate - want) <= 1e-9 * want
-    # c reaches only its own loop, so the {a, b} root is never taken
-    calls["_perron_root"] = 0
+    # c reaches only its own loop, so the {a, b} root is never taken,
+    # and the degree is read from the same walk as the rate
+    calls.update(_perron_root=0, _strata=0)
     phi = parse_endomorphism("a -> a b; b -> a; c -> c")
     rep = classify_growth(phi, Word(phi.basis, (3,)))
     assert rep.kind == KIND_POLYNOMIAL and rep.certified and rep.degree == 0
-    assert calls["_perron_root"] == 0
+    assert calls == {"_perron_root": 0, "_strata": 1}
 
 
 def test_spectral_radius_respects_support():

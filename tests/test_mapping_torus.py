@@ -253,6 +253,9 @@ SATURATION_TORI = {
     "fib": "a -> a b; b -> a",
     "poly": "a -> a; b -> b a",
     "rank3": "a -> b; b -> c; c -> a b",
+    # powers not of least total image length: θ^±1 = i_y∘ψ with ψ ≠ Φ^±n
+    "inner": "a -> b a b'; b -> b",
+    "twisted": "a -> b a b'; b -> b a'",
 }
 
 
