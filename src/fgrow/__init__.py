@@ -18,7 +18,6 @@ from .automorphisms import (
     compose,
     identity_automorphism,
     inner_automorphism,
-    is_automorphism,
     parse_automorphism,
     parse_endomorphism,
     power as map_power,
@@ -26,7 +25,6 @@ from .automorphisms import (
 )
 from .folding import (
     StallingsGraph,
-    conjugate_subgroup,
     double_coset_contains,
     full_group,
     intersect,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .folding import StallingsGraph, witnessed_graph
+from .folding import StallingsGraph, full_group, witnessed_graph
 from .words import (
     Basis,
     BasisMismatchError,
@@ -216,7 +216,7 @@ def certify_automorphism(phi: Endomorphism) -> Automorphism:
     """
     b = phi.basis
     wg = witnessed_graph(b, list(phi.images))
-    if not wg.is_rose():
+    if wg.graph != full_group(b):
         raise NotSurjectiveError(
             "images generate a proper subgroup", wg.graph
         )
@@ -239,14 +239,6 @@ def certify_automorphism(phi: Endomorphism) -> Automorphism:
         if phi.apply(inv.apply(g)) != g or inv.apply(phi.apply(g)) != g:
             raise VerificationError("inverse readback failed verification")
     return auto
-
-
-def is_automorphism(phi: Endomorphism) -> bool:
-    try:
-        certify_automorphism(phi)
-        return True
-    except NotSurjectiveError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -281,37 +273,29 @@ class RestrictedAutomorphism:
         return Word(self.auto.basis, expr)
 
 
-def restrict(
-    phi: Automorphism,
-    h: StallingsGraph,
-    exponent: int = 1,
-    conjugator: Word | None = None,
-) -> RestrictedAutomorphism:
-    """Restriction of (inner(conjugator) ∘ phi^exponent) to H.
+def restrict(phi: Automorphism, h: StallingsGraph) -> RestrictedAutomorphism:
+    """Restriction of phi to H; pass a composed map to restrict a power
+    or an inner conjugate.
 
     H must be invariant both ways; otherwise NotInvariantError names a
     failing basis element.
     """
     if h.basis != phi.basis:
         raise BasisMismatchError("subgroup over a different basis")
-    theta = power(phi, exponent)
-    if conjugator is not None:
-        theta = compose(inner_automorphism(phi.basis, conjugator), theta)
-    theta_inv = theta.inverse()
+    phi_inv = phi.inverse()
     free = h.free_basis()
-    for w in free:
-        fw = theta.apply(w)
-        if not h.accepts(fw):
-            raise NotInvariantError("image escapes the subgroup", w, fw)
-        bw = theta_inv.apply(w)
-        if not h.accepts(bw):
-            raise NotInvariantError("preimage escapes the subgroup", w, bw)
     if not free:
         raise ValueError("cannot restrict to the trivial subgroup")
     fresh = make_basis([f"x{i}" for i in range(1, len(free) + 1)])
     images = []
     for w in free:
-        expr = h.express_in_free_basis(theta.apply(w))
+        fw = phi.apply(w)
+        expr = h.express_in_free_basis(fw)
+        if expr is None:
+            raise NotInvariantError("image escapes the subgroup", w, fw)
+        bw = phi_inv.apply(w)
+        if not h.accepts(bw):
+            raise NotInvariantError("preimage escapes the subgroup", w, bw)
         images.append(Word(fresh, expr))
     endo = Endomorphism(fresh, tuple(images))
     return RestrictedAutomorphism(certify_automorphism(endo), h, tuple(free))
@@ -384,7 +368,6 @@ __all__ = [
     "identity_automorphism",
     "identity_endomorphism",
     "inner_automorphism",
-    "is_automorphism",
     "parse_automorphism",
     "parse_endomorphism",
     "power",

@@ -485,9 +485,6 @@ class WitnessedGraph:
         parts = (gens[j - 1] if j > 0 else gens[-j - 1].inverse() for j in expr)
         return concat_all(self.basis, parts)
 
-    def is_rose(self) -> bool:
-        return self.graph == full_group(self.basis)
-
 
 def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
     """Folded graph of ⟨gens⟩ with membership certificates.
@@ -510,12 +507,6 @@ def trivial_subgroup(b: Basis) -> StallingsGraph:
 
 def full_group(b: Basis) -> StallingsGraph:
     return StallingsGraph(b, 1, [(0, x, 0) for x in range(1, b.rank + 1)])
-
-
-def conjugate_subgroup(h: StallingsGraph, g: Word) -> StallingsGraph:
-    """Graph of g·H·g⁻¹."""
-    gens = [concat_all(h.basis, [g, w, g.inverse()]) for w in h.free_basis()]
-    return stallings_graph(h.basis, gens)
 
 
 def subgroup_equal(a: StallingsGraph, c: StallingsGraph) -> bool:

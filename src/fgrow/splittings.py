@@ -66,12 +66,6 @@ class GraphOfGroups:
     def kind(self) -> str:
         return "free" if all(e.fiber is None for e in self.edges) else "cyclic"
 
-    def vertex(self, name: str) -> GogVertex:
-        for v in self.vertices:
-            if v.name == name:
-                return v
-        raise KeyError(f"no vertex named {name!r}")
-
 
 def _spanning_tree(gog: GraphOfGroups) -> tuple[set[str], set[str]]:
     """Tree edge names and reached vertices; edges without stable
@@ -112,6 +106,10 @@ def validate_splitting(gog: GraphOfGroups) -> None:
         if e.u not in by_name or e.v not in by_name:
             raise SplittingViolation(f"edge {e.name}: unknown endpoint")
         if e.fiber is not None:
+            if e.stable_letter is not None:
+                raise SplittingViolation(
+                    f"edge {e.name}: a cyclic edge cannot carry a stable letter"
+                )
             if not e.fiber.letters:
                 raise SplittingViolation(f"edge {e.name}: cyclic edge word is trivial")
             core = cyclic_word(e.fiber)
@@ -153,54 +151,41 @@ def validate_splitting(gog: GraphOfGroups) -> None:
 @dataclass(frozen=True)
 class FixedSplittingWitness:
     """σ on vertices and edges (with orientation flips) plus corrector
-    words: at vertex v the map a ↦ x_v·Φ(a)·x_v⁻¹ must carry the group
-    at v into the group at σ(v)."""
+    words, each keyed by name; a name left out is fixed, unflipped, or
+    uncorrected.  At vertex v the map a ↦ x_v·Φ(a)·x_v⁻¹ must carry the
+    group at v into the group at σ(v)."""
 
-    vertex_map: tuple[tuple[str, str], ...]
-    edge_map: tuple[tuple[str, str, bool], ...]
-    correctors: tuple[tuple[str, Word], ...]
-
-    def __post_init__(self) -> None:
-        sigma_e = {a: (b, flip) for a, b, flip in self.edge_map}
-        object.__setattr__(self, "_sigma_v", dict(self.vertex_map))
-        object.__setattr__(self, "_sigma_e", sigma_e)
-        object.__setattr__(self, "_correctors", dict(self.correctors))
+    vertex_map: dict[str, str] = field(default_factory=dict)
+    edge_map: dict[str, tuple[str, bool]] = field(default_factory=dict)
+    correctors: dict[str, Word] = field(default_factory=dict)
 
     def sigma_vertex(self, name: str) -> str:
-        return self._sigma_v.get(name, name)
+        return self.vertex_map.get(name, name)
 
     def sigma_edge(self, name: str) -> tuple[str, bool]:
-        return self._sigma_e.get(name, (name, False))
+        return self.edge_map.get(name, (name, False))
 
     def corrector(self, name: str, b: Basis) -> Word:
-        w = self._correctors.get(name)
+        w = self.correctors.get(name)
         return identity(b) if w is None else w
 
 
 def identity_witness() -> FixedSplittingWitness:
-    return FixedSplittingWitness((), (), ())
+    return FixedSplittingWitness()
 
 
 def _check_witness_shape(gog: GraphOfGroups, witness: FixedSplittingWitness) -> None:
     vnames = {v.name for v in gog.vertices}
     enames = {e.name for e in gog.edges}
-    for a, b in witness.vertex_map:
+    for a, b in witness.vertex_map.items():
         if a not in vnames or b not in vnames:
             raise ValueError(f"witness maps unknown vertex {a!r} or {b!r}")
-    for a, b, _ in witness.edge_map:
+    for a, (b, _) in witness.edge_map.items():
         if a not in enames or b not in enames:
             raise ValueError(f"witness maps unknown edge {a!r} or {b!r}")
-    for a, _ in witness.correctors:
+    for a in witness.correctors:
         if a not in vnames:
             raise ValueError(f"corrector for unknown vertex {a!r}")
-    for what, entries in (
-        ("vertex map", witness.vertex_map),
-        ("edge map", witness.edge_map),
-        ("corrector", witness.correctors),
-    ):
-        twice = [name for name, n in Counter(e[0] for e in entries).items() if n > 1]
-        if twice:
-            raise ValueError(f"witness repeats the {what} entry for {twice[0]!r}")
     if len({witness.sigma_vertex(n) for n in vnames}) != len(vnames):
         raise ValueError("witness vertex map is not a permutation")
     if len({witness.sigma_edge(n)[0] for n in enames}) != len(enames):
@@ -581,9 +566,9 @@ def parse_splitting(
     section = None
     vertices: list[GogVertex] = []
     edges: list[GogEdge] = []
-    vmap: list[tuple[str, str]] = []
-    emap: list[tuple[str, str, bool]] = []
-    corr: list[tuple[str, Word]] = []
+    vmap: dict[str, str] = {}
+    emap: dict[str, tuple[str, bool]] = {}
+    corr: dict[str, Word] = {}
     saw_witness = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -615,7 +600,7 @@ def parse_splitting(
             ends = fields[0].split()
             if len(ends) != 2:
                 raise WordSyntaxError(f"line {lineno}: expected two endpoints")
-            fiber = stable = None
+            given: dict[str, Word] = {}
             for f in fields[1:]:
                 f = f.strip()
                 if not f:
@@ -625,51 +610,45 @@ def parse_splitting(
                 key, val = f.split("=", 1)
                 w = _parse_word(b, val, lineno)
                 key = key.strip()
-                if key == "y":
-                    fiber = w
-                elif key == "s":
-                    stable = w
-                else:
+                if key not in ("y", "s"):
                     raise WordSyntaxError(f"line {lineno}: unknown edge field {key!r}")
-            edges.append(GogEdge(name, ends[0], ends[1], fiber, stable))
+                if key in given:
+                    raise WordSyntaxError(f"line {lineno}: duplicate edge field {key!r}")
+                given[key] = w
+            edges.append(GogEdge(name, ends[0], ends[1], given.get("y"), given.get("s")))
         elif section == "witness":
             parts = line.split()
             head, colon, rest = line.partition(":")
             if parts[0] == "map" and len(parts) == 4 and parts[2] == "->":
-                entries, entry = vmap, (parts[1], parts[3])
+                entries, key, entry = vmap, parts[1], parts[3]
             elif parts[0] == "edge" and len(parts) in (4, 5) and parts[2] == "->":
                 flip = len(parts) == 5
                 if flip and parts[4] != "!":
                     raise WordSyntaxError(f"line {lineno}: expected '!' flip marker")
-                entries, entry = emap, (parts[1], parts[3], flip)
+                entries, key, entry = emap, parts[1], (parts[3], flip)
             elif colon and len(head.split()) == 2 and head.split()[0] == "corrector":
-                entries, entry = corr, (head.split()[1], _parse_word(b, rest, lineno))
+                entries, key, entry = corr, head.split()[1], _parse_word(b, rest, lineno)
             else:
                 raise WordSyntaxError(f"line {lineno}: unrecognized witness line")
-            if any(e[0] == entry[0] for e in entries):
-                raise WordSyntaxError(
-                    f"line {lineno}: duplicate witness entry for {entry[0]!r}"
-                )
-            entries.append(entry)
+            if key in entries:
+                raise WordSyntaxError(f"line {lineno}: duplicate witness entry for {key!r}")
+            entries[key] = entry
         else:
             raise WordSyntaxError(f"line {lineno}: content outside any section")
     if b is None:
         raise WordSyntaxError("no basis line found")
     gog = GraphOfGroups(b, tuple(vertices), tuple(edges))
-    witness = (
-        FixedSplittingWitness(tuple(vmap), tuple(emap), tuple(corr))
-        if saw_witness
-        else None
-    )
-    return gog, witness
+    return gog, FixedSplittingWitness(vmap, emap, corr) if saw_witness else None
 
 
-def parse_hierarchy(text: str, b: Basis | None = None) -> Hierarchy:
+def parse_hierarchy(text: str) -> Hierarchy:
     """Parse an indented hierarchy file; see docs/formats.md.
 
     One node per line, two-space indentation for children, fields
-    ``group=w1|w2`` and ``status=...`` after the node name.
+    ``group=w1|w2`` and ``status=...`` after the node name, each at
+    most once.
     """
+    b: Basis | None = None
     kind: str | None = None
     stack: list[tuple[int, dict]] = []
     root: dict | None = None
@@ -700,20 +679,21 @@ def parse_hierarchy(text: str, b: Basis | None = None) -> Hierarchy:
         name = parts[0]
         group: StallingsGraph | None = None
         status = "unexpanded"
+        given: set[str] = set()
         for p in parts[1:]:
-            if p.startswith("group="):
-                gens = [
-                    _parse_word(b, g.replace("_", " "), lineno)
-                    for g in p[len("group="):].split("|")
-                    if g
-                ]
-                group = stallings_graph(b, gens)
-            elif p.startswith("status="):
-                status = p[len("status="):]
-                if status not in ("absolute", "no-splitting", "unexpanded"):
-                    raise WordSyntaxError(f"line {lineno}: unknown status {status!r}")
-            else:
+            key, eq, val = p.partition("=")
+            if not eq or key not in ("group", "status"):
                 raise WordSyntaxError(f"line {lineno}: unknown field {p!r}")
+            if key in given:
+                raise WordSyntaxError(f"line {lineno}: duplicate field {key!r}")
+            given.add(key)
+            if key == "group":
+                gens = [_parse_word(b, g.replace("_", " "), lineno) for g in val.split("|") if g]
+                group = stallings_graph(b, gens)
+            elif val in ("absolute", "no-splitting", "unexpanded"):
+                status = val
+            else:
+                raise WordSyntaxError(f"line {lineno}: unknown status {val!r}")
         node = {
             "name": name,
             "group": group if group is not None else full_group(b),

@@ -179,7 +179,8 @@ def free_reduce(
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word.  Construct via ``Basis.parse`` or ``reduce``."""
+    """A freely reduced word.  Construct via ``Basis.parse``, or from
+    letters that ``free_reduce`` has reduced."""
 
     basis: Basis
     letters: tuple[int, ...]
@@ -217,11 +218,6 @@ class Word:
 
 def identity(b: Basis) -> Word:
     return Word(b, ())
-
-
-def reduce(b: Basis, letters: Iterable[int]) -> Word:
-    """Freely reduce a raw letter sequence into a Word."""
-    return Word(b, free_reduce(letters))
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -262,19 +258,6 @@ def concat_all(b: Basis, parts: Iterable[Word]) -> Word:
             raise BasisMismatchError("words over different bases")
         out.extend(p.letters)
     return Word(b, free_reduce(out))
-
-
-def conjugate(w: Word, g: Word) -> Word:
-    """g·w·g⁻¹, reduced."""
-    return concat(concat(g, w), g.inverse())
-
-
-def power(w: Word, n: int) -> Word:
-    base = w if n >= 0 else w.inverse()
-    out = identity(w.basis)
-    for _ in range(abs(n)):
-        out = concat(out, base)
-    return out
 
 
 def _canonical_rotation(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

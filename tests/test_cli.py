@@ -278,11 +278,17 @@ def test_split_duplicate_witness_entry(tmp_path, capsys, extra, name):
         ("split", "basis: a b\n[vertices]\nv 1: a | b\n", "line 3: vertex name 'v 1' contains whitespace"),
         ("split", "basis: a b\n[vertices]\nv: a | b\n[edges]\ne: v v ; y = b ; yu = b\n",
          "line 5: unknown edge field 'yu'"),
+        ("split", "basis: a b\n[vertices]\nv: a | b a^2 b'\n[edges]\ne: v v ; y = a ; s = b\n",
+         "edge e: a cyclic edge cannot carry a stable letter"),
+        ("split", "basis: a b\n[vertices]\nv: a | b\n[edges]\ne: v v ; y = a ; y = b\n",
+         "line 5: duplicate edge field 'y'"),
         ("hierarchy", "basis: a b\nkind: free\nkind: cyclic\ng\n", "line 3: duplicate kind line"),
         ("hierarchy", "basis: a b\ng\nkind: cyclic\n", "line 3: kind must come before the nodes"),
+        ("hierarchy", "basis: a b\ng\n  h1 group=a status=absolute status=unexpanded\n",
+         "line 3: duplicate field 'status'"),
     ],
-    ids=["nameless-vertex", "nameless-edge", "spaced-vertex", "boundary-field", "second-kind",
-         "late-kind"],
+    ids=["nameless-vertex", "nameless-edge", "spaced-vertex", "boundary-field", "cyclic-stable",
+         "second-edge-field", "second-kind", "late-kind", "second-node-field"],
 )
 def test_malformed_structure_files_exit_one(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.txt"

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from fgrow import folding
 from fgrow.folding import (
     StallingsGraph,
-    conjugate_subgroup,
     double_coset_contains,
     full_group,
     intersect,
@@ -83,12 +82,6 @@ def test_free_basis_roundtrip():
         expr = g.express_in_free_basis(w)
         assert expr is not None and len(expr) == 1
     assert g.express_in_free_basis(W("a")) is None
-
-
-def test_conjugate_subgroup():
-    g = conjugate_subgroup(graph("a"), W("b"))
-    assert g.accepts(W("b a b'"))
-    assert not g.accepts(W("a"))
 
 
 def test_intersection_examples():

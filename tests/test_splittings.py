@@ -124,6 +124,15 @@ def test_validate_rejects_bad_edge_words():
         )
     with pytest.raises(SplittingViolation, match="not in the v-side"):
         validate_splitting(with_edge(GogEdge("e", "v1", "v2", fiber=F3.parse("a"))))
+    # b·a·b⁻¹ and b⁻¹·a·b both lie outside ⟨a, b a² b⁻¹⟩, so y = a with
+    # s = b describes no splitting, though the rank count and the
+    # generation check both pass
+    v = GogVertex("v", stallings_graph(F, [F.parse("a"), F.parse("b a^2 b'")]))
+    hnn = GogEdge("e", "v", "v", fiber=F.parse("a"), stable_letter=F.parse("b"))
+    with pytest.raises(
+        SplittingViolation, match="^edge e: a cyclic edge cannot carry a stable letter$"
+    ):
+        validate_splitting(GraphOfGroups(F, (v,), (hnn,)))
 
 
 def test_validate_rejects_disconnected_and_bad_counts():
@@ -151,18 +160,11 @@ def test_validate_rejects_non_generating_decomposition():
 # -- witnesses -------------------------------------------------------------
 
 
-SWAP_V = (("v1", "v2"), ("v2", "v1"))
-SWAP_E = (("e1", "e1", True),)
 BAD_WITNESSES = [
-    ((("zz", "v1"),), (), (), "unknown vertex"),
-    ((), (("zz", "e1", False),), (), "unknown edge"),
-    ((), (), (("zz", F.parse("a")),), "corrector"),
-    ((("v1", "v2"),), (), (), "not a permutation"),
-    # a contradictory later entry is refused, not ignored
-    (SWAP_V + (("v1", "v1"),), SWAP_E, (), "^witness repeats the vertex map entry for 'v1'$"),
-    (SWAP_V, SWAP_E + (("e1", "e1", False),), (), "^witness repeats the edge map entry for 'e1'$"),
-    (SWAP_V, SWAP_E, (("v2", F.parse("a")), ("v2", F.parse("b"))),
-     "^witness repeats the corrector entry for 'v2'$"),
+    ({"zz": "v1"}, {}, {}, "unknown vertex"),
+    ({}, {"zz": ("e1", False)}, {}, "unknown edge"),
+    ({}, {}, {"zz": F.parse("a")}, "corrector"),
+    ({"v1": "v2"}, {}, {}, "not a permutation"),
 ]
 
 
@@ -191,7 +193,7 @@ def test_verify_uses_correctors():
     gog, _ = make_free()
     conj = inner_automorphism(F, F.parse("a"))
     assert not verify_fixed(gog, conj, identity_witness())
-    wit = FixedSplittingWitness((), (), (("v2", F.parse("a'")),))
+    wit = FixedSplittingWitness(correctors={"v2": F.parse("a'")})
     assert verify_fixed(gog, conj, wit)
 
 
@@ -206,7 +208,7 @@ def test_verify_cyclic_boundaries():
     # each corrector keeps its vertex group but moves y = b off ⟨b⟩,
     # so the edge word fails at that end alone
     for end, x in (("v1", "a"), ("v2", "c")):
-        wit = FixedSplittingWitness((), (), ((end, F3.parse(x)),))
+        wit = FixedSplittingWitness(correctors={end: F3.parse(x)})
         assert not verify_fixed(gog, ident, wit)
 
 
@@ -288,7 +290,7 @@ def test_induce_refuses_a_non_permutation_witness():
     # v1 ↦ v2 ↦ v2 is no permutation, so an orbit walk from v1 would
     # never return; the alarm turns such a hang into a failure
     gog, _ = make_free()
-    witness = FixedSplittingWitness((("v1", "v2"),), (), ())
+    witness = FixedSplittingWitness({"v1": "v2"})
 
     def hung(signum, frame):
         raise TimeoutError("induce_torus_splitting did not return")
@@ -422,11 +424,9 @@ def test_induce_hierarchy_mirrors_shape():
 def test_parse_splitting_contents():
     gog, wit = parse_splitting(FREE_SPLIT)
     assert [v.name for v in gog.vertices] == ["v1", "v2"]
-    assert gog.vertex("v1").group.accepts(F.parse("a"))
+    assert gog.vertices[0].group.accepts(F.parse("a"))
     assert gog.edges[0].fiber is None
-    assert wit is not None
-    assert wit.sigma_vertex("v1") == "v2"
-    assert wit.sigma_edge("e1") == ("e1", True)
+    assert wit == FixedSplittingWitness({"v1": "v2", "v2": "v1"}, {"e1": ("e1", True)})
     cyc, no_wit = parse_splitting(CYCLIC_SPLIT)
     assert no_wit is None
     assert str(cyc.edges[0].fiber) == "b"
@@ -455,6 +455,8 @@ def test_parse_splitting_accepts_matching_basis_argument():
         ("basis: a b\n[vertices]\n: a | b", "^line 3: missing vertex name$"),
         ("basis: a b\n[vertices]\nv: a\n[edges]\n : v v ; s = b", "^line 5: missing edge name$"),
         ("basis: a b\n[vertices]\nv 1: a | b", "^line 3: vertex name 'v 1' contains whitespace$"),
+        ("basis: a b\n[edges]\ne1: v1 v2 ; y = a ; y = b", "^line 3: duplicate edge field 'y'$"),
+        ("basis: a b\n[edges]\ne1: v v ; s = a ; s = a", "^line 3: duplicate edge field 's'$"),
     ],
 )
 def test_parse_splitting_diagnostics(snippet, message):
@@ -505,6 +507,9 @@ def test_parse_hierarchy():
         ("basis: a b\nkind: free\nkind: cyclic\ng", "^line 3: duplicate kind line$"),
         ("kind: cyclic\nbasis: a b\nkind: cyclic\ng", "^line 3: duplicate kind line$"),
         ("basis: a b\ng\n  h\nkind: cyclic", "^line 4: kind must come before the nodes$"),
+        ("basis: a b\ng\n  h1 group=a status=absolute status=unexpanded",
+         "^line 3: duplicate field 'status'$"),
+        ("basis: a b\ng group=a group=b", "^line 2: duplicate field 'group'$"),
     ],
 )
 def test_parse_hierarchy_diagnostics(snippet, message):
