@@ -2,7 +2,9 @@
 
 The ball is built by breadth-first search over the generating set
 (fiber basis and the section letter t, with inverses), using the
-normal form (w, k) with w·tᵏ·a = w·Φᵏ(a)·tᵏ to stay exact.  Only the
+normal form (w, k) with w·tᵏ·a = w·Φᵏ(a)·tᵏ to stay exact.  Vertices
+are indexed by column, the t-exponent k and then the fiber word w, and
+stored in BFS order, so a vertex's level is read off its index.  Only the
 levels below r are expanded; the outer sphere S(r) gets its neighbour
 lists on first use, by a search or a query.  Balls are all or nothing:
 exceeding the vertex budget raises instead of returning a partial metric.
@@ -17,10 +19,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Sequence
 
 from .automorphisms import apply_power
@@ -47,52 +48,58 @@ class BudgetExceededError(RuntimeError):
 @dataclass(eq=False, repr=False)
 class BallGraph:
     """Metric ball B(r) in Cay(G, basis ∪ {t}) with exact distances;
-    the neighbour lists of S(r) are built together on first use."""
+    the neighbour lists of S(r) are built together on first use.
+    Level d is range(_bounds[d], _bounds[d + 1]) of the BFS order, and
+    _index[k][w] is the index of (w, k): one column per t-exponent k."""
 
     group: TorusGroup
     radius: int
     _states: list[State]
-    _dist: list[int]
+    _bounds: list[int]
     _adj: list[tuple[int, ...] | None]  # None on S(r) until first asked
-    _index: dict[State, int]
+    _index: dict[int, dict[tuple[int, ...], int]]
     _expand: Callable[[int], None]
 
     def __len__(self) -> int:
         return len(self._states)
 
+    def _vertex(self, i: int) -> int:
+        if not 0 <= i < len(self._states):
+            raise IndexError(f"vertex {i} lies outside a ball of {len(self)} vertices")
+        return i
+
     def element(self, i: int) -> TorusElement:
-        w, k = self._states[i]
+        w, k = self._states[self._vertex(i)]
         return TorusElement(self.group, Word(self.group.basis, w), k)
 
     def index_of(self, g: TorusElement) -> int:
         try:
-            return self._index[(g.w.letters, g.k)]
+            return self._index.get(g.k, {})[g.w.letters]
         except KeyError:
             raise ValueError(f"{g} lies outside the ball") from None
 
     def contains(self, g: TorusElement) -> bool:
-        return (g.w.letters, g.k) in self._index
+        return g.w.letters in self._index.get(g.k, {})
 
     def distance(self, g: TorusElement) -> int:
-        return self._dist[self.index_of(g)]
+        return self.distance_by_index(self.index_of(g))
 
     def distance_by_index(self, i: int) -> int:
-        return self._dist[i]
+        return bisect_right(self._bounds, self._vertex(i)) - 1
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        if self._adj[i] is None:  # all of S(r) at once: BFS order keeps lookups cache-local
+        if self._adj[self._vertex(i)] is None:  # S(r) at once: BFS order keeps lookups local
             self._expand(self.radius + 1)
         return self._adj[i]  # type: ignore[return-value]
 
     def sphere_indices(self, k: int) -> list[int]:
-        return [i for i, d in enumerate(self._dist) if d == k]
+        return list(range(*self._bounds[k : k + 2])) if 0 <= k <= self.radius else []
 
     def sphere_sizes(self) -> list[int]:
-        counts = Counter(self._dist)
-        return [counts[d] for d in range(self.radius + 1)]
+        return [b - a for a, b in zip(self._bounds, self._bounds[1:])]
 
     def ball_sizes(self) -> list[int]:
-        return list(accumulate(self.sphere_sizes()))
+        return self._bounds[1:]
 
     def distances_from(
         self, start: int, min_level: int | None = None, target: int | None = None
@@ -105,16 +112,19 @@ class BallGraph:
         balls of radii a and b first touch at distance a + b + 1.  The
         other entries hold what the start side reached.
         """
-        adj, level, low = self._adj, self._dist, min_level or 0
+        # the vertices at level ≥ min_level are those from index `first` on
+        adj, first = self._adj, self._bounds[min(max(min_level or 0, 0), self.radius + 1)]
         if adj[-1] is None:  # any search may reach S(r)
             self.neighbors(len(adj) - 1)
         out: list[int | None] = [None] * len(adj)
         far: list[int | None] = [None] * len(adj)
-        if level[start] < low:
+        if target is not None:
+            self._vertex(target)
+        if self._vertex(start) < first:
             return out
         out[start] = 0
         if target is not None:
-            if target == start or level[target] < low:
+            if target == start or target < first:
                 return out
             far[target] = 0
         sides = [(out, [start]), (far, [target])]
@@ -125,7 +135,7 @@ class BallGraph:
             nxt = []
             for i in front:
                 for j in adj[i]:  # type: ignore[union-attr]
-                    if mine[j] is None and level[j] >= low:
+                    if mine[j] is None and j >= first:
                         mine[j] = d
                         if other[j] is not None:
                             out[target] = d + other[j]  # type: ignore[index]
@@ -141,46 +151,51 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
     expanded; the neighbour lists of S(r) are built together on first use."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be positive")
     fiber = [Word(group.basis, (s * i,)) for i in range(1, group.basis.rank + 1) for s in (1, -1)]
     # twists[k]: the images under Φᵏ of the fiber letters, in the order
     # above; (w, k)·x = (w·Φᵏ(x), k), and only the junction can cancel.
     twists: dict[int, list[tuple[int, ...]]] = {}
 
-    # expand(stop) lists, in BFS order, the neighbours of each vertex
-    # below level stop without a list, adding vertices only inside B(r):
+    # expand(stop) lists, level by level in BFS order, the neighbours of
+    # the vertices below level stop, adding vertices only inside B(r):
     # expand(r) finds B(r), and expand(r + 1) later lists S(r).  The
-    # generating set is symmetric, hence so is the adjacency.
-    start: State = ((), 0)
-    index: dict[State, int] = {start: 0}
-    states: list[State] = [start]
-    dist: list[int] = [0]
+    # generating set is symmetric, hence so is the adjacency.  A fiber
+    # move stays in its column k, a t-move looks w up in column k ± 1.
+    columns: dict[int, dict[tuple[int, ...], int]] = {0: {(): 0}}
+    states: list[State] = [((), 0)]
+    bounds = [0, 1]
     adj: list[tuple[int, ...] | None] = [None]
 
     def expand(stop: int) -> None:
-        i = adj.index(None)
-        while i < len(states) and dist[i] < stop:
-            w, k = states[i]
-            images = twists.get(k)
-            if images is None:
-                images = twists[k] = [apply_power(group.phi, k, x).letters for x in fiber]
-            nbrs = []
-            for st in [(join(w, y), k) for y in images] + [(w, k + 1), (w, k - 1)]:
-                j = index.get(st)
-                if j is None:
-                    if dist[i] == r:
-                        continue
-                    if len(states) >= max_vertices:
-                        raise BudgetExceededError(max_vertices, r)
-                    j = index[st] = len(states)
-                    states.append(st)
-                    dist.append(dist[i] + 1)
-                    adj.append(None)
-                nbrs.append(j)
-            adj[i] = tuple(sorted(nbrs))
-            i += 1
+        for d in range(len(bounds) - 2, stop):
+            for i in range(bounds[d], bounds[d + 1]):
+                w, k = states[i]
+                images = twists.get(k)
+                if images is None:
+                    images = twists[k] = [apply_power(group.phi, k, x).letters for x in fiber]
+                    columns.setdefault(k + 1, {})
+                    columns.setdefault(k - 1, {})
+                nbrs = []
+                for st in [(join(w, y), k) for y in images] + [(w, k + 1), (w, k - 1)]:
+                    column = columns[st[1]]
+                    j = column.get(st[0])
+                    if j is None:
+                        if d == r:
+                            continue
+                        if len(states) >= max_vertices:
+                            raise BudgetExceededError(max_vertices, r)
+                        j = column[st[0]] = len(states)
+                        states.append(st)
+                        adj.append(None)
+                    nbrs.append(j)
+                adj[i] = tuple(sorted(nbrs))
+            if d < r:
+                bounds.append(len(states))
 
     expand(r)
-    return BallGraph(group, r, states, dist, adj, index, expand)
+    return BallGraph(group, r, states, bounds, adj, columns, expand)
 
 
 def free_times_z_ball_size(rank: int, r: int) -> int:

@@ -6,7 +6,9 @@ own folding or growth paths, so agreement is evidence rather than
 tautology.  ``petal_fold`` is a reference Stallings fold: a wedge of
 petals merged until folded.  ``reference_fiber_saturation`` refolds
 every entry with it each round; only its stop test, ``is_invariant``
-on the folded graph, comes from the package.
+on the folded graph, comes from the package.  ``reference_ball`` is the
+Cayley-ball BFS keyed by whole (w, k) states, with naive reduction at
+the junction.
 """
 
 from __future__ import annotations
@@ -232,3 +234,35 @@ def reference_fiber_saturation(group, gens, max_rounds, max_vertices):
         pos = unseen([theta.apply(w) for w in pos])
         neg = unseen([theta_inv.apply(w) for w in neg])
         entries += pos + neg
+
+
+def reference_ball(group, r):
+    """(states, levels, adjacency) of the Cayley ball B(r) of a mapping
+    torus, by the plain BFS over (w, k) keys: a fiber letter x moves
+    (w, k) to (w·Φᵏ(x), k), and t^±1 moves it to (w, k ± 1).  Every
+    vertex, S(r) included, lists its in-ball neighbours, sorted."""
+    from fgrow.automorphisms import apply_power
+    from fgrow.words import Word
+
+    b = group.basis
+    fiber = [Word(b, (s * i,)) for i in range(1, b.rank + 1) for s in (1, -1)]
+    twists: dict = {}
+    index = {((), 0): 0}
+    states, levels, adj = [((), 0)], [0], []
+    while len(adj) < len(states):
+        w, k = states[len(adj)]
+        d = levels[len(adj)]
+        if k not in twists:
+            twists[k] = [apply_power(group.phi, k, x).letters for x in fiber]
+        nbrs = []
+        for st in [(reduce_letters(w + y), k) for y in twists[k]] + [(w, k + 1), (w, k - 1)]:
+            j = index.get(st)
+            if j is None:
+                if d == r:
+                    continue
+                j = index[st] = len(states)
+                states.append(st)
+                levels.append(d + 1)
+            nbrs.append(j)
+        adj.append(tuple(sorted(nbrs)))
+    return states, levels, adj

@@ -12,10 +12,15 @@ from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fgrow import geometry
-from fgrow.automorphisms import identity_automorphism, parse_automorphism
+from fgrow.automorphisms import (
+    Endomorphism,
+    certify_automorphism,
+    identity_automorphism,
+    parse_automorphism,
+)
 from fgrow.geometry import (
     BallGraph,
     BudgetExceededError,
@@ -25,9 +30,9 @@ from fgrow.geometry import (
     free_times_z_ball_size,
 )
 from fgrow.mapping_torus import torus_group
-from fgrow.words import basis, join
+from fgrow.words import Word, basis, join
 
-from helpers import torus_words
+from helpers import reduce_letters, reference_ball, torus_words
 
 F = basis("a b")
 GID = torus_group(identity_automorphism(F))
@@ -133,6 +138,83 @@ def test_ball_expands_only_inner_levels(monkeypatch):
             assert ball.neighbors(outer) == ball.neighbors(outer)
             # S(r) is listed in one pass, once
             assert len(calls) == per_vertex * len(ball)
+
+
+@st.composite
+def nielsen_tori(draw):
+    """Mapping tori of products of Nielsen moves on F_2 or F_3."""
+    rank = draw(st.integers(2, 3), label="rank")
+    imgs = [(j,) for j in range(1, rank + 1)]
+    for _ in range(draw(st.integers(0, 4), label="moves")):
+        i, j = draw(st.permutations(range(rank)))[:2]
+        inv_j = tuple(-x for x in reversed(imgs[j]))
+        move = draw(st.sampled_from(["multiply", "invert", "swap"]))
+        if move == "multiply":
+            imgs[i] = reduce_letters(imgs[i] + draw(st.sampled_from([imgs[j], inv_j])))
+        elif move == "invert":
+            imgs[i] = tuple(-x for x in reversed(imgs[i]))
+        else:
+            imgs[i], imgs[j] = imgs[j], imgs[i]
+    b = basis("a b c"[: 2 * rank - 1])
+    return torus_group(certify_automorphism(Endomorphism(b, tuple(Word(b, w) for w in imgs))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nielsen_tori(), st.integers(0, 5))
+@example(GFIB, 5)
+@example(G3, 5)
+def test_ball_matches_the_reference_bfs(group, r):
+    # the vertex order fixes which pairs divergence sampling draws
+    states, levels, adj = reference_ball(group, r)
+    ball = cayley_ball(group, r)
+    assert len(ball) == len(states)
+    assert [(e.w.letters, e.k) for e in map(ball.element, range(len(ball)))] == states
+    assert [ball.distance_by_index(i) for i in range(len(ball))] == levels
+    spheres = [[i for i, d in enumerate(levels) if d == k] for k in range(r + 1)]
+    assert [ball.sphere_indices(k) for k in range(r + 1)] == spheres
+    assert ball.ball_sizes() == [sum(map(len, spheres[: k + 1])) for k in range(r + 1)]
+    assert ball.neighbors(len(ball) - 1) == adj[-1]  # lists S(r)
+    assert [ball.neighbors(i) for i in range(len(ball))] == adj
+
+
+FIB2_SIZE = len(cayley_ball(GFIB, 2))
+BY_INDEX = {
+    "element": lambda ball, i: ball.element(i),
+    "distance_by_index": lambda ball, i: ball.distance_by_index(i),
+    "neighbors": lambda ball, i: ball.neighbors(i),
+    "distances_from-start": lambda ball, i: ball.distances_from(i),
+    "distances_from-target": lambda ball, i: ball.distances_from(0, target=i),
+    "fenced-start": lambda ball, i: ball.distances_from(i, min_level=1, target=0),
+    "fenced-target": lambda ball, i: ball.distances_from(0, min_level=1, target=i),
+}
+
+
+@pytest.mark.parametrize("i", [-1, -FIB2_SIZE, FIB2_SIZE, FIB2_SIZE + 5])
+@pytest.mark.parametrize("call", BY_INDEX.values(), ids=BY_INDEX.keys())
+def test_indices_outside_the_ball_raise(call, i):
+    with pytest.raises(IndexError):
+        call(cayley_ball(GFIB, 2), i)
+
+
+@pytest.mark.parametrize("k", [-3, -1, 4, 9])
+def test_no_sphere_outside_the_radius(k):
+    assert cayley_ball(GFIB, 3).sphere_indices(k) == []
+
+
+def test_fence_past_the_radius_keeps_nothing():
+    ball = cayley_ball(GFIB, 3)
+    last = len(ball) - 1
+    for start, target in [(0, None), (last, None), (0, last), (last, 0), (last, last)]:
+        assert ball.distances_from(start, min_level=4, target=target) == [None] * len(ball)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_nonsense_budget_is_refused(budget):
+    with pytest.raises(ValueError, match="^max_vertices must be positive$"):
+        cayley_ball(GID, 0, max_vertices=budget)
+    with pytest.raises(ValueError, match="^max_vertices must be positive$"):
+        divergence_estimate(GID, [1], max_vertices=budget)
+    assert len(cayley_ball(GID, 0, max_vertices=1)) == 1
 
 
 def test_budget_is_all_or_nothing():
