@@ -15,23 +15,24 @@ fold to the canonical graph.  One fold engine serves every entry point:
 whose tables stay folded between insertions.  Loops join it only
 through ``_Fold.add_path``, which reads a word along the graph before
 it adds vertices for the unread part, so the fold is a core graph that
-needs no pruning.  ``_canonical`` numbers it along ``_bfs_tree``, the
-one breadth-first spanning tree, which also gives ``free_basis`` its
-tree; ``intersect`` and ``double_coset_contains`` share one product
-walk, ``_product``; words are read along tables by ``_walk``, or by
-``_read`` where edges carry expressions.  A witnessed fold keeps
-potentials (Kapovich–Myasnikov 2002): with V(v) a fixed word per
-vertex, V(0) empty, the union-find keeps an expression for
-V(v)·V(parent)⁻¹ over the generators, composed on path compression and
-merges, so each folded edge (u, x, v) gets an expression for
-V(u)·x·V(v)⁻¹.  Stitching those along a member word yields its product
-certificate.
+needs no pruning.  ``_canonical`` numbers a graph in one breadth-first
+walk that also records the spanning tree ``free_basis`` reads, and
+only graphs that are read get numbered; ``intersect`` and
+``double_coset_contains`` share one product walk, ``_product``; words
+are read along tables by ``_walk``, or by ``_read`` where edges carry
+expressions.  A witnessed fold keeps potentials (Kapovich–Myasnikov
+2002): with V(v) a fixed word per vertex, V(0) empty, the union-find
+keeps an expression for V(v)·V(parent)⁻¹ over the generators, composed
+on path compression and merges, so each folded edge (u, x, v) gets an
+expression for V(u)·x·V(v)⁻¹.  Stitching those along a member word
+yields its product certificate.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .words import Basis, BasisMismatchError, Word, concat_all, free_reduce, join
@@ -44,31 +45,64 @@ class StallingsGraph:
     """Immutable folded core graph with basepoint 0."""
 
     def __init__(self, basis: Basis, n_vertices: int, edges: Sequence[Edge]):
+        """The folded graph with these edges, canonically numbered."""
         succ: Table = [{} for _ in range(n_vertices)]
         pred: Table = [{} for _ in range(n_vertices)]
         for u, x, v in edges:
+            if not (0 < x <= basis.rank and 0 <= u < n_vertices and 0 <= v < n_vertices):
+                raise ValueError(f"edge {(u, x, v)} names no generator or vertex")
             if x in succ[u] or x in pred[v]:
                 raise ValueError("edge set is not folded")
             succ[u][x] = v
             pred[v][x] = u
-        self._adopt(basis, succ, pred)
+        self._number(basis, succ, pred)
+        if self.n_vertices < n_vertices:
+            raise ValueError("edge set leaves a vertex unreachable from 0")
 
-    def _adopt(self, basis: Basis, succ: Table, pred: Table) -> None:
-        """Take over folded tables; ``edges`` lists them sorted."""
-        self.basis = basis
-        self.n_vertices = len(succ)
-        self._succ = succ
-        self._pred = pred
-        self.edges = tuple(
-            (u, x, v) for u, out in enumerate(succ) for x, v in sorted(out.items())
-        )
+    def _number(self, basis: Basis, succ: Table, pred: Table) -> None:
+        """Take over the part of a folded graph that 0 reaches, renumbered
+        in one breadth-first walk from 0 that also records its spanning
+        tree: via[v] = (parent, signed letter read from the parent to v),
+        with via[0] = (0, 0).  The walk visits labels in ascending order,
+        outgoing edges before incoming ones; the canonical numbering and
+        the free-basis words depend on that order.  A vertex's new id is
+        its place in the walk, and its new tables list labels in order.
+        """
+        new = [0] + [-1] * (len(succ) - 1)
+        order, via = [0], [(0, 0)]
+        n_succ: Table = []
+        n_pred: Table = []
+        labels = range(1, basis.rank + 1)
+        for v, old in enumerate(order):  # order grows as vertices are discovered
+            out, inn, s, p = succ[old], pred[old], {}, {}
+            for x in labels:
+                t = out.get(x)
+                if t is not None:
+                    if new[t] < 0:
+                        new[t] = len(order)
+                        order.append(t)
+                        via.append((v, x))
+                    s[x] = new[t]
+                t = inn.get(x)
+                if t is not None:
+                    if new[t] < 0:
+                        new[t] = len(order)
+                        order.append(t)
+                        via.append((v, -x))
+                    p[x] = new[t]
+            n_succ.append(s)
+            n_pred.append(p)
+        self.basis, self.n_vertices = basis, len(order)
+        self._succ, self._pred, self._via = n_succ, n_pred, via
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge, sorted; built when first read."""
+        return tuple((u, x, v) for u, out in enumerate(self._succ) for x, v in out.items())
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, StallingsGraph)
-            and self.basis == other.basis
-            and self.n_vertices == other.n_vertices
-            and self.edges == other.edges
+        return isinstance(other, StallingsGraph) and (self.basis, self._succ) == (
+            other.basis, other._succ
         )
 
     def __hash__(self) -> int:
@@ -85,10 +119,10 @@ class StallingsGraph:
         return _walk(self._succ, self._pred, 0, w.letters) == (0, len(w))
 
     def is_trivial(self) -> bool:
-        return not self.edges
+        return not (self._succ[0] or self._pred[0])  # 0 reaches every vertex
 
     def rank(self) -> int:
-        return len(self.edges) - self.n_vertices + 1
+        return sum(map(len, self._succ)) - self.n_vertices + 1
 
     def is_full_cover(self) -> bool:
         r = self.basis.rank
@@ -100,16 +134,18 @@ class StallingsGraph:
 
     # -- spanning tree and free basis --------------------------------
 
-    def _cotree(self) -> tuple[dict[int, tuple[int, int]], list[Edge]]:
-        """``_bfs_tree`` and the edges off it, in ``edges`` order."""
-        via = _bfs_tree(self._succ, self._pred, self.basis.rank)
-        off = [(u, x, v) for u, x, v in self.edges if via[v] != (u, x) and via[u] != (v, -x)]
-        return via, off
+    def _cotree(self) -> list[Edge]:
+        """The edges off the numbering walk's spanning tree, in ``edges`` order."""
+        via = self._via
+        return [
+            (u, x, v) for u, out in enumerate(self._succ) for x, v in out.items()
+            if via[v] != (u, x) and via[u] != (v, -x)
+        ]
 
     def free_basis(self) -> list[Word]:
         """One reduced word per non-tree edge of a BFS spanning tree (a
         free basis of the subgroup)."""
-        via, cotree = self._cotree()
+        via, cotree = self._via, self._cotree()
         paths: dict[int, tuple[int, ...]] = {}  # only for non-tree edge ends
 
         def path(v: int) -> tuple[int, ...]:
@@ -140,7 +176,7 @@ class StallingsGraph:
         """
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        index = {(u, x): (j,) for j, (u, x, _) in enumerate(self._cotree()[1], start=1)}
+        index = {(u, x): (j,) for j, (u, x, _) in enumerate(self._cotree(), start=1)}
         at, expr = _read(self._succ, self._pred, index, 0, w.letters)
         return expr if at == 0 else None
 
@@ -361,8 +397,13 @@ class _Fold:
         """
         uf, out, inn, ex = self.uf, self.out, self.inn, self.ex
         p, i = _walk(out, inn, 0, letters)
-        q, k = _walk(out, inn, end, _inv(letters[i:]))
-        j = len(letters) - k
+        q, j = end, len(letters)
+        while j > i:  # the rest, read backward from end in place
+            x = letters[j - 1]
+            t = inn[q].get(x) if x > 0 else out[q].get(-x)
+            if t is None:
+                break
+            q, j = t, j - 1
         if self.witnessed and i:
             e = join(_inv(_read(out, inn, ex, 0, letters[:i])[1]), e)
         if self.witnessed and j < len(letters):
@@ -390,48 +431,14 @@ class _Fold:
 
     def graph(self, basis: Basis) -> StallingsGraph:
         """The canonical graph of a fold of loops, a core graph (``add_path``)."""
-        return _canonical(basis, self.out, self.inn)[0]
+        return _canonical(basis, self.out, self.inn)
 
 
-def _bfs_tree(succ: Table, pred: Table, rank: int) -> dict[int, tuple[int, int]]:
-    """Breadth-first spanning tree from vertex 0 of a folded graph.
-
-    Labels are walked in ascending order, outgoing edges before
-    incoming ones; the canonical numbering and the free-basis words
-    depend on that order.  Returns via[v] = (parent, signed letter read
-    from the parent to v) in discovery order, with via[0] = (0, 0).
-    """
-    via = {0: (0, 0)}
-    order = [0]
-    labels = range(1, rank + 1)
-    for v in order:  # order grows as vertices are discovered
-        out, inn = succ[v], pred[v]
-        for x in labels:
-            w = out.get(x)
-            if w is not None and w not in via:
-                via[w] = (v, x)
-                order.append(w)
-            w = inn.get(x)
-            if w is not None and w not in via:
-                via[w] = (v, -x)
-                order.append(w)
-    return via
-
-
-def _canonical(
-    basis: Basis, succ: Table, pred: Table
-) -> tuple[StallingsGraph, dict[int, int]]:
-    """A connected folded core graph with base 0, canonically numbered
-    along ``_bfs_tree``, and the old-id → new-id map of its vertices."""
-    via = _bfs_tree(succ, pred, basis.rank)
-    new = dict(zip(via, range(len(via))))
+def _canonical(basis: Basis, succ: Table, pred: Table) -> StallingsGraph:
+    """The canonically numbered graph of folded tables with base 0."""
     graph = StallingsGraph.__new__(StallingsGraph)
-    graph._adopt(
-        basis,
-        [{x: new[t] for x, t in succ[v].items()} for v in new],
-        [{x: new[s] for x, s in pred[v].items()} for v in new],
-    )
-    return graph, new
+    graph._number(basis, succ, pred)
+    return graph
 
 
 def _checked(b: Basis, gens: Iterable[Word]) -> list[Word]:
@@ -454,8 +461,9 @@ def stallings_graph(b: Basis, gens: Iterable[Word]) -> StallingsGraph:
 class WitnessedGraph:
     """Folded core graph of ⟨gens⟩ whose edges carry generator expressions.
 
-    ``graph`` is the canonical graph, equal to ``stallings_graph(b,
-    gens)``.  Fixing one basepoint path word V(v) per vertex, with V(0)
+    Words are read along the fold's own tables; ``graph``, the canonical
+    graph, equal to ``stallings_graph(b, gens)``, is numbered when first
+    read.  Fixing one basepoint path word V(v) per vertex, with V(0)
     empty, every edge (u, x, v) carries an expression over ``gens``
     (signed 1-based indices) whose value is V(u)·x·V(v)⁻¹, an element
     of the subgroup; the fold's potentials supply them.  Concatenating
@@ -463,20 +471,22 @@ class WitnessedGraph:
     product certificate in terms of ``gens``.
     """
 
+    basis: Basis
     gens: tuple[Word, ...]
-    graph: StallingsGraph
-    _exprs: dict[tuple[int, int], Expr]  # by (source, label); empty ones left out
+    _succ: Table = field(repr=False)
+    _pred: Table = field(repr=False)
+    # by (source, label), in the fold's ids; empty ones left out
+    _exprs: dict[tuple[int, int], Expr] = field(repr=False)
 
-    @property
-    def basis(self) -> Basis:
-        return self.graph.basis
+    @cached_property
+    def graph(self) -> StallingsGraph:
+        return _canonical(self.basis, self._succ, self._pred)
 
     def express(self, w: Word) -> tuple[int, ...] | None:
         """w as a signed product over ``gens`` (1-based), or None."""
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        g = self.graph
-        at, expr = _read(g._succ, g._pred, self._exprs, 0, w.letters)
+        at, expr = _read(self._succ, self._pred, self._exprs, 0, w.letters)
         return expr if at == 0 else None
 
     def evaluate(self, expr: Iterable[int]) -> Word:
@@ -496,9 +506,7 @@ def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
     fold = _Fold(witnessed=True)
     for j, g in enumerate(gens, start=1):
         fold.add_path(g.letters, e=(j,))
-    graph, new = _canonical(b, fold.out, fold.inn)
-    exprs = {(new[u], x): e for (u, x), e in fold.ex.items()}
-    return WitnessedGraph(tuple(gens), graph, exprs)
+    return WitnessedGraph(b, tuple(gens), fold.out, fold.inn, fold.ex)
 
 
 def trivial_subgroup(b: Basis) -> StallingsGraph:
@@ -564,7 +572,7 @@ def intersect(a: StallingsGraph, c: StallingsGraph) -> StallingsGraph:
             del succ[t][x]
         if t and len(succ[t]) + len(pred[t]) == 1:
             leaves.append(t)
-    return _canonical(a.basis, succ, pred)[0]
+    return _canonical(a.basis, succ, pred)
 
 
 def is_invariant(h: StallingsGraph, theta) -> bool:

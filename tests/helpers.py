@@ -6,9 +6,10 @@ own folding or growth paths, so agreement is evidence rather than
 tautology.  ``petal_fold`` is a reference Stallings fold: a wedge of
 petals merged until folded.  ``reference_fiber_saturation`` refolds
 every entry with it each round; only its stop test, ``is_invariant``
-on the folded graph, comes from the package.  ``reference_ball`` is the
-Cayley-ball BFS keyed by whole (w, k) states, with naive reduction at
-the junction.
+on the folded graph, comes from the package.  ``reference_spanning_tree``
+reads a graph's breadth-first tree and free basis off its edges.
+``reference_ball`` is the Cayley-ball BFS keyed by whole (w, k)
+states, with naive reduction at the junction.
 """
 
 from __future__ import annotations
@@ -177,6 +178,42 @@ def petal_fold(rank: int, words) -> tuple[int, tuple[tuple[int, int, int], ...]]
                     new[w] = len(order)
                     order.append(w)
     return len(order), tuple(sorted((new[u], x, new[v]) for u, x, v in edges))
+
+
+def reference_spanning_tree(rank: int, edges):
+    """(order, via, words) of a connected folded graph given by its edges.
+
+    A breadth-first search from 0 (labels ascending, outgoing edges
+    before incoming ones) discovers the vertices in ``order``; via lists
+    (parent, signed letter read from the parent) for each vertex in that
+    order, (0, 0) for the base.  ``words`` has one reduced loop through
+    each edge off the tree, in sorted edge order: the free basis.
+    """
+    succ, pred = {}, {}
+    for u, x, v in edges:
+        succ[(u, x)] = v
+        pred[(v, x)] = u
+    via, order = {0: (0, 0)}, [0]
+    for v in order:
+        for x in range(1, rank + 1):
+            for w, y in ((succ.get((v, x)), x), (pred.get((v, x)), -x)):
+                if w is not None and w not in via:
+                    via[w] = (v, y)
+                    order.append(w)
+
+    def path(v):
+        up = []
+        while v:
+            v, y = via[v]
+            up.append(y)
+        return up[::-1]
+
+    words = [
+        reduce_letters(path(u) + [x] + [-y for y in reversed(path(v))])
+        for u, x, v in sorted(edges)
+        if via[v] != (u, x) and via[u] != (v, -x)
+    ]
+    return order, [via[v] for v in order], words
 
 
 def reference_fiber_saturation(group, gens, max_rounds, max_vertices):

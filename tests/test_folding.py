@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fgrow import folding
+from fgrow.automorphisms import parse_automorphism
 from fgrow.folding import (
     StallingsGraph,
     double_coset_contains,
@@ -22,9 +23,16 @@ from fgrow.folding import (
     trivial_subgroup,
     witnessed_graph,
 )
+from fgrow.mapping_torus import UnstabilizedError, fiber_intersection, torus_group
 from fgrow.words import BasisMismatchError, Word, basis, free_reduce, identity
 
-from helpers import bounded_products, petal_fold, random_letters, reduce_letters
+from helpers import (
+    bounded_products,
+    petal_fold,
+    random_letters,
+    reduce_letters,
+    reference_spanning_tree,
+)
 
 F = basis("a b")
 F3 = basis("a b c")
@@ -359,3 +367,74 @@ def test_folded_graphs_are_cored_and_canonical_and_intersect_is_the_meet(case, s
         words.append(w)
     for w in words:
         assert meet.accepts(w) == (a.accepts(w) and c.accepts(w))
+
+
+# -- the numbering walk's spanning tree ------------------------------------
+
+
+def test_constructor_numbers_canonically_and_refuses_bad_edge_sets():
+    # a b b's loop, numbered 0 -a- 2 -b- 1 -b- 0 by the caller
+    g = StallingsGraph(F, 3, [(0, 1, 2), (2, 2, 1), (1, 2, 0)])
+    assert subgroup_equal(g, graph("a b b"))
+    assert g.edges == ((0, 1, 1), (1, 2, 2), (2, 2, 0))
+    with pytest.raises(ValueError, match="unreachable"):
+        StallingsGraph(F, 3, [(0, 1, 0), (1, 2, 2)])
+    for bad in [(0, 3, 0), (0, 1, -1), (0, 1, 2)]:  # -1 would alias vertex 1
+        with pytest.raises(ValueError, match="names no generator or vertex"):
+            StallingsGraph(F, 2, [(1, 2, 0), bad])
+
+
+def assert_tree_is_the_reference(g: StallingsGraph) -> None:
+    order, via, words = reference_spanning_tree(g.basis.rank, g.edges)
+    assert order == list(range(g.n_vertices))
+    assert g._via == via
+    assert [w.letters for w in g.free_basis()] == words
+    assert g.rank() == len(g.edges) - g.n_vertices + 1 == len(words)
+    assert g.is_trivial() == (not g.edges)
+
+
+FIBER_TORI = [
+    torus_group(parse_automorphism(rules))
+    for rules in ("a -> a b\nb -> a", "a -> b\nb -> a", "a -> b\nb -> c\nc -> a b")
+]
+
+
+# The walk that numbers a graph also records its spanning tree; the
+# reference searches the numbered edges again, so each source of graphs
+# is checked: folds, witnessed folds, fiber products, saturated fibers,
+# and the constructor on shuffled vertex ids.
+@settings(max_examples=60)
+@given(
+    st.one_of(
+        st.tuples(st.just(F), gen_lists(2, 6, 3), gen_lists(2, 6, 3)),
+        st.tuples(st.just(F3), gen_lists(3, 8, 4), gen_lists(3, 8, 4)),
+    ),
+    st.randoms(use_true_random=False),
+)
+@example((F, [[1]], [[2]]), random.Random(0))  # a trivial meet
+def test_recorded_spanning_tree_is_the_reference_bfs(case, rng):
+    b, lists_a, lists_c = case
+    gens_a = [Word(b, free_reduce(ls)) for ls in lists_a]
+    gens_c = [Word(b, free_reduce(ls)) for ls in lists_c] + gens_a[:1]
+    a, c = stallings_graph(b, gens_a), stallings_graph(b, gens_c)
+    n, edges = petal_fold(b.rank, [g.letters for g in gens_c])
+    ids = [0] + rng.sample(range(1, n), n - 1)
+    shuffled = [(ids[u], x, ids[v]) for u, x, v in edges]
+    rng.shuffle(shuffled)
+    relabeled = StallingsGraph(b, n, shuffled)
+    assert relabeled == c
+    graphs = [a, c, intersect(a, c), witnessed_graph(b, gens_a).graph, relabeled]
+    group = rng.choice(FIBER_TORI)
+    rank = group.basis.rank
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        letters = list(random_letters(rng, rank, rng.randint(0, 4)))
+        for _ in range(rng.randint(0, 2)):
+            letters.insert(rng.randint(0, len(letters)), rng.choice((1, -1)) * (rank + 1))
+        gens.append(group.normalize(letters))
+    try:
+        graphs.append(fiber_intersection(group, gens, max_rounds=4, max_vertices=200).graph)
+    except UnstabilizedError:
+        pass
+    for g in graphs:
+        assert_tree_is_the_reference(g)
