@@ -162,11 +162,20 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
     # the vertices below level stop, adding vertices only inside B(r):
     # expand(r) finds B(r), and expand(r + 1) later lists S(r).  The
     # generating set is symmetric, hence so is the adjacency.  A fiber
-    # move stays in its column k, a t-move looks w up in column k ± 1.
+    # move stays in its column k, a t-move looks w up in column k ± 1;
+    # add(column, w, k) indexes a new vertex (w, k) within the budget.
     columns: dict[int, dict[tuple[int, ...], int]] = {0: {(): 0}}
     states: list[State] = [((), 0)]
     bounds = [0, 1]
     adj: list[tuple[int, ...] | None] = [None]
+
+    def add(column: dict[tuple[int, ...], int], w: tuple[int, ...], k: int) -> int:
+        if len(states) >= max_vertices:
+            raise BudgetExceededError(max_vertices, r)
+        j = column[w] = len(states)
+        states.append((w, k))
+        adj.append(None)
+        return j
 
     def expand(stop: int) -> None:
         for d in range(len(bounds) - 2, stop):
@@ -178,19 +187,24 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
                     columns.setdefault(k + 1, {})
                     columns.setdefault(k - 1, {})
                 nbrs = []
-                for st in [(join(w, y), k) for y in images] + [(w, k + 1), (w, k - 1)]:
-                    column = columns[st[1]]
-                    j = column.get(st[0])
+                column = columns[k]
+                for y in images:
+                    v = join(w, y)
+                    j = column.get(v)
                     if j is None:
                         if d == r:
                             continue
-                        if len(states) >= max_vertices:
-                            raise BudgetExceededError(max_vertices, r)
-                        j = column[st[0]] = len(states)
-                        states.append(st)
-                        adj.append(None)
+                        j = add(column, v, k)
                     nbrs.append(j)
-                adj[i] = tuple(sorted(nbrs))
+                for kk in (k + 1, k - 1):
+                    j = columns[kk].get(w)
+                    if j is None:
+                        if d == r:
+                            continue
+                        j = add(columns[kk], w, kk)
+                    nbrs.append(j)
+                nbrs.sort()
+                adj[i] = tuple(nbrs)
             if d < r:
                 bounds.append(len(states))
 
@@ -271,6 +285,8 @@ def divergence_estimate(
     rs = sorted(set(int(r) for r in radii))
     if not rs or rs[0] < 1:
         raise ValueError("radii must be positive")
+    if samples_per_radius < 1:
+        raise ValueError("samples_per_radius must be positive")
     ball = cayley_ball(group, rs[-1], max_vertices)
     rng = random.Random(seed)
     samples: list[DivergenceSample] = []

@@ -15,9 +15,12 @@ as w ↦ y·ψ(w)·y⁻¹ on letter tuples, where ψ is the inner conjugate of
 Φ^±n of least total image length, so only the two ends of ψ(w) meet
 the conjugator.  One live fold holds the subgroup throughout: each
 round traces the images on it and folds those that escape onto it, and
-the canonical graph is built once nothing escapes.  Stabilization is
-guaranteed only when H ∩ F is finitely generated, so budgets are
-enforced and exhaustion raises UnstabilizedError rather than guessing.
+the canonical graph is built once nothing escapes.  Seeds are mapped
+both ways, an escape θ^±1(w) only onward by θ^±1: its image back,
+θ^∓1(θ^±1(w)) = w, is an entry, so it can never escape.
+Stabilization is guaranteed only when H ∩ F is finitely generated, so
+budgets are enforced and exhaustion raises UnstabilizedError rather
+than guessing.
 """
 
 from __future__ import annotations
@@ -304,6 +307,10 @@ def fiber_intersection(
     with_witnesses: bool = False,
 ) -> FiberIntersection:
     """Folded graph of ⟨gens⟩ ∩ F, saturated under conjugation by s."""
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be nonnegative")
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be positive")
     gens = tuple(gens)
     for g in gens:
         if g.group != group:
@@ -356,8 +363,10 @@ def fiber_intersection(
         )
         # H_{r+1} = ⟨H_r ∪ θ(H_r) ∪ θ⁻¹(H_r)⟩: only the last round's new
         # entries need mapping, as older entries' images are already
-        # members.  Every image is tested against H_r before any is folded.
-        frontier = entries
+        # members, and an escape θ^±1(w) only onward by θ^±1, as its
+        # θ^∓1-image is w, a member.  Seeds go both ways.  Every image
+        # is tested against H_r before any is folded.
+        frontier = [(w, e, moves) for w, e in entries]
         while True:
             if fold.uf.roots > max_vertices:
                 raise UnstabilizedError(
@@ -365,11 +374,12 @@ def fiber_intersection(
                     rounds, fold.uf.roots,
                 )
             escapes = []
-            for w, e in frontier:
-                for y, table, y_inv, pre, post in moves:
+            for w, e, onward in frontier:
+                for move in onward:
+                    y, table, y_inv, pre, post = move
                     img = join(join(y, free_reduce(w, table)), y_inv)
                     if _walk(fold.out, fold.inn, 0, img) != (0, len(img)):
-                        escapes.append((img, pre + e + post))
+                        escapes.append((img, pre + e + post, (move,)))
             if not escapes:
                 break
             rounds += 1
@@ -378,8 +388,8 @@ def fiber_intersection(
                     "fiber saturation exceeded the round budget",
                     rounds, fold.uf.roots,
                 )
-            entries += escapes
-            for w, _ in escapes:
+            for w, e, _ in escapes:
+                entries.append((w, e))
                 fold.add_path(w)
             frontier = escapes
     graph = fold.graph(b)

@@ -9,7 +9,10 @@ every entry with it each round; only its stop test, ``is_invariant``
 on the folded graph, comes from the package.  ``reference_spanning_tree``
 reads a graph's breadth-first tree and free basis off its edges.
 ``reference_ball`` is the Cayley-ball BFS keyed by whole (w, k)
-states, with naive reduction at the junction.
+states, with naive reduction at the junction.  ``two_way_saturation``
+is the exception: a pinned copy of the package's incremental
+saturation loop as it was when every new entry was mapped both ways,
+kept to show that mapping escapes only onward changes nothing.
 """
 
 from __future__ import annotations
@@ -271,6 +274,66 @@ def reference_fiber_saturation(group, gens, max_rounds, max_vertices):
         pos = unseen([theta.apply(w) for w in pos])
         neg = unseen([theta_inv.apply(w) for w in neg])
         entries += pos + neg
+
+
+def two_way_saturation(group, gens, max_rounds, max_vertices):
+    """(entries, rounds) of ``fiber_intersection``'s incremental loop
+    when it mapped every new entry by both θ and θ⁻¹; entries are
+    (letters, expression) pairs in the order they were folded.  Raises
+    UnstabilizedError on the same budgets."""
+    from fgrow.automorphisms import compose, inner_automorphism, power
+    from fgrow.folding import _Fold, _inv, _walk
+    from fgrow.mapping_torus import (
+        UnstabilizedError, _conjugation, _ext_gcd, _pow_expr,
+    )
+    from fgrow.words import free_reduce, join
+
+    n, s, s_expr = 0, group.identity_element(), ()
+    for i, g in enumerate(gens, start=1):
+        if g.k == 0:
+            continue
+        if n == 0:
+            n, s, s_expr = (g.k, g, (i,)) if g.k > 0 else (-g.k, g.inverse(), (-i,))
+            continue
+        d, x, y = _ext_gcd(n, g.k)
+        if d != n:
+            s = (s ** x) * (g ** y)
+            s_expr = _pow_expr(s_expr, x) + _pow_expr((i,), y)
+            n = d
+    entries = []
+    for i, g in enumerate(gens, start=1):
+        m = g.k // n if n else 0
+        entries.append(((g * (s ** (-m))).w.letters, (i,) + _pow_expr(s_expr, -m)))
+    fold = _Fold()
+    for w, _ in entries:
+        fold.add_path(w)
+    if n == 0:
+        return entries, 0
+    theta = compose(inner_automorphism(group.basis, s.w), power(group.phi, n))
+    s_inv_expr = _inv(s_expr)
+    moves = (
+        (*_conjugation(theta), s_expr, s_inv_expr),
+        (*_conjugation(theta.inverse()), s_inv_expr, s_expr),
+    )
+    frontier, rounds = entries, 0
+    while True:
+        if fold.uf.roots > max_vertices:
+            raise UnstabilizedError("vertex budget", rounds, fold.uf.roots)
+        escapes = []
+        for w, e in frontier:
+            for y, table, y_inv, pre, post in moves:
+                img = join(join(y, free_reduce(w, table)), y_inv)
+                if _walk(fold.out, fold.inn, 0, img) != (0, len(img)):
+                    escapes.append((img, pre + e + post))
+        if not escapes:
+            return entries, rounds
+        rounds += 1
+        if rounds > max_rounds:
+            raise UnstabilizedError("round budget", rounds, fold.uf.roots)
+        entries += escapes
+        for w, _ in escapes:
+            fold.add_path(w)
+        frontier = escapes
 
 
 def reference_ball(group, r):

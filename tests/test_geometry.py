@@ -217,6 +217,14 @@ def test_nonsense_budget_is_refused(budget):
     assert len(cayley_ball(GID, 0, max_vertices=1)) == 1
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_nonsense_sample_count_is_refused(monkeypatch, samples):
+    # refused before any ball is built, not answered with an empty report
+    monkeypatch.setattr(geometry, "cayley_ball", None)
+    with pytest.raises(ValueError, match="^samples_per_radius must be positive$"):
+        divergence_estimate(GPOLY, [2, 3], samples_per_radius=samples)
+
+
 def test_budget_is_all_or_nothing():
     with pytest.raises(BudgetExceededError):
         cayley_ball(GID, 4, max_vertices=50)

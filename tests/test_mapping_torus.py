@@ -27,6 +27,7 @@ from helpers import (
     reference_fiber_saturation,
     substitute,
     torus_words,
+    two_way_saturation,
 )
 
 F = basis("a b")
@@ -217,6 +218,37 @@ def test_saturation_links_only_what_new_loops_fold(monkeypatch):
     assert len(links) <= 4000
 
 
+def test_saturation_maps_escapes_only_onward(monkeypatch):
+    # A deterministic work count: mapping every new entry by θ and θ⁻¹
+    # built 56 images on this run, 26 of them the entry an escape came
+    # from.  Seeds go both ways and escapes only onward: 2·2 + 26.
+    images = []
+    free_reduce = mapping_torus.free_reduce
+
+    def counted(w, table):
+        images.append(w)
+        return free_reduce(w, table)
+
+    monkeypatch.setattr(mapping_torus, "free_reduce", counted)
+    gens = [G.normalize("a b"), G.normalize("b a t' a")]
+    with pytest.raises(UnstabilizedError) as info:
+        fiber_intersection(G, gens, max_vertices=5000)
+    assert (info.value.rounds, info.value.vertices) == (14, 7020)
+    assert len(images) == 30
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"max_rounds": -1}, "^max_rounds must be nonnegative$"),
+        ({"max_vertices": 0}, "^max_vertices must be positive$"),
+    ],
+)
+def test_nonsense_budget_refused(budget, message):
+    with pytest.raises(ValueError, match=message):
+        fiber_intersection(GID, [GID.t(), GID.element("a")], **budget)
+
+
 @pytest.mark.parametrize("with_witnesses", [False, True])
 def test_saturation_builds_no_witnessed_fold(monkeypatch, with_witnesses):
     # Saturation folds plainly; witnesses are folded once, after it stops.
@@ -259,11 +291,9 @@ SATURATION_TORI = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SATURATION_TORI))
-def test_saturation_matches_reference(name):
-    # 32 seeded cases per torus: the incremental loop must give the
-    # plain refold-everything loop's graph, n, s and rounds, or give up
-    # at the same round with the same vertex count
+def saturation_cases(name):
+    """32 seeded (group, gens, max_rounds, max_vertices) cases per torus,
+    budget hits included."""
     group = torus_group(parse_automorphism(SATURATION_TORI[name]))
     rank = group.basis.rank
     rng = random.Random(name)
@@ -278,6 +308,15 @@ def test_saturation_matches_reference(name):
             gens.append(group.normalize(letters))
         max_rounds = rng.randint(0, 8)
         max_vertices = rng.choice((20, 50, 300, 1000))
+        yield case, group, gens, max_rounds, max_vertices
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_TORI))
+def test_saturation_matches_reference(name):
+    # the incremental loop must give the plain refold-everything loop's
+    # graph, n, s and rounds, or give up at the same round with the same
+    # vertex count
+    for case, group, gens, max_rounds, max_vertices in saturation_cases(name):
         try:
             want = reference_fiber_saturation(group, gens, max_rounds, max_vertices)
         except UnstabilizedError as exc:
@@ -293,3 +332,26 @@ def test_saturation_matches_reference(name):
         assert (fi.graph, fi.n, fi.s, fi.rounds) == want, (case, gens)
         for w, expr in fi.basis_witnesses():
             assert fi.evaluate_witness(expr) == group.element(w), (case, gens)
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_TORI))
+def test_onward_saturation_matches_two_way_loop(name):
+    # mapping escapes only onward skips images that are already entries,
+    # so the entries, their expressions and the rounds are those of the
+    # loop that mapped every new entry both ways, as is any budget hit
+    for case, group, gens, max_rounds, max_vertices in saturation_cases(name):
+        try:
+            entries, rounds = two_way_saturation(group, gens, max_rounds, max_vertices)
+            want = ([w for w, _ in entries], [e for _, e in entries], rounds)
+        except UnstabilizedError as exc:
+            want = (exc.rounds, exc.vertices)
+        try:
+            fi = fiber_intersection(
+                group, gens, max_rounds=max_rounds, max_vertices=max_vertices,
+                with_witnesses=True,
+            )
+        except UnstabilizedError as exc:
+            assert (exc.rounds, exc.vertices) == want, (case, gens)
+            continue
+        got = [w.letters for w in fi._witnessed.gens], list(fi._entry_exprs), fi.rounds
+        assert got == want, (case, gens)
