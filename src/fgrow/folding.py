@@ -20,12 +20,14 @@ walk that also records the spanning tree ``free_basis`` reads, and
 only graphs that are read get numbered; ``intersect`` and
 ``double_coset_contains`` share one product walk, ``_product``; words
 are read along tables by ``_walk``, or by ``_read`` where edges carry
-expressions.  A witnessed fold keeps potentials (Kapovich–Myasnikov
-2002): with V(v) a fixed word per vertex, V(0) empty, the union-find
-keeps an expression for V(v)·V(parent)⁻¹ over the generators, composed
-on path compression and merges, so each folded edge (u, x, v) gets an
-expression for V(u)·x·V(v)⁻¹.  Stitching those along a member word
-yields its product certificate.
+expressions.  The fold carries whatever expressions its loops are given
+as potentials (Kapovich–Myasnikov 2002): with V(v) a fixed word per
+vertex, V(0) empty, the union-find keeps an expression for
+V(v)·V(parent)⁻¹ over the generators, composed on path compression and
+merges, so each folded edge (u, x, v) gets an expression for
+V(u)·x·V(v)⁻¹.  Stitching those along a member word yields its product
+certificate.  Loops given no expression leave every one empty, and
+the fold then composes nothing.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ Expr = tuple[int, ...]  # signed 1-based indices into the generators
 
 
 def _inv(e: Expr) -> Expr:
-    return tuple(-j for j in reversed(e))
+    return tuple(-j for j in reversed(e)) if e else e
 
 
 def _walk(succ: Table, pred: Table, at: int, letters: Sequence[int]) -> tuple[int, int]:
@@ -223,22 +225,47 @@ def _read(
 
 
 # ---------------------------------------------------------------------------
-# the fold: union-find vertex merging with a worklist, optionally witnessed
+# the fold: union-find vertex merging with a worklist, carrying expressions
 
 
 class _UnionFind:
+    """Union-find whose links carry the potentials they are given.
+
+    With V(v) the fixed base-path word of vertex v, pot[v] is an
+    expression for V(v)·V(parent[v])⁻¹, absent when empty.  Path
+    compression composes potentials while any are held, so right after
+    ``find(v)``, ``pot.get(v, ())`` is an expression for V(v)·V(root)⁻¹.
+    """
+
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
         self.roots = n
-        self.pot: dict[int, Expr] = {}  # filled by _PotentialUnionFind only
+        self.pot: dict[int, Expr] = {}
 
     def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
+        parent, pot = self.parent, self.pot
+        root = parent[v]
+        if parent[root] == root:  # v is a root or a child of one
+            return root
+        while parent[root] != root:
+            root = parent[root]
+        if not pot:
+            while parent[v] != root:
+                parent[v], v = root, parent[v]
+            return root
+        path = []
+        while v != root:
+            path.append(v)
+            v = parent[v]
+        acc: Expr = ()
+        for w in reversed(path):
+            acc = join(pot.get(w, ()), acc)
+            parent[w] = root
+            if acc:
+                pot[w] = acc
+            else:
+                pot.pop(w, None)
         return root
 
     def link(self, winner: int, loser: int, pot: Expr = ()) -> None:
@@ -247,36 +274,6 @@ class _UnionFind:
         self.roots -= 1
         if pot:
             self.pot[loser] = pot
-
-
-class _PotentialUnionFind(_UnionFind):
-    """Union-find whose links carry potentials.
-
-    With V(v) the fixed base-path word of vertex v, pot[v] is an
-    expression for V(v)·V(parent[v])⁻¹ (absent when empty).  Path
-    compression composes potentials, so right after ``find(v)``,
-    ``pot.get(v, ())`` is an expression for V(v)·V(root)⁻¹.
-    """
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = parent[v]
-        if parent[root] == root:  # v is a root or a child of one
-            return root
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        pot = self.pot
-        acc: Expr = ()
-        for w in reversed(path):
-            acc = join(pot.get(w, ()), acc)
-            parent[w] = v
-            if acc:
-                pot[w] = acc
-            else:
-                pot.pop(w, None)
-        return v
 
 
 class _Fold:
@@ -288,15 +285,15 @@ class _Fold:
     every record names a root, and out[u][x] = v iff inn[v][x] = u.  A
     merge deletes the loser's records with their partners before it
     re-inserts the loser's edges, so no record ever names a merged-away
-    vertex.  A witnessed fold also keeps potentials in its union-find
-    (a root has none), every merge records the relation that forced
-    it, and ex[(u, x)] is an expression for V(u)·x·V(out[u][x])⁻¹ when
-    that is not empty; a plain fold stores no expressions.
+    vertex.  The fold carries whatever expressions it is given: the
+    union-find keeps potentials (a root has none), every merge records
+    the relation that forced it, and ex[(u, x)] is an expression for
+    V(u)·x·V(out[u][x])⁻¹ when that is not empty.  A fold given none
+    stores none and composes nothing.
     """
 
-    def __init__(self, n: int = 1, witnessed: bool = False):
-        self.witnessed = witnessed
-        self.uf = _PotentialUnionFind(n) if witnessed else _UnionFind(n)
+    def __init__(self, n: int = 1):
+        self.uf = _UnionFind(n)
         self.out: Table = [{} for _ in range(n)]
         self.inn: Table = [{} for _ in range(n)]
         self.ex: dict[tuple[int, int], Expr] = {}
@@ -306,27 +303,25 @@ class _Fold:
     def _at_roots(self, u: int, e: Expr, v: int) -> Expr:
         """e, for V(u)·…·V(v)⁻¹, rewritten for the roots; u, v just found."""
         pot = self.uf.pot
+        if not pot:
+            return e
         return join(join(_inv(pot.get(u, ())), e), pot.get(v, ()))
 
     def insert(self, u: int, x: int, v: int, e: Expr = ()) -> None:
         """Add the edge (u, x, v), or fold it into one with its label."""
         find, out, inn, ex = self.uf.find, self.out, self.inn, self.ex
-        witnessed = self.witnessed
         ru, rv = find(u), find(v)
-        if witnessed:
-            e = self._at_roots(u, e, v)
+        e = self._at_roots(u, e, v)
         # stored ends are roots, so stored expressions need no rewriting
         t = out[ru].get(x)
         if t is not None:  # absorbed into the edge (ru, x, t)
             if t != rv:
-                d = join(_inv(ex.get((ru, x), ())), e) if witnessed else ()
-                self.unions.append((t, rv, d))
+                self.unions.append((t, rv, join(_inv(ex.get((ru, x), ())), e)))
             return
         s = inn[rv].get(x)
         if s is not None:  # absorbed into the edge (s, x, rv)
             if s != ru:
-                d = join(ex.get((s, x), ()), _inv(e)) if witnessed else ()
-                self.unions.append((s, ru, d))
+                self.unions.append((s, ru, join(ex.get((s, x), ()), _inv(e))))
             return
         out[ru][x] = rv
         inn[rv][x] = ru
@@ -336,14 +331,13 @@ class _Fold:
     def drain(self) -> None:
         """Perform the queued merges and every merge they force."""
         uf, out, inn, ex, unions = self.uf, self.out, self.inn, self.ex, self.unions
-        find, insert, witnessed = uf.find, self.insert, self.witnessed
+        find, insert = uf.find, self.insert
         while unions:
             a, b, d = unions.popleft()
             ra, rb = find(a), find(b)
             if ra == rb:
                 continue
-            if witnessed:
-                d = self._at_roots(a, d, b)  # now for V(ra)·V(rb)⁻¹
+            d = self._at_roots(a, d, b)  # now for V(ra)·V(rb)⁻¹
             # union by size; vertex 0 always wins
             if rb == 0 or (ra != 0 and uf.size[ra] < uf.size[rb]):
                 winner, loser = rb, ra
@@ -362,17 +356,17 @@ class _Fold:
             for x, s in lo_in.items():
                 if s != loser:
                     del out[s][x]
-                    moved_in.append((s, x, ex.pop((s, x), ()) if witnessed else ()))
+                    moved_in.append((s, x, ex.pop((s, x), ())))
             uf.link(winner, loser, _inv(d) if d and loser == rb else d)
             for x, t in lo_out.items():
-                insert(loser, x, t, ex.pop((loser, x), ()) if witnessed else ())
+                insert(loser, x, t, ex.pop((loser, x), ()))
             for s, x, e in moved_in:
                 insert(s, x, loser, e)
 
     def add_path(self, letters: Sequence[int], end: int = 0, e: Expr = ()) -> None:
         """Fold a path from 0 to root ``end`` spelling a reduced word w;
-        with ``end`` 0, a loop.  On a witnessed fold ``e`` is an
-        expression for w·V(end)⁻¹; the path's edges multiply out to it.
+        with ``end`` 0, a loop.  ``e`` is an expression for w·V(end)⁻¹,
+        and the path's edges multiply out to it.
 
         The word is read along the graph first (Stallings 1983,
         Kapovich–Myasnikov 2002): its longest prefix forward from 0 to
@@ -383,12 +377,13 @@ class _Fold:
         closing edge may fold (p = q and inverse end letters, as a b a⁻¹
         onto the trivial graph), so it goes through ``insert``.
 
-        Witnessed, V of a fresh vertex is V(p) and the middle letters up
-        to it, so fresh edges carry no expression.  With E_p read along
-        the prefix (for prefix·V(p)⁻¹) and E_q along the suffix (for
+        V of a fresh vertex is V(p) and the middle letters up to it, so
+        fresh edges carry no expression.  With E_p read along the prefix
+        (for prefix·V(p)⁻¹) and E_q along the suffix (for
         V(q)·suffix·V(end)⁻¹), E_p⁻¹·e·E_q⁻¹ is for V(p)·middle·V(q)⁻¹:
         it goes on the closing edge, inverted when the closing letter is
         negative, or on the merge of p and q when nothing is unread.
+        Where the fold holds no expression, E_p and E_q are empty.
 
         A fold of loops needs no pruning: each edge of a loop lies on a
         reduced loop at 0, and a fold maps a reduced loop onto a reduced
@@ -404,9 +399,9 @@ class _Fold:
             if t is None:
                 break
             q, j = t, j - 1
-        if self.witnessed and i:
+        if ex and i:
             e = join(_inv(_read(out, inn, ex, 0, letters[:i])[1]), e)
-        if self.witnessed and j < len(letters):
+        if ex and j < len(letters):
             e = join(e, _inv(_read(out, inn, ex, q, letters[j:])[1]))
         if i == j:
             self.unions.append((p, q, e))
@@ -503,7 +498,7 @@ def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
     potentials give every edge its expression.
     """
     gens = _checked(b, gens)
-    fold = _Fold(witnessed=True)
+    fold = _Fold()
     for j, g in enumerate(gens, start=1):
         fold.add_path(g.letters, e=(j,))
     return WitnessedGraph(b, tuple(gens), fold.out, fold.inn, fold.ex)

@@ -363,7 +363,6 @@ DRIFT = 0.015
 class GrowthReport:
     subject: str
     kind: str
-    certified: bool
     rate: float | None
     degree: int | None
     lengths: tuple[int, ...]
@@ -380,8 +379,10 @@ class GrowthReport:
         if self.kind in (KIND_POLYNOMIAL, KIND_HEURISTIC_POLYNOMIAL):
             if self.degree is None or self.degree < 0:
                 raise ValueError("polynomial kind requires degree >= 0")
-        if self.certified and self.kind not in (KIND_EXPONENTIAL, KIND_POLYNOMIAL):
-            raise ValueError("certified reports must be exponential or polynomial")
+
+    @property
+    def certified(self) -> bool:
+        return self.kind in (KIND_EXPONENTIAL, KIND_POLYNOMIAL)
 
 
 def _finite_difference_degree(seq: Sequence[int]) -> int | None:
@@ -453,7 +454,7 @@ def classify_growth(
         subject = str(core)
         if core.length == 0:
             return GrowthReport(
-                subject, KIND_POLYNOMIAL, True, None, 0,
+                subject, KIND_POLYNOMIAL, None, 0,
                 (0,) * params.iterations, False, None, cert,
             )
         if psi_cert.covers(core):
@@ -474,7 +475,7 @@ def _heuristic_report(
 ) -> GrowthReport:
     seq, truncated = _iterated_lengths(endo, core, params.iterations, params.cap)
     kind, rate, degree = _heuristic_verdict(seq, truncated)
-    return GrowthReport(subject, kind, False, rate, degree, tuple(seq[1:]), truncated, None, cert)
+    return GrowthReport(subject, kind, rate, degree, tuple(seq[1:]), truncated, None, cert)
 
 
 def _certified_report(
@@ -495,11 +496,11 @@ def _certified_report(
     rate = spectral_radius(m, support, strata=strata)
     if rate > 1.0:
         return GrowthReport(
-            subject, KIND_EXPONENTIAL, True, rate, None, lengths, False, None, cert, conjugator
+            subject, KIND_EXPONENTIAL, rate, None, lengths, False, None, cert, conjugator
         )
     degree = _chain_degree(strata)
     return GrowthReport(
-        subject, KIND_POLYNOMIAL, True, None, degree, lengths, False, degree + 1, cert, conjugator
+        subject, KIND_POLYNOMIAL, None, degree, lengths, False, degree + 1, cert, conjugator
     )
 
 
@@ -510,16 +511,16 @@ def _aggregate(subject: str, reports: list[GrowthReport], cert: Certificate) -> 
     rates = [r.rate for r in reports if r.kind == KIND_HEURISTIC_EXPONENTIAL]
     if rates:
         return GrowthReport(
-            subject, KIND_HEURISTIC_EXPONENTIAL, False, max(rates), None,
+            subject, KIND_HEURISTIC_EXPONENTIAL, max(rates), None,
             lengths, truncated, None, cert,
         )
     if any(r.kind == KIND_INCONCLUSIVE for r in reports):
         return GrowthReport(
-            subject, KIND_INCONCLUSIVE, False, None, None, lengths, truncated, None, cert
+            subject, KIND_INCONCLUSIVE, None, None, lengths, truncated, None, cert
         )
     degree = max(r.degree for r in reports if r.degree is not None)
     return GrowthReport(
-        subject, KIND_HEURISTIC_POLYNOMIAL, False, None, degree,
+        subject, KIND_HEURISTIC_POLYNOMIAL, None, degree,
         lengths, truncated, None, cert,
     )
 

@@ -106,16 +106,10 @@ class TorusGroup:
     def t(self, k: int = 1) -> "TorusElement":
         return TorusElement(self, identity(self.basis), k)
 
-    def normalize(self, item: str | Word | Iterable[int]) -> "TorusElement":
-        """Normal form of a word over basis ∪ {t}, by left-to-right
-        accumulation."""
-        if isinstance(item, Word):
-            if item.basis == self.basis:
-                return TorusElement(self, item, 0)
-            if item.basis != self.extended_basis:
-                raise BasisMismatchError("word over an unrelated basis")
-            letters: Sequence[int] = item.letters
-        elif isinstance(item, str):
+    def normalize(self, item: str | Iterable[int]) -> "TorusElement":
+        """Normal form of a word over basis ∪ {t}, given as text or as
+        letters of ``extended_basis``, by left-to-right accumulation."""
+        if isinstance(item, str):
             letters = self.extended_basis.parse(item).letters
         else:
             letters = tuple(item)

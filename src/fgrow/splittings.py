@@ -295,9 +295,13 @@ def _section_label(x: Word, n: int) -> str:
 @dataclass(frozen=True)
 class TorusSplitting:
     phi: Automorphism
-    kind: str  # Z when induced from a free splitting, slender from a cyclic one
     vertices: tuple[TorusVertexGroup, ...]
     edges: tuple[TorusEdgeGroup, ...]
+
+    @property
+    def kind(self) -> str:
+        """Z when induced from a free splitting, slender from a cyclic one."""
+        return "Z" if all(e.fiber is None for e in self.edges) else "slender"
 
 
 def _orbit(start, step) -> list:
@@ -386,8 +390,7 @@ def induce_torus_splitting(
                 e.name, vertex_rep[e.u], vertex_rep[e.v], e.fiber, x, n, twist
             )
         )
-    kind = "Z" if gog.kind == "free" else "slender"
-    return TorusSplitting(phi, kind, tuple(out_vertices), tuple(out_edges))
+    return TorusSplitting(phi, tuple(out_vertices), tuple(out_edges))
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,6 @@ class Basis:
         name = self.names[k - 1]
         return name if letter > 0 else name + "'"
 
-    @property
-    def letters(self) -> tuple[int, ...]:
-        """All signed letters, positive then negative, by index."""
-        pos = tuple(range(1, self.rank + 1))
-        return pos + tuple(-k for k in pos)
-
     def parse(self, text: str) -> "Word":
         return Word(self, free_reduce(self._scan(text)))
 

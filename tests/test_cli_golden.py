@@ -57,6 +57,8 @@ CASES = [
     ("growth-inconclusive", ["growth", "--map", WILD, "--cap", "100000", "--emit", "text"]),
     ("growth-chain-json", ["growth", "--map", "a -> a; b -> b a; c -> c b"]),
     ("growth-reducible-word-json", ["growth", "--map", "a -> a b; b -> a; c -> c", "--word", "c a"]),
+    # no certificate; every generator's lengths are exactly linear
+    ("growth-heuristic-polynomial-json", ["growth", "--map", "a -> a; b -> b a; c -> c b' a b"]),
     ("fold-text", ["fold", "--gens", "a a, b", "--basis", "a b"]),
     ("fold-json", ["fold", "--gens", "a a, b, a b a'", "--emit", "json"]),
     ("fold-dot", ["fold", "--gens", "a, b a b", "--emit", "dot"]),

@@ -235,7 +235,7 @@ def test_witnessed_graph_agrees_with_plain_fold(case):
         assert expr is not None and wg.evaluate(expr) == w
     # the fold multiplies stored expressions at their junction only, so
     # each one, and each queued merge's, must stay reduced
-    fold = folding._Fold(witnessed=True)
+    fold = folding._Fold()
     drain = fold.drain
 
     def checked_drain():
@@ -246,6 +246,13 @@ def test_witnessed_graph_agrees_with_plain_fold(case):
     for j, g in enumerate(gens, start=1):
         fold.add_path(g.letters, e=(j,))
         assert all(free_reduce(e) == e for e in [*fold.ex.values(), *fold.uf.pot.values()])
+    # the same loops given no expressions fold to the same graph, with
+    # no expression and no potential held
+    plain_fold = folding._Fold()
+    for g in gens:
+        plain_fold.add_path(g.letters)
+    assert not plain_fold.ex and not plain_fold.uf.pot
+    assert plain_fold.graph(b) == plain
 
 
 def conjugated_gen_lists(rank: int, max_len: int, max_gens: int):

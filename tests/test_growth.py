@@ -529,13 +529,13 @@ def test_subject_over_another_basis_is_rejected():
 
 def test_report_invariants_enforced():
     with pytest.raises(ValueError):
-        GrowthReport("w", KIND_EXPONENTIAL, False, None, None, (), False, None, None)
+        GrowthReport("w", KIND_EXPONENTIAL, None, None, (), False, None, None)
     with pytest.raises(ValueError):
-        GrowthReport("w", KIND_POLYNOMIAL, False, None, None, (), False, None, None)
-    with pytest.raises(ValueError):
-        GrowthReport(
-            "w", KIND_HEURISTIC_POLYNOMIAL, True, None, 1, (), False, None, None
-        )
+        GrowthReport("w", KIND_POLYNOMIAL, None, None, (), False, None, None)
+    # certified is read off the kind, so no report can claim it wrongly
+    heuristic = GrowthReport("w", KIND_HEURISTIC_POLYNOMIAL, None, 1, (), False, None, None)
+    assert not heuristic.certified
+    assert GrowthReport("w", KIND_POLYNOMIAL, None, 1, (), False, 2, None).certified
 
 
 # -- growth inside an invariant subgroup ----------------------------------

@@ -185,6 +185,12 @@ def test_fiber_witnesses_roundtrip():
     assert fi.witness(F.parse("a b a")) is not None
 
 
+def test_witness_of_a_non_member_is_none():
+    fi = fiber_intersection(G, [G.element("a"), G.element("b a b'")], with_witnesses=True)
+    assert not fi.contains(F.parse("b"))
+    assert fi.witness(F.parse("b")) is None
+
+
 def test_witness_requires_flag():
     fi = fiber_intersection(GID, [GID.element("b"), GID.t()])
     with pytest.raises(ValueError):
@@ -251,17 +257,25 @@ def test_nonsense_budget_refused(budget, message):
 
 @pytest.mark.parametrize("with_witnesses", [False, True])
 def test_saturation_builds_no_witnessed_fold(monkeypatch, with_witnesses):
-    # Saturation folds plainly; witnesses are folded once, after it stops.
-    # Composing potentials on every merge instead made this run, which
-    # never stabilizes, take about twice as long.
-    def refuse(self, n):
-        raise AssertionError("saturation built a witnessed fold")
+    # Saturation folds loops given no expression; witnesses are folded
+    # once, after it stops.  So after every merge its fold holds no
+    # expression and no potential, and composes nothing.  Composing
+    # potentials on every merge instead made this run, which never
+    # stabilizes, take about twice as long.
+    drains = []
+    drain = folding._Fold.drain
 
-    monkeypatch.setattr(folding._PotentialUnionFind, "__init__", refuse)
+    def checked(self):
+        drain(self)
+        drains.append(self)
+        assert not self.ex and not self.uf.pot
+
+    monkeypatch.setattr(folding._Fold, "drain", checked)
     gens = [G.normalize("a b"), G.normalize("b a t' a")]
     with pytest.raises(UnstabilizedError) as info:
         fiber_intersection(G, gens, max_vertices=5000, with_witnesses=with_witnesses)
     assert (info.value.rounds, info.value.vertices) == (14, 7020)
+    assert drains
 
 
 def test_failed_invariance_recheck_raises(monkeypatch):

@@ -212,6 +212,70 @@ def test_verify_cyclic_boundaries():
         assert not verify_fixed(gog, ident, wit)
 
 
+def swapped_edges(first: str, second: str) -> str:
+    """A splitting whose witness swaps edges e1 and e3, listed in order."""
+    return (
+        "basis: a b c d\n[vertices]\nv1: a | b\nv2: b | c\n[edges]\n"
+        f"{first}\n{second}\n[witness]\nedge e1 -> e3\nedge e3 -> e1\n"
+    )
+
+
+CYCLIC_E1 = "e1: v1 v2 ; y = b"
+TRIVIAL_E3 = "e3: v1 v2 ; s = d"
+
+
+@pytest.mark.parametrize(
+    "text, rules",
+    [
+        # σ swaps the vertices but keeps the edge's orientation
+        (FREE_SPLIT.replace("edge e1 -> e1 !", "edge e1 -> e1"), "a -> b; b -> a"),
+        # a cyclic edge sent to a trivial one met first, then a trivial
+        # edge sent to a cyclic one (σ permutes edges: each row has both)
+        (swapped_edges(CYCLIC_E1, TRIVIAL_E3), "a -> a; b -> b; c -> c; d -> d"),
+        (swapped_edges(TRIVIAL_E3, CYCLIC_E1), "a -> a; b -> b; c -> c; d -> d"),
+        # the stable letter's image b⁻¹ is outside ⟨a⟩·b·⟨a⟩
+        ("basis: a b\n[vertices]\nv: a\n[edges]\ne: v v ; s = b\n", "a -> a; b -> b'"),
+    ],
+    ids=["not-a-graph-map", "cyclic-to-trivial", "trivial-to-cyclic", "stable-letter"],
+)
+def test_verify_refuses(text, rules):
+    gog, witness = parse_splitting(text)
+    validate_splitting(gog)
+    phi = parse_automorphism(rules, gog.basis)
+    assert not verify_fixed(gog, phi, witness or identity_witness())
+
+
+THREE_STAR = """\
+basis: a b c
+[vertices]
+v1: a
+v2: b
+v3: c
+[edges]
+e1: v1 v2
+e2: v1 v3
+[witness]
+map v2 -> v3
+map v3 -> v2
+edge e1 -> e2
+edge e2 -> e1
+"""
+
+
+def test_verify_refuses_a_non_permutation_edge_map():
+    gog, _ = parse_splitting(THREE_STAR)
+    witness = FixedSplittingWitness({}, {"e1": ("e2", False)})
+    with pytest.raises(ValueError, match="^witness edge map is not a permutation$"):
+        verify_fixed(gog, identity_automorphism(F3), witness)
+
+
+def test_induce_edge_orbit_of_period_two():
+    gog, witness = parse_splitting(THREE_STAR)
+    ts = induce_torus_splitting(gog, parse_automorphism("a -> a; b -> c; c -> b"), witness)
+    assert [(e.name, e.period, e.label()) for e in ts.edges] == [("e1", 2, "< t^2 >")]
+    assert [v.label() for v in ts.vertices] == ["< a, t >", "< b, t^2 >"]
+
+
 # -- induced splittings ----------------------------------------------------
 
 
