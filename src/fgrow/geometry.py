@@ -4,10 +4,16 @@ The ball is built by breadth-first search over the generating set
 (fiber basis and the section letter t, with inverses), using the
 normal form (w, k) with w·tᵏ·a = w·Φᵏ(a)·tᵏ to stay exact.  Vertices
 are indexed by column, the t-exponent k and then the fiber word w, and
-stored in BFS order, so a vertex's level is read off its index.  Only the
-levels below r are expanded; the outer sphere S(r) gets its neighbour
-lists on first use, by a search or a query.  Balls are all or nothing:
-exceeding the vertex budget raises instead of returning a partial metric.
+stored in BFS order, so a vertex's level is read off its index.  Each
+column has one move table: the images under Φᵏ of the fiber letters
+and the columns k and k ± 1, so expanding a vertex costs one table
+lookup, and each neighbour one hash (a setdefault that files a new
+vertex).  Only the levels below r are expanded; the outer sphere S(r)
+gets its neighbour lists on first use, by a search or a query.  Balls
+are all or nothing: exceeding the vertex budget raises instead of
+returning a partial metric.  A pair search writes its target side into
+a scratch list kept by the ball and clears what it wrote before it
+returns, so a search allocates only the list it returns.
 
 The divergence probe samples far-apart pairs on a sphere and measures
 detour lengths around a forbidden inner ball, then fits a log-log
@@ -26,7 +32,7 @@ from typing import Callable, Sequence
 
 from .automorphisms import apply_power
 from .mapping_torus import TorusElement, TorusGroup
-from .words import Word, join
+from .words import BasisMismatchError, Word, join
 
 State = tuple[tuple[int, ...], int]
 
@@ -56,9 +62,10 @@ class BallGraph:
     radius: int
     _states: list[State]
     _bounds: list[int]
-    _adj: list[tuple[int, ...] | None]  # None on S(r) until first asked
+    _adj: list[tuple[int, ...]]  # in BFS order; S(r)'s are appended on first use
     _index: dict[int, dict[tuple[int, ...], int]]
     _expand: Callable[[int], None]
+    _far: list[int | None] | None = None  # all None between searches
 
     def __len__(self) -> int:
         return len(self._states)
@@ -72,14 +79,19 @@ class BallGraph:
         w, k = self._states[self._vertex(i)]
         return TorusElement(self.group, Word(self.group.basis, w), k)
 
+    def _column(self, g: TorusElement) -> dict[tuple[int, ...], int]:
+        if g.group is not self.group and g.group != self.group:
+            raise BasisMismatchError("element of a different torus group")
+        return self._index.get(g.k, {})
+
     def index_of(self, g: TorusElement) -> int:
         try:
-            return self._index.get(g.k, {})[g.w.letters]
+            return self._column(g)[g.w.letters]
         except KeyError:
             raise ValueError(f"{g} lies outside the ball") from None
 
     def contains(self, g: TorusElement) -> bool:
-        return g.w.letters in self._index.get(g.k, {})
+        return g.w.letters in self._column(g)
 
     def distance(self, g: TorusElement) -> int:
         return self.distance_by_index(self.index_of(g))
@@ -88,9 +100,9 @@ class BallGraph:
         return bisect_right(self._bounds, self._vertex(i)) - 1
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        if self._adj[self._vertex(i)] is None:  # S(r) at once: BFS order keeps lookups local
+        if self._vertex(i) >= len(self._adj):  # S(r) at once: BFS order keeps lookups local
             self._expand(self.radius + 1)
-        return self._adj[i]  # type: ignore[return-value]
+        return self._adj[i]
 
     def sphere_indices(self, k: int) -> list[int]:
         return list(range(*self._bounds[k : k + 2])) if 0 <= k <= self.radius else []
@@ -114,35 +126,46 @@ class BallGraph:
         """
         # the vertices at level ≥ min_level are those from index `first` on
         adj, first = self._adj, self._bounds[min(max(min_level or 0, 0), self.radius + 1)]
-        if adj[-1] is None:  # any search may reach S(r)
-            self.neighbors(len(adj) - 1)
+        if len(adj) < len(self._states):  # any search may reach S(r)
+            self._expand(self.radius + 1)
         out: list[int | None] = [None] * len(adj)
-        far: list[int | None] = [None] * len(adj)
         if target is not None:
             self._vertex(target)
         if self._vertex(start) < first:
             return out
         out[start] = 0
+        # the target side is a scratch list kept by the ball: a search without
+        # a target only reads it, and one with a target clears what it wrote
+        far = self._far = self._far or [None] * len(adj)
+        layers: list[list[int]] = []
         if target is not None:
             if target == start or target < first:
                 return out
             far[target] = 0
+            layers.append([target])
         sides = [(out, [start]), (far, [target])]
-        while sides[0][1] and sides[1][1]:
-            s = 0 if target is None or len(sides[0][1]) <= len(sides[1][1]) else 1
-            (mine, front), other = sides[s], sides[1 - s][0]
-            d = mine[front[0]] + 1  # type: ignore[operator]
-            nxt = []
-            for i in front:
-                for j in adj[i]:  # type: ignore[union-attr]
-                    if mine[j] is None and j >= first:
-                        mine[j] = d
-                        if other[j] is not None:
-                            out[target] = d + other[j]  # type: ignore[index]
-                            return out
-                        nxt.append(j)
-            sides[s] = (mine, nxt)
-        return out
+        try:
+            while sides[0][1] and sides[1][1]:
+                s = 0 if target is None or len(sides[0][1]) <= len(sides[1][1]) else 1
+                (mine, front), other = sides[s], sides[1 - s][0]
+                d = mine[front[0]] + 1  # type: ignore[operator]
+                nxt: list[int] = []
+                if s:
+                    layers.append(nxt)
+                for i in front:
+                    for j in adj[i]:
+                        if mine[j] is None and j >= first:
+                            mine[j] = d
+                            nxt.append(j)  # the meeting vertex too, so that it is cleared
+                            if other[j] is not None:
+                                out[target] = d + other[j]  # type: ignore[index]
+                                return out
+                sides[s] = (mine, nxt)
+            return out
+        finally:
+            for layer in layers:
+                for i in layer:
+                    far[i] = None
 
 
 def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallGraph:
@@ -154,59 +177,61 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
     if max_vertices < 1:
         raise ValueError("max_vertices must be positive")
     fiber = [Word(group.basis, (s * i,)) for i in range(1, group.basis.rank + 1) for s in (1, -1)]
-    # twists[k]: the images under Φᵏ of the fiber letters, in the order
-    # above; (w, k)·x = (w·Φᵏ(x), k), and only the junction can cancel.
-    twists: dict[int, list[tuple[int, ...]]] = {}
+    # moves[k] = (images, columns[k], ((k + 1, columns[k + 1]), (k - 1, columns[k - 1]))):
+    # the images under Φᵏ of the fiber letters in the order above, as
+    # (w, k)·x = (w·Φᵏ(x), k) and only the junction can cancel, and the
+    # t-moves (w, k)·t^±1 = (w, k ± 1): one lookup per expanded vertex.
+    moves: dict[int, tuple] = {}
 
     # expand(stop) lists, level by level in BFS order, the neighbours of
     # the vertices below level stop, adding vertices only inside B(r):
     # expand(r) finds B(r), and expand(r + 1) later lists S(r).  The
-    # generating set is symmetric, hence so is the adjacency.  A fiber
-    # move stays in its column k, a t-move looks w up in column k ± 1;
-    # add(column, w, k) indexes a new vertex (w, k) within the budget.
+    # generating set is symmetric, hence so is the adjacency.  Below
+    # level r a probe is one setdefault, which files a missing neighbour
+    # as the next vertex n; on S(r) it is a get, and a miss is dropped.
+    # Each expanded vertex adds at most 2·rank + 2, so checking the
+    # budget once per vertex still raises exactly when |B(r)| exceeds it.
     columns: dict[int, dict[tuple[int, ...], int]] = {0: {(): 0}}
     states: list[State] = [((), 0)]
     bounds = [0, 1]
-    adj: list[tuple[int, ...] | None] = [None]
-
-    def add(column: dict[tuple[int, ...], int], w: tuple[int, ...], k: int) -> int:
-        if len(states) >= max_vertices:
-            raise BudgetExceededError(max_vertices, r)
-        j = column[w] = len(states)
-        states.append((w, k))
-        adj.append(None)
-        return j
+    adj: list[tuple[int, ...]] = []
 
     def expand(stop: int) -> None:
+        n = len(states)
         for d in range(len(bounds) - 2, stop):
+            probe = dict.get if d == r else dict.setdefault
             for i in range(bounds[d], bounds[d + 1]):
                 w, k = states[i]
-                images = twists.get(k)
-                if images is None:
-                    images = twists[k] = [apply_power(group.phi, k, x).letters for x in fiber]
-                    columns.setdefault(k + 1, {})
-                    columns.setdefault(k - 1, {})
+                move = moves.get(k)
+                if move is None:
+                    ts = tuple((kk, columns.setdefault(kk, {})) for kk in (k + 1, k - 1))
+                    images = [apply_power(group.phi, k, x).letters for x in fiber]
+                    move = moves[k] = (images, columns[k], ts)
+                images, column, ts = move
                 nbrs = []
-                column = columns[k]
                 for y in images:
                     v = join(w, y)
-                    j = column.get(v)
-                    if j is None:
+                    j = probe(column, v, n)
+                    if j == n:
                         if d == r:
                             continue
-                        j = add(column, v, k)
+                        states.append((v, k))
+                        n += 1
                     nbrs.append(j)
-                for kk in (k + 1, k - 1):
-                    j = columns[kk].get(w)
-                    if j is None:
+                for kk, col in ts:
+                    j = probe(col, w, n)
+                    if j == n:
                         if d == r:
                             continue
-                        j = add(columns[kk], w, kk)
+                        states.append((w, kk))
+                        n += 1
                     nbrs.append(j)
+                if n > max_vertices:
+                    raise BudgetExceededError(max_vertices, r)
                 nbrs.sort()
-                adj[i] = tuple(nbrs)
+                adj.append(tuple(nbrs))
             if d < r:
-                bounds.append(len(states))
+                bounds.append(n)
 
     expand(r)
     return BallGraph(group, r, states, bounds, adj, columns, expand)

@@ -215,6 +215,7 @@ def verify_fixed(
         src, tgt = (f.v, f.u) if flip else (f.u, f.v)
         if (witness.sigma_vertex(e.u), witness.sigma_vertex(e.v)) != (src, tgt):
             return False
+        # σ permutes the edges: a trivial→cyclic edge forces a cyclic→trivial one, refused here
         if e.fiber is not None:
             if f.fiber is None:
                 return False
@@ -224,8 +225,6 @@ def verify_fixed(
                 x = witness.corrector(end, b)
                 if not target.accepts(x * image * x.inverse()):
                     return False
-        elif f.fiber is not None:
-            return False
         if e.stable_letter is not None and f.stable_letter is not None:
             xu = witness.corrector(e.u, b)
             xv = witness.corrector(e.v, b)

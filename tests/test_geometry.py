@@ -8,6 +8,7 @@ numpy's least squares.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy
@@ -30,7 +31,7 @@ from fgrow.geometry import (
     free_times_z_ball_size,
 )
 from fgrow.mapping_torus import torus_group
-from fgrow.words import Word, basis, join
+from fgrow.words import BasisMismatchError, Word, basis, join
 
 from helpers import reduce_letters, reference_ball, torus_words
 
@@ -89,6 +90,13 @@ def test_ball_lookup_helpers():
     assert not ball.contains(GID.element("a b a b"))
     with pytest.raises(ValueError):
         ball.index_of(GID.element("a b a b"))
+    # an element of another torus group is refused, not looked up by its letters
+    for foreign in (GFIB.element("a b a"), G3.element("a b c"), G3.t()):
+        for lookup in (ball.index_of, ball.contains, ball.distance):
+            with pytest.raises(BasisMismatchError, match="^element of a different torus group$"):
+                lookup(foreign)
+    twin = torus_group(identity_automorphism(basis("a b")))  # equal to GID, built apart
+    assert ball.contains(twin.t()) and ball.distance(twin.element("a b", 1)) == 3
     sizes = ball.sphere_sizes()
     assert sizes[0] == 1 and sum(sizes) == len(ball)
     assert ball.ball_sizes() == [sum(sizes[: k + 1]) for k in range(len(sizes))]
@@ -237,6 +245,21 @@ def test_budget_boundary_is_exact():
         cayley_ball(GID, 4, max_vertices=312)
 
 
+@settings(max_examples=40, deadline=None)
+@given(nielsen_tori(), st.integers(1, 4))
+def test_budget_is_exact_on_random_tori(group, r):
+    ball = cayley_ball(group, r)
+    exact = cayley_ball(group, r, max_vertices=len(ball))
+    assert [exact.element(i) for i in range(len(exact))] == [
+        ball.element(i) for i in range(len(ball))
+    ]
+    assert exact.ball_sizes() == ball.ball_sizes()
+    budget = len(ball) - 1
+    message = f"^ball of radius {r} exceeds the budget of {budget} vertices$"
+    with pytest.raises(BudgetExceededError, match=message):
+        cayley_ball(group, r, max_vertices=budget)
+
+
 def test_distances_from_restriction():
     ball = cayley_ball(GID, 4)
     start = ball.sphere_indices(4)[0]
@@ -284,6 +307,27 @@ def test_pair_search_matches_full_bfs(which, data):
     p = data.draw(st.integers(0, len(ball) - 1), label="p")
     q = data.draw(st.one_of(st.just(p), st.integers(0, len(ball) - 1)), label="q")
     check_pair_search(ball, p, q, data.draw(st.integers(0, ball.radius), label="min_level"))
+
+
+def test_pair_searches_reuse_their_scratch_cleanly():
+    # every search on a ball shares one target-side list, which a pair search
+    # must leave clean: 240 pair searches, fenced or not, in batches between
+    # full searches, agree with those full searches
+    ball = cayley_ball(GFIB, 5)
+    rng = random.Random(24)
+
+    def vertex():
+        return rng.choice(ball.sphere_indices(rng.randint(0, ball.radius)))
+
+    for _ in range(60):
+        batch = []
+        for _ in range(4):
+            p = vertex()
+            q = p if rng.random() < 0.1 else vertex()
+            low = rng.choice([None, 0, 1, 2, 3, 5])
+            batch.append((p, q, low, ball.distances_from(p, min_level=low, target=q)[q]))
+        for p, q, low, got in batch:
+            assert got == ball.distances_from(p, min_level=low)[q], (p, q, low)
 
 
 def test_divergence_asks_only_for_pair_distances(monkeypatch):
