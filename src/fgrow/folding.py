@@ -512,11 +512,6 @@ def full_group(b: Basis) -> StallingsGraph:
     return StallingsGraph(b, 1, [(0, x, 0) for x in range(1, b.rank + 1)])
 
 
-def subgroup_equal(a: StallingsGraph, c: StallingsGraph) -> bool:
-    """Graphs are canonical, so equality of graphs is equality of subgroups."""
-    return a == c
-
-
 def _product(
     a_succ: Table, a_pred: Table, c_succ: Table, c_pred: Table, start: tuple[int, int]
 ) -> tuple[dict[tuple[int, int], int], Table, Table]:

@@ -36,7 +36,7 @@ from .automorphisms import (
     certify_automorphism,
     compose,
     inner_automorphism,
-    power as map_power,
+    power,
 )
 from .folding import (
     StallingsGraph,
@@ -53,6 +53,7 @@ from .words import (
     VerificationError,
     Word,
     basis as make_basis,
+    concat_all,
     free_reduce,
     identity,
     join,
@@ -108,20 +109,20 @@ class TorusGroup:
 
     def normalize(self, item: str | Iterable[int]) -> "TorusElement":
         """Normal form of a word over basis ∪ {t}, given as text or as
-        letters of ``extended_basis``, by left-to-right accumulation."""
+        letters of ``extended_basis``: each fiber letter x read after
+        t-exponent k moves left past t^k as Φ^k(x), and the images are
+        joined and reduced once."""
         if isinstance(item, str):
-            letters = self.extended_basis.parse(item).letters
-        else:
-            letters = tuple(item)
+            item = self.extended_basis.parse(item).letters
         section = self.basis.rank + 1
-        acc = self.identity_element()
-        for x in letters:
+        k = 0
+        parts = []
+        for x in item:
             if abs(x) == section:
-                step = TorusElement(self, identity(self.basis), 1 if x > 0 else -1)
+                k += 1 if x > 0 else -1
             else:
-                step = TorusElement(self, Word(self.basis, (x,)), 0)
-            acc = acc * step
-        return acc
+                parts.append(apply_power(self.phi, k, Word(self.basis, (x,))))
+        return TorusElement(self, concat_all(self.basis, parts), k)
 
     # -- presentation ---------------------------------------------------
 
@@ -161,16 +162,8 @@ class TorusElement:
         if self.w.basis != self.group.basis:
             raise BasisMismatchError("fiber word over a different basis")
 
-    @property
-    def in_fiber(self) -> bool:
-        return self.k == 0
-
     def is_identity(self) -> bool:
         return self.k == 0 and not self.w.letters
-
-    def projection(self) -> int:
-        """Image under G → Z killing the fiber."""
-        return self.k
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         if self.group != other.group:
@@ -314,15 +307,8 @@ def fiber_intersection(
     n = 0
     s = group.identity_element()
     s_expr: tuple[int, ...] = ()
+    # _ext_gcd(0, k) = (|k|, 0, ±1): the first exponent off the fiber sets s = g^±1
     for i, g in enumerate(gens, start=1):
-        if g.k == 0:
-            continue
-        if n == 0:
-            if g.k > 0:
-                n, s, s_expr = g.k, g, (i,)
-            else:
-                n, s, s_expr = -g.k, g.inverse(), (-i,)
-            continue
         d, x, y = _ext_gcd(n, g.k)
         if d == n:
             continue
@@ -349,7 +335,7 @@ def fiber_intersection(
     if n:
         # the composed θ serves only the closing recheck; rounds apply
         # θ^±1 = i_y∘ψ through _conjugation
-        theta = compose(inner_automorphism(b, s.w), map_power(group.phi, n))
+        theta = compose(inner_automorphism(b, s.w), power(group.phi, n))
         s_inv_expr = _inv(s_expr)
         moves = (
             (*_conjugation(theta), s_expr, s_inv_expr),

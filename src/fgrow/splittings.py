@@ -32,7 +32,6 @@ from .folding import (
     double_coset_contains,
     full_group,
     stallings_graph,
-    subgroup_equal,
 )
 from .words import Basis, VerificationError, Word, WordSyntaxError, basis as make_basis, cyclic_word, identity
 
@@ -138,7 +137,7 @@ def validate_splitting(gog: GraphOfGroups) -> None:
         for v in gog.vertices:
             gens.extend(v.group.free_basis())
         gens.extend(e.stable_letter for e in nontree)  # type: ignore[misc]
-        if not subgroup_equal(stallings_graph(b, gens), full_group(b)):
+        if stallings_graph(b, gens) != full_group(b):
             raise SplittingViolation(
                 "vertex groups and stable letters do not generate the whole group"
             )
@@ -168,10 +167,6 @@ class FixedSplittingWitness:
     def corrector(self, name: str, b: Basis) -> Word:
         w = self.correctors.get(name)
         return identity(b) if w is None else w
-
-
-def identity_witness() -> FixedSplittingWitness:
-    return FixedSplittingWitness()
 
 
 def _check_witness_shape(gog: GraphOfGroups, witness: FixedSplittingWitness) -> None:
@@ -315,10 +310,11 @@ def _orbit(start, step) -> list:
 def _accumulate_corrector(
     phi: Automorphism, b: Basis, correctors: Sequence[Word]
 ) -> Word:
-    """x_{σⁿ⁻¹v}·Φ(x_{σⁿ⁻²v})·…·Φⁿ⁻¹(x_v) for the chain x_v, x_{σv}, …"""
+    """x_{σⁿ⁻¹v}·Φ(x_{σⁿ⁻²v})·…·Φⁿ⁻¹(x_v) for the chain x_v, x_{σv}, …,
+    by Horner's rule: n applications of Φ, not n(n−1)/2."""
     acc = identity(b)
-    for k, x in enumerate(reversed(list(correctors))):
-        acc = acc * apply_power(phi, k, x)
+    for x in correctors:
+        acc = x * phi.apply(acc)
     return acc
 
 
@@ -411,9 +407,6 @@ class HierarchyNode:
     splitting: GraphOfGroups | TorusSplitting | None = None
     status: str = "unexpanded"
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(frozen=True)
 class Hierarchy:
@@ -437,7 +430,7 @@ def hierarchy_depth(h: Hierarchy) -> int:
 def is_complete(h: Hierarchy) -> bool | None:
     """True when every leaf is absolute, None (unknown) when any leaf
     is unexpanded, False otherwise."""
-    leaves = [node for node, _ in _nodes(h) if node.is_leaf()]
+    leaves = [node for node, _ in _nodes(h) if not node.children]
     if any(n.status == "unexpanded" for n in leaves):
         return None
     return all(n.status == "absolute" for n in leaves)
@@ -740,7 +733,6 @@ __all__ = [
     "TorusSplitting",
     "TorusVertexGroup",
     "hierarchy_depth",
-    "identity_witness",
     "induce_hierarchy",
     "induce_torus_splitting",
     "is_complete",

@@ -29,7 +29,7 @@ from fgrow.automorphisms import (
     power,
 )
 from fgrow.cli import main
-from fgrow.folding import full_group, stallings_graph, subgroup_equal, witnessed_graph
+from fgrow.folding import full_group, stallings_graph, witnessed_graph
 from fgrow.geometry import cayley_ball, divergence_estimate
 from fgrow.growth import (
     classify_growth,
@@ -39,13 +39,13 @@ from fgrow.growth import (
 )
 from fgrow.mapping_torus import fiber_intersection, torus_group
 from fgrow.splittings import (
+    FixedSplittingWitness,
     GogEdge,
     GogVertex,
     GraphOfGroups,
     Hierarchy,
     HierarchyNode,
     hierarchy_depth,
-    identity_witness,
     induce_hierarchy,
     induce_torus_splitting,
     parse_splitting,
@@ -263,7 +263,7 @@ def test_criterion_5_mapping_torus_soundness():
     ]
     for group, gens, stated, n in cases:
         fi = fiber_intersection(group, gens, with_witnesses=True)
-        if not subgroup_equal(fi.graph, stated):
+        if fi.graph != stated:
             failures.append(f"fiber of {[str(g) for g in gens]} is not as stated")
         if fi.n != n:
             failures.append(f"t-step {fi.n} != {n}")
@@ -302,14 +302,14 @@ def test_criterion_6_splitting_induction():
 
     swap = parse_automorphism("a -> b\nb -> a")
     cases = [
-        (free_gog, identity_automorphism(F2), identity_witness(), "Z"),
+        (free_gog, identity_automorphism(F2), FixedSplittingWitness(), "Z"),
         (free_gog, swap, free_wit, "Z"),
-        (loop_gog, identity_automorphism(F2), identity_witness(), "Z"),
-        (cyc_gog, identity_automorphism(F3), identity_witness(), "Z-by-Z"),
+        (loop_gog, identity_automorphism(F2), FixedSplittingWitness(), "Z"),
+        (cyc_gog, identity_automorphism(F3), FixedSplittingWitness(), "Z-by-Z"),
         (
             cyc_gog,
             parse_automorphism("a -> a\nb -> b'\nc -> c", F3),
-            identity_witness(),
+            FixedSplittingWitness(),
             "Z-by-Z",
         ),
     ]
@@ -337,7 +337,7 @@ def test_criterion_6_splitting_induction():
         splitting=free_gog,
     )
     src = Hierarchy("free", root)
-    induced = induce_hierarchy(src, identity_automorphism(F2), identity_witness())
+    induced = induce_hierarchy(src, identity_automorphism(F2), FixedSplittingWitness())
     if hierarchy_depth(induced) != hierarchy_depth(src):
         failures.append(
             f"depth {hierarchy_depth(induced)} != {hierarchy_depth(src)}"

@@ -11,10 +11,11 @@ import pytest
 
 from fgrow import folding, mapping_torus
 from fgrow.automorphisms import identity_automorphism, parse_automorphism
-from fgrow.folding import subgroup_equal, stallings_graph, trivial_subgroup
+from fgrow.folding import stallings_graph, trivial_subgroup
 from fgrow.mapping_torus import (
     TorusElement,
     UnstabilizedError,
+    _ext_gcd,
     fiber_intersection,
     torus_group,
 )
@@ -90,6 +91,18 @@ def test_normalize_matches_pair_model_exhaustively():
         assert got.w.letters == want_w and got.k == want_k
 
 
+@pytest.mark.parametrize("name", ["fib", "poly", "identity", "swap"])
+def test_normalize_long_words_matches_pair_model(name):
+    phi = parse_automorphism(SATURATION_TORI[name])
+    group = torus_group(phi)
+    rng = random.Random(name)
+    alphabet = [s * i for i in range(1, 4) for s in (1, -1)]
+    for _ in range(20):
+        letters = [rng.choice(alphabet) for _ in range(rng.randint(20, 60))]
+        got = group.normalize(letters)
+        assert (got.w.letters, got.k) == model_normalize(phi, letters), letters
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_group_laws_random(seed):
     rng = random.Random(seed)
@@ -104,7 +117,7 @@ def test_group_laws_random(seed):
         assert x * x.inverse() == G.identity_element()
         assert x.inverse().inverse() == x
         assert (x * y).inverse() == y.inverse() * x.inverse()
-        assert (x * y).projection() == x.projection() + y.projection()
+        assert (x * y).k == x.k + y.k
 
 
 def test_powers():
@@ -122,9 +135,9 @@ def test_conjugation_by_t_applies_map():
     assert t.inverse() * G.element("a") * t == G.element(FIB.inverse().apply(F.parse("a")))
 
 
-def test_in_fiber_and_str():
-    assert G.element("a b").in_fiber
-    assert not G.t().in_fiber
+def test_element_exponent_and_str():
+    assert G.element("a b").k == 0
+    assert G.t().k == 1
     assert str(G.element("a", -1)) == "a t'"
     assert str(G.element("b", 2)) == "b t t"
     assert str(G.identity_element()) == "1"
@@ -133,22 +146,29 @@ def test_in_fiber_and_str():
 # -- fiber intersections ---------------------------------------------------
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
+def test_ext_gcd_from_zero_takes_the_exponent(k):
+    # the first generator off the fiber becomes s = g^±1 through the
+    # general Euclid step
+    assert _ext_gcd(0, k) == (abs(k), 0, 1 if k > 0 else -1)
+
+
 def test_fiber_of_b_and_t_identity_map():
     fi = fiber_intersection(GID, [GID.element("b"), GID.t()])
     assert fi.n == 1 and fi.rounds == 0
-    assert subgroup_equal(fi.graph, stallings_graph(F, [F.parse("b")]))
-    assert fi.s is not None and fi.s.projection() == 1
+    assert fi.graph == stallings_graph(F, [F.parse("b")])
+    assert fi.s is not None and fi.s.k == 1
 
 
 def test_fiber_with_spread_section():
     fi = fiber_intersection(GID, [GID.element("a"), GID.t(2)])
     assert fi.n == 2
-    assert subgroup_equal(fi.graph, stallings_graph(F, [F.parse("a")]))
+    assert fi.graph == stallings_graph(F, [F.parse("a")])
 
 
 def test_fiber_of_pure_section_is_trivial():
     fi = fiber_intersection(GID, [GID.t()])
-    assert subgroup_equal(fi.graph, trivial_subgroup(F))
+    assert fi.graph == trivial_subgroup(F)
     assert fi.n == 1
 
 
@@ -181,7 +201,7 @@ def test_fiber_witnesses_roundtrip():
     fi = fiber_intersection(G, [G.element("b"), G.t()], with_witnesses=True)
     for w, expr in fi.basis_witnesses():
         back = fi.evaluate_witness(expr)
-        assert back.in_fiber and back.w == w
+        assert back.k == 0 and back.w == w
     assert fi.witness(F.parse("a b a")) is not None
 
 

@@ -5,6 +5,7 @@ import signal
 import pytest
 
 from fgrow.automorphisms import (
+    apply_power,
     identity_automorphism,
     inner_automorphism,
     parse_automorphism,
@@ -22,7 +23,6 @@ from fgrow.splittings import (
     TorusSplitting,
     _section_label,
     hierarchy_depth,
-    identity_witness,
     induce_hierarchy,
     induce_torus_splitting,
     is_complete,
@@ -179,20 +179,20 @@ def test_witness_shape_errors():
 def test_verify_identity_and_swap():
     gog, flip_wit = make_free()
     ident = identity_automorphism(F)
-    assert verify_fixed(gog, ident, identity_witness())
+    assert verify_fixed(gog, ident, FixedSplittingWitness())
     swap = parse_automorphism("a -> b\nb -> a")
     assert verify_fixed(gog, swap, flip_wit)
     # swap does not fix the splitting without the exchange
-    assert not verify_fixed(gog, swap, identity_witness())
+    assert not verify_fixed(gog, swap, FixedSplittingWitness())
     fib = parse_automorphism("a -> a b\nb -> a")
-    assert not verify_fixed(gog, fib, identity_witness())
+    assert not verify_fixed(gog, fib, FixedSplittingWitness())
     assert not verify_fixed(gog, fib, flip_wit)
 
 
 def test_verify_uses_correctors():
     gog, _ = make_free()
     conj = inner_automorphism(F, F.parse("a"))
-    assert not verify_fixed(gog, conj, identity_witness())
+    assert not verify_fixed(gog, conj, FixedSplittingWitness())
     wit = FixedSplittingWitness(correctors={"v2": F.parse("a'")})
     assert verify_fixed(gog, conj, wit)
 
@@ -200,11 +200,11 @@ def test_verify_uses_correctors():
 def test_verify_cyclic_boundaries():
     gog = make_cyclic()
     ident = identity_automorphism(F3)
-    assert verify_fixed(gog, ident, identity_witness())
+    assert verify_fixed(gog, ident, FixedSplittingWitness())
     neg = parse_automorphism("a -> a\nb -> b'\nc -> c")
-    assert verify_fixed(gog, neg, identity_witness())
+    assert verify_fixed(gog, neg, FixedSplittingWitness())
     push = parse_automorphism("a -> a\nb -> a b\nc -> c")
-    assert not verify_fixed(gog, push, identity_witness())
+    assert not verify_fixed(gog, push, FixedSplittingWitness())
     # each corrector keeps its vertex group but moves y = b off ⟨b⟩,
     # so the edge word fails at that end alone
     for end, x in (("v1", "a"), ("v2", "c")):
@@ -242,7 +242,7 @@ def test_verify_refuses(text, rules):
     gog, witness = parse_splitting(text)
     validate_splitting(gog)
     phi = parse_automorphism(rules, gog.basis)
-    assert not verify_fixed(gog, phi, witness or identity_witness())
+    assert not verify_fixed(gog, phi, witness or FixedSplittingWitness())
 
 
 THREE_STAR = """\
@@ -279,10 +279,34 @@ def test_induce_edge_orbit_of_period_two():
 # -- induced splittings ----------------------------------------------------
 
 
+def test_holonomy_accumulates_correctors_along_a_period_three_orbit():
+    # Φ = i_c∘(a → b → c → a) cycles the three leaves of a star, each
+    # with its own nontrivial corrector; the orbit starts at p
+    phi = parse_automorphism("a -> c b c'; b -> c; c -> c a c'", F3)
+    W = F3.parse
+    leaves = {"p": "a", "q": "b", "r": "c"}
+    gog = GraphOfGroups(
+        F3,
+        (GogVertex("o", trivial_subgroup(F3)),)
+        + tuple(GogVertex(v, stallings_graph(F3, [W(g)])) for v, g in leaves.items()),
+        tuple(GogEdge(f"e{v}", "o", v) for v in leaves),
+    )
+    x = {"p": W("b c'"), "q": W("c c"), "r": W("a c'")}
+    witness = FixedSplittingWitness(
+        {"p": "q", "q": "r", "r": "p"},
+        {"ep": ("eq", False), "eq": ("er", False), "er": ("ep", False)},
+        x,
+    )
+    ts = induce_torus_splitting(gog, phi, witness)
+    (v,) = [v for v in ts.vertices if v.name == "p"]
+    assert v.period == 3
+    assert v.holonomy == x["r"] * apply_power(phi, 1, x["q"]) * apply_power(phi, 2, x["p"])
+
+
 def test_induce_free_identity():
     gog, _ = make_free()
     ident = identity_automorphism(F)
-    ts = induce_torus_splitting(gog, ident, identity_witness())
+    ts = induce_torus_splitting(gog, ident, FixedSplittingWitness())
     assert ts.kind == "Z"
     assert [v.label() for v in ts.vertices] == ["< a, t >", "< b, t >"]
     assert [(e.kind, e.period) for e in ts.edges] == [("Z", 1)]
@@ -314,13 +338,13 @@ def test_induced_section_labels_parse_back():
 def test_induce_cyclic_twists():
     gog = make_cyclic()
     ident = identity_automorphism(F3)
-    ts = induce_torus_splitting(gog, ident, identity_witness())
+    ts = induce_torus_splitting(gog, ident, FixedSplittingWitness())
     (e,) = ts.edges
     assert e.kind == "Z-by-Z" and e.twist == 1
     assert ts.kind == "slender"
     assert e.label() == "< b, t >"
     neg = parse_automorphism("a -> a\nb -> b'\nc -> c")
-    ts2 = induce_torus_splitting(gog, neg, identity_witness())
+    ts2 = induce_torus_splitting(gog, neg, FixedSplittingWitness())
     assert ts2.edges[0].twist == -1
 
 
@@ -329,7 +353,7 @@ def test_induced_edge_relator_holds_in_torus_group():
     gog = make_cyclic()
     for rules in ("a -> a; b -> b; c -> c", "a -> a; b -> b'; c -> c"):
         phi = parse_automorphism(rules, F3)
-        ts = induce_torus_splitting(gog, phi, identity_witness())
+        ts = induce_torus_splitting(gog, phi, FixedSplittingWitness())
         g = torus_group(phi)
         (e,) = ts.edges
         section = g.element(e.holonomy) * g.t(e.period)
@@ -341,13 +365,13 @@ def test_induce_rejects_unverified_and_small_rank():
     gog, _ = make_free()
     fib = parse_automorphism("a -> a b\nb -> a")
     with pytest.raises(ValueError, match="witness"):
-        induce_torus_splitting(gog, fib, identity_witness())
+        induce_torus_splitting(gog, fib, FixedSplittingWitness())
     f1 = basis("a")
     tiny = GraphOfGroups(
         f1, (GogVertex("v", stallings_graph(f1, [f1.parse("a")])),), ()
     )
     with pytest.raises(ValueError, match="noncyclic"):
-        induce_torus_splitting(tiny, identity_automorphism(f1), identity_witness())
+        induce_torus_splitting(tiny, identity_automorphism(f1), FixedSplittingWitness())
 
 
 def test_induce_refuses_a_non_permutation_witness():
@@ -374,9 +398,9 @@ def test_induce_rejects_holonomy_escaping_edge_group():
     # before any holonomy is read
     gog = make_cyclic()
     push = parse_automorphism("a -> a\nb -> a b\nc -> c")
-    assert verify_fixed(gog, push, identity_witness()) is False
+    assert verify_fixed(gog, push, FixedSplittingWitness()) is False
     with pytest.raises(ValueError, match="^witness does not certify the splitting as fixed$"):
-        induce_torus_splitting(gog, push, identity_witness())
+        induce_torus_splitting(gog, push, FixedSplittingWitness())
 
 
 # -- hierarchies -----------------------------------------------------------
