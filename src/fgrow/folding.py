@@ -8,26 +8,32 @@ deterministic trace.  Graphs are canonically numbered (breadth-first
 from the basepoint, labels in order), so two graphs are equal as values
 exactly when they present the same subgroup.
 
-The fold's own tables, ``succ[v][x]`` and ``pred[v][x]`` (the other
-end of v's outgoing or incoming x-edge), carry a folded graph from the
-fold to the canonical graph.  One fold engine serves every entry point:
-``_Fold``, a live union-find fold with a worklist (Stallings 1983)
-whose tables stay folded between insertions.  Loops join it only
-through ``_Fold.add_path``, which reads a word along the graph before
-it adds vertices for the unread part, so the fold is a core graph that
-needs no pruning.  ``_canonical`` numbers a graph in one breadth-first
-walk that also records the spanning tree ``free_basis`` reads, and
-only graphs that are read get numbered; ``intersect`` and
-``double_coset_contains`` share one product walk, ``_product``; words
-are read along tables by ``_walk``, or by ``_read`` where edges carry
-expressions.  The fold carries whatever expressions its loops are given
-as potentials (Kapovich–Myasnikov 2002): with V(v) a fixed word per
-vertex, V(0) empty, the union-find keeps an expression for
-V(v)·V(parent)⁻¹ over the generators, composed on path compression and
-merges, so each folded edge (u, x, v) gets an expression for
-V(u)·x·V(v)⁻¹.  Stitching those along a member word yields its product
-certificate.  Loops given no expression leave every one empty, and
-the fold then composes nothing.
+Every graph, and the fold that builds it, is one flat table of signed
+slots.  With r the basis rank and W = 2r + 1 slots per vertex,
+``t[v·W + r + s]`` is the vertex reached from v by reading the signed
+letter s, and −1 when there is none; the centre slot, s = 0, is always
+−1.  An edge (u, x, v) fills the slot (u, x) and its partner (v, −x),
+so a word is read by indexing alone, in either direction, and the
+partner of the slot at offset k in a row is at offset W − 1 − k.
+
+One fold engine serves every entry point: ``_Fold``, a live union-find
+fold with a worklist (Stallings 1983) whose table stays folded between
+insertions.  Loops join it only through ``_Fold.add_path``, which reads
+a word along the graph before it adds vertices for the unread part, so
+the fold is a core graph that needs no pruning.  ``_canonical`` numbers
+a graph in one breadth-first walk that also records the spanning tree
+and the cotree ``free_basis`` reads, and only graphs that are read get
+numbered; ``intersect`` and ``double_coset_contains`` share one product
+walk, ``_product``; words are read along tables by ``_walk``, or by
+``_read`` where slots carry expressions.  The fold carries whatever
+expressions its loops are given as potentials (Kapovich–Myasnikov
+2002): with V(v) a fixed word per vertex, V(0) empty, the union-find
+keeps an expression for V(v)·V(parent)⁻¹ over the generators, composed
+on path compression and merges, so each folded edge (u, x, v) gets an
+expression for V(u)·x·V(v)⁻¹ on its slot and the inverse on its
+partner.  Stitching those along a member word yields its product
+certificate.  Loops given no expression leave every one empty, and the
+fold then reads, stores and composes none.
 """
 
 from __future__ import annotations
@@ -40,71 +46,80 @@ from typing import Iterable, Sequence
 from .words import Basis, BasisMismatchError, Word, concat_all, free_reduce, join
 
 Edge = tuple[int, int, int]  # (source, label, target), label positive
-Table = list[dict[int, int]]  # by vertex, then label: the edge's other end
+Slots = list[int]  # t[v·W + r + s]: v's end of the signed letter s, or −1
 
 
 class StallingsGraph:
-    """Immutable folded core graph with basepoint 0."""
+    """Immutable folded core graph with basepoint 0.
+
+    ``_t`` is its signed-slot table, W = ``_w`` slots per vertex around
+    the centre ``_r``, the basis rank; ``_via[v]`` is v's spanning-tree
+    edge, (parent, signed letter read from the parent), and ``_cotree``
+    lists the edges off that tree in ``edges`` order.
+    """
 
     def __init__(self, basis: Basis, n_vertices: int, edges: Sequence[Edge]):
         """The folded graph with these edges, canonically numbered."""
-        succ: Table = [{} for _ in range(n_vertices)]
-        pred: Table = [{} for _ in range(n_vertices)]
+        r = basis.rank
+        w = 2 * r + 1
+        t = [-1] * (n_vertices * w)
         for u, x, v in edges:
-            if not (0 < x <= basis.rank and 0 <= u < n_vertices and 0 <= v < n_vertices):
+            if not (0 < x <= r and 0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge {(u, x, v)} names no generator or vertex")
-            if x in succ[u] or x in pred[v]:
+            if t[u * w + r + x] >= 0 or t[v * w + r - x] >= 0:
                 raise ValueError("edge set is not folded")
-            succ[u][x] = v
-            pred[v][x] = u
-        self._number(basis, succ, pred)
+            t[u * w + r + x], t[v * w + r - x] = v, u
+        self._number(basis, t)
         if self.n_vertices < n_vertices:
             raise ValueError("edge set leaves a vertex unreachable from 0")
 
-    def _number(self, basis: Basis, succ: Table, pred: Table) -> None:
-        """Take over the part of a folded graph that 0 reaches, renumbered
+    def _number(self, basis: Basis, t: Slots) -> None:
+        """Take over the part of a folded table that 0 reaches, renumbered
         in one breadth-first walk from 0 that also records its spanning
-        tree: via[v] = (parent, signed letter read from the parent to v),
-        with via[0] = (0, 0).  The walk visits labels in ascending order,
-        outgoing edges before incoming ones; the canonical numbering and
-        the free-basis words depend on that order.  A vertex's new id is
-        its place in the walk, and its new tables list labels in order.
+        tree, via[v] = (parent, signed letter read from the parent to v)
+        with via[0] = (0, 0), and its cotree: a positive slot reaching a
+        vertex already numbered, other than v's own tree edge.  The walk
+        reads labels in ascending order, outgoing before incoming; the
+        canonical numbering and the free-basis words depend on that
+        order.  A vertex's new id is its place in the walk.
         """
-        new = [0] + [-1] * (len(succ) - 1)
-        order, via = [0], [(0, 0)]
-        n_succ: Table = []
-        n_pred: Table = []
-        labels = range(1, basis.rank + 1)
+        r = basis.rank
+        w = 2 * r + 1
+        new = [-1] * (len(t) // w)
+        new[0] = 0
+        order, via, cotree = [0], [(0, 0)], []
+        nt = [-1] * len(t)  # cut to the vertices reached at the end
+        signed = [s for x in range(1, r + 1) for s in (x, -x)]
         for v, old in enumerate(order):  # order grows as vertices are discovered
-            out, inn, s, p = succ[old], pred[old], {}, {}
-            for x in labels:
-                t = out.get(x)
-                if t is not None:
-                    if new[t] < 0:
-                        new[t] = len(order)
-                        order.append(t)
-                        via.append((v, x))
-                    s[x] = new[t]
-                t = inn.get(x)
-                if t is not None:
-                    if new[t] < 0:
-                        new[t] = len(order)
-                        order.append(t)
-                        via.append((v, -x))
-                    p[x] = new[t]
-            n_succ.append(s)
-            n_pred.append(p)
-        self.basis, self.n_vertices = basis, len(order)
-        self._succ, self._pred, self._via = n_succ, n_pred, via
+            up = -via[v][1]  # v's slot back to its parent; 0 at the base
+            c, nc = old * w + r, v * w + r
+            for s in signed:
+                u = t[c + s]
+                if u >= 0:
+                    nu = new[u]
+                    if nu < 0:
+                        nu = new[u] = len(order)
+                        order.append(u)
+                        via.append((v, s))
+                    elif s > 0 and s != up:
+                        cotree.append((v, s, nu))
+                    nt[nc + s] = nu
+        del nt[len(order) * w :]
+        self.basis, self.n_vertices, self._r, self._w = basis, len(order), r, w
+        self._t, self._via, self._cotree = nt, via, cotree
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Every edge, sorted; built when first read."""
-        return tuple((u, x, v) for u, out in enumerate(self._succ) for x, v in out.items())
+        t, r, w = self._t, self._r, self._w
+        return tuple(
+            (u, x, v) for u in range(self.n_vertices) for x in range(1, r + 1)
+            if (v := t[u * w + r + x]) >= 0
+        )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, StallingsGraph) and (self.basis, self._succ) == (
-            other.basis, other._succ
+        return isinstance(other, StallingsGraph) and (self.basis, self._t) == (
+            other.basis, other._t
         )
 
     def __hash__(self) -> int:
@@ -118,17 +133,16 @@ class StallingsGraph:
     def accepts(self, w: Word) -> bool:
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        return _walk(self._succ, self._pred, 0, w.letters) == (0, len(w))
+        return _walk(self._t, self._r, 0, w.letters) == (0, len(w))
 
     def is_trivial(self) -> bool:
-        return not (self._succ[0] or self._pred[0])  # 0 reaches every vertex
+        return self.n_vertices == 1 and not self._cotree
 
     def rank(self) -> int:
-        return sum(map(len, self._succ)) - self.n_vertices + 1
+        return len(self._cotree)
 
     def is_full_cover(self) -> bool:
-        r = self.basis.rank
-        return all(len(out) == r == len(inn) for out, inn in zip(self._succ, self._pred))
+        return self._t.count(-1) == self.n_vertices  # only the centre slots
 
     def index(self) -> int | None:
         """Subgroup index, or None when infinite."""
@@ -136,18 +150,10 @@ class StallingsGraph:
 
     # -- spanning tree and free basis --------------------------------
 
-    def _cotree(self) -> list[Edge]:
-        """The edges off the numbering walk's spanning tree, in ``edges`` order."""
-        via = self._via
-        return [
-            (u, x, v) for u, out in enumerate(self._succ) for x, v in out.items()
-            if via[v] != (u, x) and via[u] != (v, -x)
-        ]
-
     def free_basis(self) -> list[Word]:
         """One reduced word per non-tree edge of a BFS spanning tree (a
         free basis of the subgroup)."""
-        via, cotree = self._via, self._cotree()
+        via = self._via
         paths: dict[int, tuple[int, ...]] = {}  # only for non-tree edge ends
 
         def path(v: int) -> tuple[int, ...]:
@@ -160,7 +166,7 @@ class StallingsGraph:
             return paths[v]
 
         out = []
-        for u, x, v in cotree:
+        for u, x, v in self._cotree:
             raw = path(u) + (x,) + tuple(-t for t in reversed(path(v)))
             out.append(Word(self.basis, free_reduce(raw)))
         return out
@@ -178,8 +184,11 @@ class StallingsGraph:
         """
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        index = {(u, x): (j,) for j, (u, x, _) in enumerate(self._cotree(), start=1)}
-        at, expr = _read(self._succ, self._pred, index, 0, w.letters)
+        r, width = self._r, self._w
+        index = {}  # both slots of each non-tree edge
+        for j, (u, x, v) in enumerate(self._cotree, start=1):
+            index[u * width + r + x], index[v * width + r - x] = (j,), (-j,)
+        at, expr = _read(self._t, r, index, 0, w.letters)
         return expr if at == 0 else None
 
 
@@ -193,34 +202,33 @@ def _inv(e: Expr) -> Expr:
     return tuple(-j for j in reversed(e)) if e else e
 
 
-def _walk(succ: Table, pred: Table, at: int, letters: Sequence[int]) -> tuple[int, int]:
+def _walk(t: Slots, r: int, at: int, letters: Sequence[int]) -> tuple[int, int]:
     """The vertex reached reading ``letters`` from ``at`` while edges
-    exist, and the number of letters read."""
+    exist, and the number of letters read; r is the basis rank."""
+    w = 2 * r + 1
     for i, x in enumerate(letters):
-        t = succ[at].get(x) if x > 0 else pred[at].get(-x)
-        if t is None:
+        v = t[at * w + r + x]
+        if v < 0:
             return at, i
-        at = t
+        at = v
     return at, len(letters)
 
 
 def _read(
-    succ: Table, pred: Table, ex: dict[tuple[int, int], Expr], at: int, letters: Sequence[int]
+    t: Slots, r: int, ex: dict[int, Expr], at: int, letters: Sequence[int]
 ) -> tuple[int | None, Expr]:
-    """``_walk`` along edges that carry expressions, ex[(u, x)] for the
-    edge (u, x, succ[u][x]) when not empty: the end (None when an edge
-    is missing) and the reduced product of the expressions met, each
-    inverted where its edge is crossed backwards."""
+    """``_walk`` along edges that carry expressions, ex[k] for slot k
+    when not empty: the end (None when an edge is missing) and the
+    reduced product of the expressions met."""
+    w = 2 * r + 1
     out: list[int] = []
     for x in letters:
-        t = succ[at].get(x) if x > 0 else pred[at].get(-x)
-        if t is None:
+        k = at * w + r + x
+        at = t[k]
+        if at < 0:
             return None, ()
-        if x > 0:
-            out.extend(ex.get((at, x), ()))
-        elif e := ex.get((t, -x)):
-            out.extend(_inv(e))
-        at = t
+        if e := ex.get(k):
+            out += e
     return at, free_reduce(out)
 
 
@@ -277,91 +285,95 @@ class _UnionFind:
 
 
 class _Fold:
-    """A Stallings fold kept live: a vertex union-find and the roots'
-    succ/pred tables ``out[v][x]`` and ``inn[v][x]``; ``insert`` adds an
-    edge and queues the merges it forces, ``drain`` performs them.
+    """A Stallings fold kept live: a vertex union-find and one signed-slot
+    table ``t`` over every vertex made so far, with r the basis rank
+    and W = 2r + 1 slots per vertex; ``insert`` adds an edge and queues
+    the merges it forces, ``drain`` performs them.
 
-    After each ``drain`` the tables are a folded graph on the roots:
-    every record names a root, and out[u][x] = v iff inn[v][x] = u.  A
-    merge deletes the loser's records with their partners before it
-    re-inserts the loser's edges, so no record ever names a merged-away
-    vertex.  The fold carries whatever expressions it is given: the
-    union-find keeps potentials (a root has none), every merge records
-    the relation that forced it, and ex[(u, x)] is an expression for
-    V(u)·x·V(out[u][x])⁻¹ when that is not empty.  A fold given none
-    stores none and composes nothing.
+    After each ``drain`` the table is a folded graph on the roots: every
+    filled slot names a root, its partner names it back, a merged-away
+    vertex's row is empty, and so is every centre slot.  A merge empties
+    the loser's row and its partners before it re-inserts the loser's
+    edges, so no slot ever names a merged-away vertex.  The fold carries
+    whatever expressions it is given: the union-find keeps potentials (a
+    root has none), every merge records the relation that forced it,
+    and ex[k], for slot k of (u, s) when not empty, is an expression for
+    V(u)·s·V(t[k])⁻¹, so the partner slot holds its inverse.  A fold
+    given none stores none, reads none and composes nothing.
     """
 
-    def __init__(self, n: int = 1):
+    def __init__(self, rank: int, n: int = 1):
+        self.r, self.w = rank, 2 * rank + 1
         self.uf = _UnionFind(n)
-        self.out: Table = [{} for _ in range(n)]
-        self.inn: Table = [{} for _ in range(n)]
-        self.ex: dict[tuple[int, int], Expr] = {}
+        self.t: Slots = [-1] * (n * self.w)
+        self.ex: dict[int, Expr] = {}
         # pending merges (a, b, d), d an expression for V(a)·V(b)⁻¹
         self.unions: deque[tuple[int, int, Expr]] = deque()
 
     def _at_roots(self, u: int, e: Expr, v: int) -> Expr:
         """e, for V(u)·…·V(v)⁻¹, rewritten for the roots; u, v just found."""
         pot = self.uf.pot
-        if not pot:
-            return e
         return join(join(_inv(pot.get(u, ())), e), pot.get(v, ()))
 
     def insert(self, u: int, x: int, v: int, e: Expr = ()) -> None:
         """Add the edge (u, x, v), or fold it into one with its label."""
-        find, out, inn, ex = self.uf.find, self.out, self.inn, self.ex
-        ru, rv = find(u), find(v)
-        e = self._at_roots(u, e, v)
+        uf, t, ex, r, w = self.uf, self.t, self.ex, self.r, self.w
+        ru, rv = uf.find(u), uf.find(v)
+        if uf.pot:
+            e = self._at_roots(u, e, v)
         # stored ends are roots, so stored expressions need no rewriting
-        t = out[ru].get(x)
-        if t is not None:  # absorbed into the edge (ru, x, t)
-            if t != rv:
-                self.unions.append((t, rv, join(_inv(ex.get((ru, x), ())), e)))
+        k, back = ru * w + r + x, rv * w + r - x
+        a = t[k]
+        if a >= 0:  # absorbed into the edge (ru, x, a)
+            if a != rv:
+                self.unions.append((a, rv, join(_inv(ex.get(k, ())), e) if ex else e))
             return
-        s = inn[rv].get(x)
-        if s is not None:  # absorbed into the edge (s, x, rv)
-            if s != ru:
-                self.unions.append((s, ru, join(ex.get((s, x), ()), _inv(e))))
+        a = t[back]
+        if a >= 0:  # absorbed into the edge (a, x, rv)
+            if a != ru:
+                self.unions.append((a, ru, _inv(join(e, ex.get(back, ())) if ex else e)))
             return
-        out[ru][x] = rv
-        inn[rv][x] = ru
+        t[k], t[back] = rv, ru
         if e:
-            ex[(ru, x)] = e
+            ex[k], ex[back] = e, _inv(e)
 
     def drain(self) -> None:
         """Perform the queued merges and every merge they force."""
-        uf, out, inn, ex, unions = self.uf, self.out, self.inn, self.ex, self.unions
+        uf, t, ex, unions, r, w = self.uf, self.t, self.ex, self.unions, self.r, self.w
         find, insert = uf.find, self.insert
+        labels, blank = range(1, r + 1), [-1] * w
         while unions:
             a, b, d = unions.popleft()
             ra, rb = find(a), find(b)
             if ra == rb:
                 continue
-            d = self._at_roots(a, d, b)  # now for V(ra)·V(rb)⁻¹
+            if uf.pot:
+                d = self._at_roots(a, d, b)  # now for V(ra)·V(rb)⁻¹
             # union by size; vertex 0 always wins
             if rb == 0 or (ra != 0 and uf.size[ra] < uf.size[rb]):
                 winner, loser = rb, ra
             else:
                 winner, loser = ra, rb
-            lo_out, lo_in = out[loser], inn[loser]
-            out[loser], inn[loser] = {}, {}
-            # Drop the partners of the loser's records before re-homing its
-            # edges, so that no record names it; a loop's partner is among
-            # the loser's own.  Edges into the loser move with their
-            # out-record's expression.
-            for x, t in lo_out.items():
-                if t != loser:
-                    del inn[t][x]
-            moved_in = []
-            for x, s in lo_in.items():
-                if s != loser:
-                    del out[s][x]
-                    moved_in.append((s, x, ex.pop((s, x), ())))
+            # Empty the loser's row and its slots' partners before
+            # re-homing its edges, so that no slot names it; a loop's
+            # partner is in the row.  Offset k's partner is W − 1 − k.
+            base = loser * w
+            row = t[base : base + w]
+            t[base : base + w] = blank
+            es = [ex.pop(base + k, ()) for k in range(w)] if ex else None
+            for k, c in enumerate(row):
+                if c >= 0:
+                    t[c * w + w - 1 - k] = -1
+                    if es:
+                        ex.pop(c * w + w - 1 - k, None)
             uf.link(winner, loser, _inv(d) if d and loser == rb else d)
-            for x, t in lo_out.items():
-                insert(loser, x, t, ex.pop((loser, x), ()))
-            for s, x, e in moved_in:
-                insert(s, x, loser, e)
+            # outgoing edges first, then incoming ones, by label
+            for x in labels:
+                if (c := row[r + x]) >= 0:
+                    insert(loser, x, c, es[r + x] if es else ())
+            for x in labels:
+                if (c := row[r - x]) >= 0 and c != loser:
+                    insert(c, x, loser, _inv(es[r - x]) if es else ())
 
     def add_path(self, letters: Sequence[int], end: int = 0, e: Expr = ()) -> None:
         """Fold a path from 0 to root ``end`` spelling a reduced word w;
@@ -375,7 +387,8 @@ class _Fold:
         unread, p and q merge.  Each middle edge but the last meets a
         fresh vertex and a label p lacks, so it is written directly; the
         closing edge may fold (p = q and inverse end letters, as a b a⁻¹
-        onto the trivial graph), so it goes through ``insert``.
+        onto the trivial graph), so it goes through ``insert``, with a
+        positive label as merges re-home edges.
 
         V of a fresh vertex is V(p) and the middle letters up to it, so
         fresh edges carry no expression.  With E_p read along the prefix
@@ -388,37 +401,32 @@ class _Fold:
         A fold of loops needs no pruning: each edge of a loop lies on a
         reduced loop at 0, and a fold maps a reduced loop onto a reduced
         loop (a folded graph reads no backtracking word), so every
-        vertex but 0 keeps two records: the roots are the core graph.
+        vertex but 0 keeps two edges: the roots are the core graph.
         """
-        uf, out, inn, ex = self.uf, self.out, self.inn, self.ex
-        p, i = _walk(out, inn, 0, letters)
+        uf, t, ex, r, w = self.uf, self.t, self.ex, self.r, self.w
+        p, i = _walk(t, r, 0, letters)
         q, j = end, len(letters)
         while j > i:  # the rest, read backward from end in place
-            x = letters[j - 1]
-            t = inn[q].get(x) if x > 0 else out[q].get(-x)
-            if t is None:
+            c = t[q * w + r - letters[j - 1]]
+            if c < 0:
                 break
-            q, j = t, j - 1
+            q, j = c, j - 1
         if ex and i:
-            e = join(_inv(_read(out, inn, ex, 0, letters[:i])[1]), e)
+            e = join(_inv(_read(t, r, ex, 0, letters[:i])[1]), e)
         if ex and j < len(letters):
-            e = join(e, _inv(_read(out, inn, ex, q, letters[j:])[1]))
+            e = join(e, _inv(_read(t, r, ex, q, letters[j:])[1]))
         if i == j:
             self.unions.append((p, q, e))
         else:
-            n, fresh = len(out), j - i - 1
+            n, fresh = len(uf.parent), j - i - 1
             if fresh:
                 uf.parent.extend(range(n, n + fresh))
                 uf.size.extend([1] * fresh)
                 uf.roots += fresh
-                out.extend({} for _ in range(fresh))
-                inn.extend({} for _ in range(fresh))
+                t += [-1] * (fresh * w)
             path = [p, *range(n, n + fresh), q]
             for a, x, c in zip(path, letters[i : j - 1], path[1:]):
-                if x > 0:
-                    out[a][x], inn[c][x] = c, a
-                else:
-                    out[c][-x], inn[a][-x] = a, c
+                t[a * w + r + x], t[c * w + r - x] = c, a
             a, x = path[-2], letters[j - 1]
             self.insert(*((a, x, q, e) if x > 0 else (q, -x, a, _inv(e))))
         if self.unions:
@@ -426,13 +434,13 @@ class _Fold:
 
     def graph(self, basis: Basis) -> StallingsGraph:
         """The canonical graph of a fold of loops, a core graph (``add_path``)."""
-        return _canonical(basis, self.out, self.inn)
+        return _canonical(basis, self.t)
 
 
-def _canonical(basis: Basis, succ: Table, pred: Table) -> StallingsGraph:
-    """The canonically numbered graph of folded tables with base 0."""
+def _canonical(basis: Basis, t: Slots) -> StallingsGraph:
+    """The canonically numbered graph of a folded table with base 0."""
     graph = StallingsGraph.__new__(StallingsGraph)
-    graph._number(basis, succ, pred)
+    graph._number(basis, t)
     return graph
 
 
@@ -446,7 +454,7 @@ def _checked(b: Basis, gens: Iterable[Word]) -> list[Word]:
 
 def stallings_graph(b: Basis, gens: Iterable[Word]) -> StallingsGraph:
     """Folded core graph of the subgroup generated by ``gens``."""
-    fold = _Fold()
+    fold = _Fold(b.rank)
     for g in _checked(b, gens):
         fold.add_path(g.letters)
     return fold.graph(b)
@@ -456,7 +464,7 @@ def stallings_graph(b: Basis, gens: Iterable[Word]) -> StallingsGraph:
 class WitnessedGraph:
     """Folded core graph of ⟨gens⟩ whose edges carry generator expressions.
 
-    Words are read along the fold's own tables; ``graph``, the canonical
+    Words are read along the fold's own slot table; ``graph``, the canonical
     graph, equal to ``stallings_graph(b, gens)``, is numbered when first
     read.  Fixing one basepoint path word V(v) per vertex, with V(0)
     empty, every edge (u, x, v) carries an expression over ``gens``
@@ -468,20 +476,19 @@ class WitnessedGraph:
 
     basis: Basis
     gens: tuple[Word, ...]
-    _succ: Table = field(repr=False)
-    _pred: Table = field(repr=False)
-    # by (source, label), in the fold's ids; empty ones left out
-    _exprs: dict[tuple[int, int], Expr] = field(repr=False)
+    _t: Slots = field(repr=False)
+    # by slot, in the fold's ids; empty ones left out
+    _exprs: dict[int, Expr] = field(repr=False)
 
     @cached_property
     def graph(self) -> StallingsGraph:
-        return _canonical(self.basis, self._succ, self._pred)
+        return _canonical(self.basis, self._t)
 
     def express(self, w: Word) -> tuple[int, ...] | None:
         """w as a signed product over ``gens`` (1-based), or None."""
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        at, expr = _read(self._succ, self._pred, self._exprs, 0, w.letters)
+        at, expr = _read(self._t, self.basis.rank, self._exprs, 0, w.letters)
         return expr if at == 0 else None
 
     def evaluate(self, expr: Iterable[int]) -> Word:
@@ -498,10 +505,10 @@ def witnessed_graph(b: Basis, gens: Sequence[Word]) -> WitnessedGraph:
     potentials give every edge its expression.
     """
     gens = _checked(b, gens)
-    fold = _Fold()
+    fold = _Fold(b.rank)
     for j, g in enumerate(gens, start=1):
         fold.add_path(g.letters, e=(j,))
-    return WitnessedGraph(b, tuple(gens), fold.out, fold.inn, fold.ex)
+    return WitnessedGraph(b, tuple(gens), fold.t, fold.ex)
 
 
 def trivial_subgroup(b: Basis) -> StallingsGraph:
@@ -513,56 +520,50 @@ def full_group(b: Basis) -> StallingsGraph:
 
 
 def _product(
-    a_succ: Table, a_pred: Table, c_succ: Table, c_pred: Table, start: tuple[int, int]
-) -> tuple[dict[tuple[int, int], int], Table, Table]:
-    """The part of the product of two folded graphs reachable from ``start``.
+    r: int, a: Slots, c: Slots, start: tuple[int, int]
+) -> tuple[dict[tuple[int, int], int], Slots]:
+    """The part of the product of two folded tables reachable from ``start``.
 
-    An x-edge leaves a pair of vertices when one leaves each.  Returns
-    the pair ids, in discovery order from ``start`` (id 0), and the
-    product's succ/pred tables over them.
+    A slot of a pair of vertices is filled when it is filled in both.
+    Returns the pair ids, in discovery order from ``start`` (id 0), and
+    the product's slot table over them.
     """
+    w = 2 * r + 1
     ids = {start: 0}
     pairs = [start]
-
-    def meet(a_out: dict[int, int], c_out: dict[int, int]) -> dict[int, int]:
-        out = {}
-        for x, u in a_out.items():
-            v = c_out.get(x)
-            if v is not None:
-                j = ids.get((u, v))
-                if j is None:
-                    j = ids[(u, v)] = len(pairs)
-                    pairs.append((u, v))
-                out[x] = j
-        return out
-
-    succ: Table = []
-    pred: Table = []
+    t: Slots = []
     for p, q in pairs:  # pairs grows as they are discovered
-        succ.append(meet(a_succ[p], c_succ[q]))
-        pred.append(meet(a_pred[p], c_pred[q]))
-    return ids, succ, pred
+        for u, v in zip(a[p * w : p * w + w], c[q * w : q * w + w]):
+            if u < 0 or v < 0:
+                t.append(-1)
+                continue
+            j = ids.setdefault((u, v), len(pairs))
+            if j == len(pairs):
+                pairs.append((u, v))
+            t.append(j)
+    return ids, t
 
 
 def intersect(a: StallingsGraph, c: StallingsGraph) -> StallingsGraph:
     """Fiber product of the two based graphs (basepoint component, cored)."""
     if a.basis != c.basis:
         raise BasisMismatchError("subgroups over different bases")
-    _, succ, pred = _product(a._succ, a._pred, c._succ, c._pred, (0, 0))
-    # prune hanging trees: a vertex other than the base with one record
-    # is a leaf, and deleting its record may make a leaf of its neighbour
-    leaves = [v for v in range(1, len(succ)) if len(succ[v]) + len(pred[v]) == 1]
+    w = a._w
+    _, t = _product(a._r, a._t, c._t, (0, 0))
+    # prune hanging trees: a vertex other than the base with one edge is
+    # a leaf, and deleting its edge may make a leaf of its neighbour
+    degree = [w - t[i : i + w].count(-1) for i in range(0, len(t), w)]
+    leaves = [v for v in range(1, len(degree)) if degree[v] == 1]
     while leaves:
         v = leaves.pop()
-        if succ[v]:
-            x, t = succ[v].popitem()
-            del pred[t][x]
-        else:
-            x, t = pred[v].popitem()
-            del succ[t][x]
-        if t and len(succ[t]) + len(pred[t]) == 1:
-            leaves.append(t)
-    return _canonical(a.basis, succ, pred)
+        row = t[v * w : v * w + w]
+        u = max(row)  # the one filled slot
+        k = row.index(u)
+        t[v * w + k] = t[u * w + w - 1 - k] = -1
+        degree[u] -= 1
+        if u and degree[u] == 1:
+            leaves.append(u)
+    return _canonical(a.basis, t)
 
 
 def is_invariant(h: StallingsGraph, theta) -> bool:
@@ -580,21 +581,17 @@ def is_invariant(h: StallingsGraph, theta) -> bool:
     return True
 
 
-def _coset_automaton(
-    g: StallingsGraph, tail: tuple[int, ...]
-) -> tuple[Table, Table, int]:
+def _coset_automaton(g: StallingsGraph, tail: tuple[int, ...]) -> tuple[Slots, int]:
     """Fold g together with a path spelling ``tail`` out of its base.
 
-    Returns the fold's (succ, pred) tables and the path's end; the
-    reduced words readable from 0 to the end are exactly the coset
-    ⟨g⟩·tail.
+    Returns the fold's slot table and the path's end; the reduced words
+    readable from 0 to the end are exactly the coset ⟨g⟩·tail.
     """
     end = g.n_vertices  # a fresh vertex
-    fold = _Fold(end + 1)
-    for u, x, v in g.edges:  # already folded: nothing merges
-        fold.insert(u, x, v)
+    fold = _Fold(g._r, end + 1)
+    fold.t[: len(g._t)] = g._t  # already folded: nothing merges
     fold.add_path(tail, end)
-    return fold.out, fold.inn, fold.uf.find(end)
+    return fold.t, fold.uf.find(end)
 
 
 def double_coset_contains(
@@ -610,8 +607,8 @@ def double_coset_contains(
     b = left.basis
     if right.basis != b or s.basis != b or w.basis != b:
         raise BasisMismatchError("operands over different bases")
-    sa, pa, a_end = _coset_automaton(left, s.letters)
+    ta, a_end = _coset_automaton(left, s.letters)
     winv = tuple(-x for x in reversed(w.letters))
-    sb, pb, b_end = _coset_automaton(right, winv)
-    ids, _, _ = _product(sa, pa, sb, pb, (0, b_end))
+    tb, b_end = _coset_automaton(right, winv)
+    ids, _ = _product(b.rank, ta, tb, (0, b_end))
     return (a_end, 0) in ids

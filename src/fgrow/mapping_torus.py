@@ -328,7 +328,7 @@ def fiber_intersection(
 
     # one live fold of the entries' loops; its roots are the core graph's
     # vertices, so it is renumbered only once nothing escapes
-    fold = _Fold()
+    fold = _Fold(b.rank)
     for w, _ in entries:
         fold.add_path(w)
     rounds = 0
@@ -358,7 +358,7 @@ def fiber_intersection(
                 for move in onward:
                     y, table, y_inv, pre, post = move
                     img = join(join(y, free_reduce(w, table)), y_inv)
-                    if _walk(fold.out, fold.inn, 0, img) != (0, len(img)):
+                    if _walk(fold.t, fold.r, 0, img) != (0, len(img)):
                         escapes.append((img, pre + e + post, (move,)))
             if not escapes:
                 break

@@ -304,7 +304,7 @@ def two_way_saturation(group, gens, max_rounds, max_vertices):
     for i, g in enumerate(gens, start=1):
         m = g.k // n if n else 0
         entries.append(((g * (s ** (-m))).w.letters, (i,) + _pow_expr(s_expr, -m)))
-    fold = _Fold()
+    fold = _Fold(group.basis.rank)
     for w, _ in entries:
         fold.add_path(w)
     if n == 0:
@@ -323,7 +323,7 @@ def two_way_saturation(group, gens, max_rounds, max_vertices):
         for w, e in frontier:
             for y, table, y_inv, pre, post in moves:
                 img = join(join(y, free_reduce(w, table)), y_inv)
-                if _walk(fold.out, fold.inn, 0, img) != (0, len(img)):
+                if _walk(fold.t, fold.r, 0, img) != (0, len(img)):
                     escapes.append((img, pre + e + post))
         if not escapes:
             return entries, rounds

@@ -234,7 +234,7 @@ def test_witnessed_graph_agrees_with_plain_fold(case):
         assert expr is not None and wg.evaluate(expr) == w
     # the fold multiplies stored expressions at their junction only, so
     # each one, and each queued merge's, must stay reduced
-    fold = folding._Fold()
+    fold = folding._Fold(b.rank)
     drain = fold.drain
 
     def checked_drain():
@@ -247,7 +247,7 @@ def test_witnessed_graph_agrees_with_plain_fold(case):
         assert all(free_reduce(e) == e for e in [*fold.ex.values(), *fold.uf.pot.values()])
     # the same loops given no expressions fold to the same graph, with
     # no expression and no potential held
-    plain_fold = folding._Fold()
+    plain_fold = folding._Fold(b.rank)
     for g in gens:
         plain_fold.add_path(g.letters)
     assert not plain_fold.ex and not plain_fold.uf.pot
@@ -390,6 +390,16 @@ def test_constructor_numbers_canonically_and_refuses_bad_edge_sets():
             StallingsGraph(F, 2, [(1, 2, 0), bad])
 
 
+def assert_canonical_table(g: StallingsGraph) -> None:
+    # rebuilt from its edges, a canonical graph is itself; the cotree the
+    # numbering walk records is the edges off its spanning tree, in order
+    assert StallingsGraph(g.basis, g.n_vertices, g.edges) == g
+    via = g._via
+    assert g._cotree == [
+        (u, x, v) for u, x, v in g.edges if via[v] != (u, x) and via[u] != (v, -x)
+    ]
+
+
 def assert_tree_is_the_reference(g: StallingsGraph) -> None:
     order, via, words = reference_spanning_tree(g.basis.rank, g.edges)
     assert order == list(range(g.n_vertices))
@@ -397,6 +407,7 @@ def assert_tree_is_the_reference(g: StallingsGraph) -> None:
     assert [w.letters for w in g.free_basis()] == words
     assert g.rank() == len(g.edges) - g.n_vertices + 1 == len(words)
     assert g.is_trivial() == (not g.edges)
+    assert_canonical_table(g)
 
 
 FIBER_TORI = [
@@ -444,3 +455,62 @@ def test_recorded_spanning_tree_is_the_reference_bfs(case, rng):
         pass
     for g in graphs:
         assert_tree_is_the_reference(g)
+
+
+# -- the fold's signed-slot table ------------------------------------------
+
+
+def assert_slot_table_is_folded(fold) -> None:
+    """The invariants ``_Fold.drain`` leaves: slot k of vertex v holds the
+    end of v's signed letter k − r, or −1."""
+    t, r, w, parent, ex = fold.t, fold.r, fold.w, fold.uf.parent, fold.ex
+    assert len(t) == len(parent) * w
+    for v in range(len(parent)):
+        row = t[v * w : v * w + w]
+        assert row[r] == -1  # the centre slot
+        if parent[v] != v:  # merged away
+            assert row == [-1] * w
+        for k, c in enumerate(row):
+            if c >= 0:
+                assert parent[c] == c  # every filled slot names a root
+                assert t[c * w + w - 1 - k] == v  # and its partner points back
+    for k, e in ex.items():
+        v, off = divmod(k, w)
+        c = t[k]
+        assert e and c >= 0
+        assert ex[c * w + w - 1 - off] == tuple(-j for j in reversed(e))
+
+
+# Random folds of loops, given expressions or not, and then a path out
+# to a second vertex, as a coset automaton folds one; the invariants are
+# checked after every drain.
+@settings(max_examples=80)
+@given(
+    st.one_of(
+        st.tuples(st.just(F), gen_lists(2, 6, 4), gen_lists(2, 6, 1)),
+        st.tuples(st.just(F3), gen_lists(3, 10, 6), gen_lists(3, 6, 1)),
+    ),
+    st.booleans(),
+)
+@example((F, [[1, 2, -1]], [[1]]), True)  # the closing edge folds into the first
+@example((F3, [[-3, 1, 1], [1, -3, -2, -1], [2, 1], [-1]], [[2, 2]]), True)
+def test_slot_table_invariants_hold_after_every_drain(case, witnessed):
+    b, lists, (tail,) = case
+    gens = [Word(b, free_reduce(ls)) for ls in lists]
+    fold = folding._Fold(b.rank, 2)  # vertex 1 ends the tail path
+    drain = fold.drain
+
+    def checked_drain():
+        drain()
+        assert_slot_table_is_folded(fold)
+
+    fold.drain = checked_drain
+    for j, g in enumerate(gens, start=1):
+        fold.add_path(g.letters, e=(j,) if witnessed else ())
+        assert_slot_table_is_folded(fold)
+    assert bool(fold.ex) <= witnessed
+    g = fold.graph(b)
+    assert g == stallings_graph(b, gens)
+    assert_canonical_table(g)
+    fold.add_path(free_reduce(tail), 1)
+    assert_slot_table_is_folded(fold)

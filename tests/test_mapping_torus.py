@@ -279,10 +279,11 @@ def test_nonsense_budget_refused(budget, message):
 def test_saturation_builds_no_witnessed_fold(monkeypatch, with_witnesses):
     # Saturation folds loops given no expression; witnesses are folded
     # once, after it stops.  So after every merge its fold holds no
-    # expression and no potential, and composes nothing.  Composing
-    # potentials on every merge instead made this run, which never
-    # stabilizes, take about twice as long.
-    drains = []
+    # expression and no potential, and composes nothing: no expression
+    # is rewritten for the roots.  Composing potentials on every merge
+    # instead made this run, which never stabilizes, take about twice as
+    # long.
+    drains, composed = [], []
     drain = folding._Fold.drain
 
     def checked(self):
@@ -291,11 +292,12 @@ def test_saturation_builds_no_witnessed_fold(monkeypatch, with_witnesses):
         assert not self.ex and not self.uf.pot
 
     monkeypatch.setattr(folding._Fold, "drain", checked)
+    monkeypatch.setattr(folding._Fold, "_at_roots", lambda self, *args: composed.append(args))
     gens = [G.normalize("a b"), G.normalize("b a t' a")]
     with pytest.raises(UnstabilizedError) as info:
         fiber_intersection(G, gens, max_vertices=5000, with_witnesses=with_witnesses)
     assert (info.value.rounds, info.value.vertices) == (14, 7020)
-    assert drains
+    assert drains and not composed
 
 
 def test_failed_invariance_recheck_raises(monkeypatch):
