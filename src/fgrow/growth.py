@@ -25,10 +25,13 @@ conjugacy class, is the same for both.  When Φ's own certificate fails,
 carries h as its receipt.
 
 Without a certificate the classifier falls back to observation.  It
-iterates ψ on the cyclic core, reading each iterate off an earlier one
-through a table of powers of ψ, and reads the length sequence, calling
-a polynomial degree only on exactly vanishing finite differences and an
-exponential rate only on a stable tail of n-th root estimates.
+iterates ψ on the cyclic core and reads the length sequence, calling a
+polynomial degree only on exactly vanishing finite differences and an
+exponential rate only on a stable tail of n-th root estimates.  Long
+iterates are counted, not spelled, off an earlier one through a table
+of powers of ψ; what cancels where two images meet depends only on the
+two (bounded cancellation, Cooper), and such junctions, the base's
+illegal turns (Bestvina–Handel), take few forms, each scanned once.
 Budgets make the heuristic honest: a truncated or ambiguous sequence
 is reported Inconclusive rather than forced into a class.
 """
@@ -37,12 +40,16 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, compress, count, islice
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .automorphisms import Endomorphism, _inner_normalize
 from .words import BasisMismatchError, CyclicWord, Word, _cyclic_trim, cyclic_word, free_reduce
 
 Matrix = list[list[int]]
+Table = dict[int, tuple[int, ...]]
+Run = tuple[int, int, int, int]
 
 KIND_EXPONENTIAL = "Exponential"
 KIND_POLYNOMIAL = "Polynomial"
@@ -262,47 +269,123 @@ def spectral_radius(
 # length sequences
 
 
-def _iterated_lengths(
-    endo: Endomorphism, core: CyclicWord, n: int, cap: int | None
-) -> tuple[list[int], bool]:
-    """Translation lengths for iterates 0..n, stopping past the cap.
+def _cancel(u: tuple[int, ...], hi: int, v: tuple[int, ...], lo: int) -> int:
+    """Letters that u[:hi] and v[lo:] cancel where they meet."""
+    k, top = 0, min(hi, len(v) - lo)
+    while k < top and u[hi - 1 - k] == -v[lo + k]:
+        k += 1
+    return k
 
-    Iterate n is read as ψ^(n−j)(w_j) from an earlier iterate w_j, the
-    base, through a power table T = ψ^(n−j) on the base's signed
-    letters; ψ^(n−j)(w_j) is conjugate to ψⁿ(x), so its cyclic trim has
-    the same length.  T advances one ψ step while that step, with the
-    letters its product is expected to cancel at the last product's
-    rate, reads no more letters than a plain step over w₍ₙ₋₁₎, and while
-    the raw product Σ count(x)·|T[x]| stays within 2·max|ψ(x)|·|w₍ₙ₋₁₎|;
-    otherwise the base moves to w₍ₙ₋₁₎ with T = ψ, which is a plain step.
+
+def _read_runs(table: Table, ys: Sequence[int]) -> tuple[list[Run], int]:
+    """The reduced product ∏ table[y] over ys as runs (i, e, lo, hi),
+    table[ys[i]][lo:], the images of ys[i+1:e], table[ys[e]][:hi] (one
+    slice when i = e), and the letter pairs it cancels.  Only junctions
+    whose images cancel, and the position after an image that cancels
+    whole, are visited.  A cancellation depends only on the top image and
+    the end it has left, the new image and the start it has left, so
+    each is scanned once.
+    """
+    n = len(ys)
+    size = {x: len(t) for x, t in table.items()}
+    ends = {(x, y) for x, u in table.items() if u for y, v in table.items() if v and u[-1] == -v[0]}
+    runs = []
+    i, lo = (0 if n else -1), 0  # the top run is (i, e, lo, hi); i < 0 when the stack is empty
+    cut, memo, last = 0, {}, 0
+    for j in compress(range(1, n), map(ends.__contains__, zip(ys, islice(ys, 1, None)))):
+        if j <= last:
+            continue
+        e = j - 1
+        x, y = ys[e], ys[j]
+        hi, m, start = size[x], size[y], 0
+        while True:  # y's image from start meets the top, x's image up to hi
+            if i < 0:
+                i, lo = j, start
+                break
+            c = memo.get((x, hi, y, start))
+            if c is None:
+                c = memo[x, hi, y, start] = _cancel(table[x], hi, table[y], start)
+            room = hi - lo if i == e else hi
+            if c < room:
+                hi, start, cut = hi - c, start + c, cut + c
+                if start < m:
+                    runs.append((i, e, lo, hi))
+                    i, lo = j, start
+                    break
+            else:  # the top slice cancels whole
+                start, cut = start + room, cut + room
+                if i < e:
+                    e -= 1
+                    x, hi = ys[e], size[ys[e]]
+                elif runs:
+                    i, e, lo, hi = runs.pop()
+                    x = ys[e]
+                else:
+                    i = -1
+                if start < m:
+                    continue
+            j = last = j + 1  # y cancelled whole: its successor meets the top
+            if j == n:
+                break
+            y, m, start = ys[j], size[ys[j]], 0
+    if last < n:
+        e, hi = n - 1, size[ys[-1]]
+    if i >= 0:
+        runs.append((i, e, lo, hi))
+    return runs, cut
+
+
+def _parts(table: Table, ys: Sequence[int], runs: list[Run], step: int = 1) -> Iterator[tuple]:
+    """The runs' image slices in order, or reversed with step −1."""
+    for i, e, lo, hi in runs[::step]:
+        for p in range(i, e + 1)[::step]:
+            yield table[ys[p]][lo if p == i else 0 : hi if p == e else None][::step]
+
+
+def _iterated_lengths(
+    endo: Endomorphism, core: tuple[int, ...], n: int, cap: int | None
+) -> tuple[list[int], bool]:
+    """Translation lengths of iterates 0..n of the cyclically reduced
+    letters ``core``, stopping past the cap.
+
+    Iterate n is read as ψ^(n−j)(w_j), conjugate to ψⁿ(core), off the
+    base w_j through a table T = ψ^(n−j) on its letters, as runs: its
+    length is Σ count(y)·|T[y]| less the cancelled and trimmed letters.
+    A visited junction costs a few plain letters, so runs are read once
+    the iterate is four times the base; until then a step is plain,
+    ``free_reduce`` of w₍ₙ₋₁₎.  T advances while len(base) + Σ|T[y]| ≤
+    |w₍ₙ₋₁₎|; past that the base moves onto w₍ₙ₋₁₎ and the step is plain.
     """
     psi = endo._subst
-    width = max(map(len, psi.values()))
-    seq = [core.length]
-    base = cur = core.letters
-    table, counts, raw = psi, None, 0
-    for i in range(n):  # the first iterate is a plain step
-        ahead = None
-        reads = len(base) + sum(map(len, table.values()))
-        if i and reads <= len(cur):
-            if counts is None:
-                counts = Counter(base)
-                raw = sum(k * len(psi[x]) for x, k in counts.items())
-            ahead = {x: free_reduce(table[x], psi) for x in counts}
-            nxt = sum(k * len(ahead[x]) for x, k in counts.items())
-            pops = nxt * (raw - len(red)) / (2 * raw) if raw else 0
-            if reads + pops > len(cur) or nxt > 2 * width * len(cur):
-                ahead = None
-            raw = nxt
-        if ahead is None:
-            base, table, counts = cur, psi, None
+    seq = [len(core)]
+    base = cur = core  # cur is None while the last iterate is held as runs
+    table, j = None, 0  # T = ψ^m on the letters of the base w_j, while runs are read
+    for i in range(n):
+        if cur is None or 4 * len(base) <= seq[-1]:
+            if table is None:
+                table, m, counts = psi, 1, Counter(base)
+            while m <= i - j and len(base) + sum(len(table[x]) for x in counts) <= seq[-1]:
+                table = {x: free_reduce(table[x], psi) for x in counts}
+                m += 1
+            if m <= i - j:  # T would outgrow the iterate: the base moves onto it
+                if cur is None:
+                    cur = tuple(chain.from_iterable(_parts(table, ys, runs)))[t : total - t]
+                base, j, table = cur, i, None
+        if table is None:
+            red = free_reduce(cur, psi)
+            lo, hi = _cyclic_trim(red)
+            cur = red[lo:hi]
+            seq.append(len(cur))
         else:
-            table = ahead
-        red = free_reduce(base, table)
-        lo, hi = _cyclic_trim(red)
-        cur = red[lo:hi]
-        seq.append(len(cur))
-        if cap is not None and len(cur) > cap:
+            ys = base if all(map(table.__getitem__, counts)) else [y for y in base if table[y]]
+            runs, cut = _read_runs(table, ys)
+            total = sum(k * len(table[x]) for x, k in counts.items()) - 2 * cut
+            ends = map(add, chain.from_iterable(_parts(table, ys, runs)),
+                       chain.from_iterable(_parts(table, ys, runs, -1)))
+            t = next(compress(count(), islice(ends, total // 2)), total // 2)
+            cur = None
+            seq.append(total - 2 * t)
+        if cap is not None and seq[-1] > cap:
             return seq, True
     return seq, False
 
@@ -316,13 +399,17 @@ def length_sequence(
     """[‖Φ(x)‖, ‖Φ²(x)‖, …] up to n entries, stopping past the cap.
 
     Translation lengths, so each iterate is cyclically reduced before
-    measuring.  They are read from Φ's inner normalization, whose
-    iterates are conjugate to Φ's and cancel less.  A shorter list than
-    requested means the cap hit.
+    measuring; a length needs no canonical rotation of x.  They are read
+    from Φ's inner normalization, whose iterates are conjugate to Φ's
+    and cancel less.  Long iterates are counted from runs of a power
+    table, not built.  A shorter list than requested means the cap hit.
     """
     if n < 1:
         raise ValueError("need at least one iterate")
-    seq, _ = _iterated_lengths(_inner_normalize(phi)[0], _core(phi, x), n, cap)
+    if x.basis != phi.basis:
+        raise BasisMismatchError("word over a different basis")
+    lo, hi = _cyclic_trim(x.letters)
+    seq, _ = _iterated_lengths(_inner_normalize(phi)[0], x.letters[lo:hi], n, cap)
     return seq[1:]
 
 
@@ -348,6 +435,11 @@ class GrowthParams:
 
     iterations: int = 40
     cap: int = 10**6
+
+    def __post_init__(self) -> None:
+        for name in ("iterations", "cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 # heuristic gates: polynomial degrees tried, zero differences required,
@@ -473,7 +565,7 @@ def classify_growth(
 def _heuristic_report(
     subject: str, endo: Endomorphism, core: CyclicWord, cert: Certificate, params: GrowthParams
 ) -> GrowthReport:
-    seq, truncated = _iterated_lengths(endo, core, params.iterations, params.cap)
+    seq, truncated = _iterated_lengths(endo, core.letters, params.iterations, params.cap)
     kind, rate, degree = _heuristic_verdict(seq, truncated)
     return GrowthReport(subject, kind, rate, degree, tuple(seq[1:]), truncated, None, cert)
 

@@ -113,8 +113,8 @@ def test_length_sequence_cap():
 @st.composite
 def _maps_and_words(draw):
     """A random endomorphism of F2 or F3 (images of 0-3 letters, empty
-    ones included), maybe a power of it conjugated by a short word, and
-    a word of up to 60 letters."""
+    ones included), maybe a power 1-3 of it conjugated by a short word,
+    and a word of up to 200 letters."""
     rng = draw(st.randoms(use_true_random=False))
     rank = draw(st.integers(2, 3))
     b = basis(["a", "b", "c"][:rank])
@@ -123,27 +123,59 @@ def _maps_and_words(draw):
     )
     if draw(st.booleans()):
         g = Word(b, random_letters(rng, rank, rng.randint(1, 4)))
-        phi = compose(inner_automorphism(b, g), power(phi, rng.randint(1, 2)))
-    return phi, random_letters(rng, rank, draw(st.integers(0, 60)))
+        phi = compose(inner_automorphism(b, g), power(phi, rng.randint(1, 3)))
+    return phi, random_letters(rng, rank, draw(st.integers(0, 200)))
 
 
 @settings(max_examples=150)
 @given(_maps_and_words(), st.sampled_from([None, 1, 40, 2000]))
 def test_iterated_lengths_match_substitution_oracle(case, cap):
-    # the power table reads iterates from earlier ones; every length
-    # must still be the plain iteration's, truncation included
+    # steps read runs of a power table off an earlier iterate, and the
+    # base moves when the table outgrows the iterates; every length must
+    # still be the plain iteration's, truncation included
     phi, letters = case
-    n = 3 if cap is None else 25  # images of up to 17 letters
-    seq, truncated = growth._iterated_lengths(phi, cyclic_word(Word(phi.basis, letters)), n, cap)
+    n = 2 if cap is None else 25  # images of up to 35 letters
+    core = cyclic_word(Word(phi.basis, letters)).letters
+    seq, truncated = growth._iterated_lengths(phi, core, n, cap)
     assert seq[1:] == naive_length_sequence(phi, letters, n, cap)
     assert truncated == (cap is not None and seq[-1] > cap)
 
 
+RUN_SHAPES = [
+    # fib's image of b is a prefix of its image of a, so in a' b a the
+    # image of b cancels whole and the image of a meets the rest of a''s
+    ("a -> a b; b -> a", (-1, 2, 1, 2) * 12 + (-1, 2, 1, 1, 2) * 5, 14),
+    # ψ²([a, b]) = 1: the run step at ψ² cancels the product to d⁵, the
+    # table then outgrows it and the base moves onto the spelled d⁵
+    ("a -> b c b c b c b; b -> c c c; c -> c; d -> d", (1, 2, -1, -2, 4) * 5, 6),
+    # the same without d: the product cancels completely
+    ("a -> b c b c b c b; b -> c c c; c -> c", (1, 2, -1, -2) * 5, 4),
+    # the image of b opens with the inverse of a's: the stack empties
+    ("a -> a; b -> a' b b", (1, 2) * 8, 8),
+]
+
+
+@pytest.mark.parametrize("rules,letters,n", RUN_SHAPES)
+def test_run_steps_match_substitution_oracle(monkeypatch, rules, letters, n):
+    phi = parse_endomorphism(rules)
+    read, reads = growth._read_runs, []
+
+    def spy(table, ys):
+        reads.append(read(table, ys))
+        return reads[-1]
+
+    monkeypatch.setattr(growth, "_read_runs", spy)
+    seq, _ = growth._iterated_lengths(phi, cyclic_word(Word(phi.basis, letters)).letters, n, None)
+    assert seq[1:] == naive_length_sequence(phi, letters, n)
+    assert reads
+
+
 def _work(monkeypatch, phi, letters, n, cap):
-    """(letters fed to free_reduce, letter pairs it cancelled) for the
-    iteration, then for a plain step loop over the same iterates; both
-    are per-letter Python work in free_reduce."""
+    """(letters fed to free_reduce, letter pairs it cancelled or the run
+    reader compared) for the iteration, then for a plain step loop over
+    the same iterates; all are per-letter Python work."""
     tally = [0, 0]
+    cancel = growth._cancel
 
     def counted(w, images=None):
         out = free_reduce(w, images)
@@ -152,12 +184,18 @@ def _work(monkeypatch, phi, letters, n, cap):
         tally[1] += (pushed - len(out)) // 2
         return out
 
+    def scanned(u, hi, v, lo):
+        k = cancel(u, hi, v, lo)
+        tally[1] += min(k + 1, hi, len(v) - lo)
+        return k
+
     monkeypatch.setattr(growth, "free_reduce", counted)
-    core = cyclic_word(Word(phi.basis, letters))
+    monkeypatch.setattr(growth, "_cancel", scanned)
+    core = cyclic_word(Word(phi.basis, letters)).letters
     seq, _ = growth._iterated_lengths(phi, core, n, cap)
     fast = tuple(tally)
     tally[:] = [0, 0]
-    cur = core.letters
+    cur = core
     for _ in seq[1:]:
         cur = cyclic_trim(counted(cur, phi._subst))
     monkeypatch.undo()
@@ -192,6 +230,10 @@ def test_power_table_reads_less_on_a_growing_word(monkeypatch):
     letters = random_letters(random.Random(7), 2, 600)
     fast, plain = _work(monkeypatch, FIB, letters, 40, 10**5)
     assert 10 * fast[0] < plain[0] and 2 * sum(fast) < sum(plain)
+    # spelling each product through the table fed free_reduce 10,910
+    # letters and cancelled 85,724 pairs, re-cancelling the base's
+    # junctions at every power; runs scan each junction's form once
+    assert 3 * sum(fast) < 10_910 + 85_724
 
 
 def test_certified_matrix_lengths_equal_iteration():
@@ -538,6 +580,20 @@ def test_report_invariants_enforced():
     assert GrowthReport("w", KIND_POLYNOMIAL, None, 1, (), False, 2, None).certified
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"iterations": 0}, "^iterations must be positive$"),
+        ({"iterations": -1}, "^iterations must be positive$"),
+        ({"cap": 0}, "^cap must be positive$"),
+        ({"cap": -5}, "^cap must be positive$"),
+    ],
+)
+def test_nonsense_growth_budget_refused(budget, message):
+    with pytest.raises(ValueError, match=message):
+        GrowthParams(**budget)
+
+
 # -- growth inside an invariant subgroup ----------------------------------
 
 
@@ -584,5 +640,5 @@ def test_substitutions_reach_free_reduce(monkeypatch):
     assert ra.to_ambient(Word(ra.auto.basis, (1, -2))) == x * y.inverse()
     assert tables == [ra._embed]
     tables.clear()
-    assert growth._iterated_lengths(FIB, cyclic_word(w), 3, None) == ([2, 3, 5, 8], False)
+    assert growth._iterated_lengths(FIB, cyclic_word(w).letters, 3, None) == ([2, 3, 5, 8], False)
     assert tables == [FIB._subst] * 3
