@@ -24,16 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .folding import StallingsGraph, witnessed_graph
-from .words import (
-    Basis,
-    BasisMismatchError,
-    VerificationError,
-    Word,
-    WordSyntaxError,
-    _valid_name,
-    basis as make_basis,
-    free_reduce,
-)
+from .words import Basis, BasisMismatchError, Lines, VerificationError, Word, WordSyntaxError
+from .words import _valid_name, basis as make_basis, free_reduce, put_once
 
 
 class NotSurjectiveError(ValueError):
@@ -308,42 +300,34 @@ def parse_endomorphism(text: str, b: Basis | None = None) -> Endomorphism:
     sides, in order of first appearance, define one.
     """
     rules: dict[str, tuple[str, int]] = {}  # name -> (word text, line number)
-    for lineno, raw in enumerate(text.splitlines() or [""], start=1):
-        line = raw.split("#", 1)[0]
-        for part in line.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            if "->" not in part:
-                raise WordSyntaxError(f"line {lineno}: expected 'name -> word' in {part!r}")
-            lhs, rhs = part.split("->", 1)
-            lhs = lhs.strip()
-            if not lhs:
-                raise WordSyntaxError(f"line {lineno}: missing generator name")
-            if not _valid_name(lhs):
-                raise WordSyntaxError(f"line {lineno}: bad generator name {lhs!r}")
-            if lhs in rules:
-                raise WordSyntaxError(f"line {lineno}: duplicate rule for {lhs!r}")
-            rules[lhs] = (rhs.strip(), lineno)
+    with Lines(text) as lines:
+        for line in lines:
+            for part in filter(None, map(str.strip, line.split(";"))):
+                lhs, arrow, rhs = part.partition("->")
+                if not arrow:
+                    raise WordSyntaxError(f"expected 'name -> word' in {part!r}")
+                lhs = lhs.strip()
+                if not lhs:
+                    raise WordSyntaxError("missing generator name")
+                if not _valid_name(lhs):
+                    raise WordSyntaxError(f"bad generator name {lhs!r}")
+                put_once(rules, lhs, (rhs.strip(), lines.lineno), "rule for")
     if not rules:
         raise WordSyntaxError("no rules found")
     if b is None:
         b = make_basis(list(rules))
-    missing = [n for n in b.names if n not in rules]
     extra = [n for n in rules if n not in b.names]
     if extra:
-        raise WordSyntaxError(f"line {rules[extra[0]][1]}: unknown generator {extra[0]!r}")
+        with lines.at(rules[extra[0]][1]):
+            raise WordSyntaxError(f"unknown generator {extra[0]!r}")
+    missing = [n for n in b.names if n not in rules]
     if missing:
         raise WordSyntaxError(f"no rule for generator {missing[0]!r}")
-    images = tuple(_parse_word(b, *rules[n]) for n in b.names)
-    return Endomorphism(b, images)
-
-
-def _parse_word(b: Basis, text: str, lineno: int) -> Word:
-    try:
-        return b.parse(text)
-    except WordSyntaxError as exc:
-        raise WordSyntaxError(f"line {lineno}: {exc}") from None
+    images = []
+    for n in b.names:
+        with lines.at(rules[n][1]):
+            images.append(b.parse(rules[n][0]))
+    return Endomorphism(b, tuple(images))
 
 
 def parse_automorphism(text: str, b: Basis | None = None) -> Automorphism:

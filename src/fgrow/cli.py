@@ -263,7 +263,7 @@ def _fold_payload(graph: StallingsGraph) -> dict:
         "vertices": graph.n_vertices,
         "edges": [
             {"from": u, "letter": graph.basis.symbol(x), "to": v}
-            for u, x, v in sorted(graph.edges)
+            for u, x, v in graph.edges
         ],
         "rank": graph.rank(),
         "index": idx,
@@ -273,7 +273,7 @@ def _fold_payload(graph: StallingsGraph) -> dict:
 
 def _dot_graph(graph: StallingsGraph, name: str) -> str:
     lines = [f"digraph {name} {{"]
-    for u, x, v in sorted(graph.edges):
+    for u, x, v in graph.edges:
         lines.append(f'  {u} -> {v} [label="{graph.basis.symbol(x)}"];')
     lines.append("}")
     return _text(lines)

@@ -123,7 +123,7 @@ class StallingsGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.basis, self.n_vertices, self.edges))
+        return hash((self.basis, tuple(self._t)))
 
     def __repr__(self) -> str:
         return f"<graph {self.n_vertices} vertices, {len(self.edges)} edges, rank {self.rank()}>"

@@ -26,14 +26,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .automorphisms import Automorphism, _parse_word, apply_power
+from .automorphisms import Automorphism, apply_power
 from .folding import (
     StallingsGraph,
     double_coset_contains,
     full_group,
     stallings_graph,
 )
-from .words import Basis, VerificationError, Word, WordSyntaxError, basis as make_basis, cyclic_word, identity
+from .words import Basis, Lines, VerificationError, Word, WordSyntaxError, put_once
+from .words import basis as make_basis, cyclic_word, identity
 
 
 class SplittingViolation(ValueError):
@@ -67,24 +68,18 @@ class GraphOfGroups:
 
 
 def _spanning_tree(gog: GraphOfGroups) -> tuple[set[str], set[str]]:
-    """Tree edge names and reached vertices; edges without stable
-    letters are preferred into the tree."""
+    """Tree edge names and reached vertices of a Prim tree that holds
+    as few stable-letter edges as any spanning tree: each step takes the
+    first edge leaving the tree in (has stable letter, name) order."""
     order = sorted(
         (e for e in gog.edges if e.u != e.v),
         key=lambda e: (e.stable_letter is not None, e.name),
     )
     reached = {gog.vertices[0].name} if gog.vertices else set()
     tree: set[str] = set()
-    grew = True
-    while grew:
-        grew = False
-        for e in order:
-            if e.name in tree:
-                continue
-            if (e.u in reached) != (e.v in reached):
-                tree.add(e.name)
-                reached.update((e.u, e.v))
-                grew = True
+    while e := next((f for f in order if (f.u in reached) != (f.v in reached)), None):
+        tree.add(e.name)
+        reached.update((e.u, e.v))
     return tree, reached
 
 
@@ -526,27 +521,24 @@ def induce_hierarchy(
 # file parsing
 
 
-def _basis_line(line: str, lineno: int, b: Basis | None) -> Basis:
+def _basis_line(line: str, b: Basis | None) -> Basis:
     """The basis a ``basis:`` line declares; it must match ``b`` if given."""
-    try:
-        declared = make_basis(line[len("basis:"):].strip())
-    except ValueError as exc:
-        raise WordSyntaxError(f"line {lineno}: {exc}") from None
+    declared = make_basis(line[len("basis:"):].strip())
     if b is not None and b != declared:
-        raise WordSyntaxError(f"line {lineno}: basis does not match the ambient one")
+        raise WordSyntaxError("basis does not match the ambient one")
     return declared
 
 
-def _named(line: str, lineno: int, what: str, layout: str) -> tuple[str, str]:
+def _named(line: str, what: str, layout: str) -> tuple[str, str]:
     """A ``name: rest`` line's name, one whitespace-free token, and its rest."""
     if ":" not in line:
-        raise WordSyntaxError(f"line {lineno}: expected '{layout}'")
+        raise WordSyntaxError(f"expected '{layout}'")
     name, rest = line.split(":", 1)
     name = name.strip()
     if not name:
-        raise WordSyntaxError(f"line {lineno}: missing {what} name")
+        raise WordSyntaxError(f"missing {what} name")
     if len(name.split()) > 1:
-        raise WordSyntaxError(f"line {lineno}: {what} name {name!r} contains whitespace")
+        raise WordSyntaxError(f"{what} name {name!r} contains whitespace")
     return name, rest
 
 
@@ -558,82 +550,63 @@ def parse_splitting(
     Sections [vertices], [edges], and optional [witness]; malformed
     lines raise WordSyntaxError with their line number.
     """
-    section = None
+    section = witness = None
     vertices: list[GogVertex] = []
     edges: list[GogEdge] = []
-    vmap: dict[str, str] = {}
-    emap: dict[str, tuple[str, bool]] = {}
-    corr: dict[str, Word] = {}
-    saw_witness = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("basis:"):
-            b = _basis_line(line, lineno, b)
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in ("vertices", "edges", "witness"):
-                raise WordSyntaxError(f"line {lineno}: unknown section {section!r}")
-            if section == "witness":
-                saw_witness = True
-            continue
-        if b is None:
-            raise WordSyntaxError(f"line {lineno}: basis must come first")
-        if section == "vertices":
-            name, rest = _named(line, lineno, "vertex", "name: words")
-            gens = [
-                _parse_word(b, part, lineno)
-                for part in rest.split("|")
-                if part.strip()
-            ]
-            vertices.append(GogVertex(name, stallings_graph(b, gens)))
-        elif section == "edges":
-            name, rest = _named(line, lineno, "edge", "name: u v ; fields")
-            fields = rest.split(";")
-            ends = fields[0].split()
-            if len(ends) != 2:
-                raise WordSyntaxError(f"line {lineno}: expected two endpoints")
-            given: dict[str, Word] = {}
-            for f in fields[1:]:
-                f = f.strip()
-                if not f:
-                    continue
-                if "=" not in f:
-                    raise WordSyntaxError(f"line {lineno}: expected 'key = word'")
-                key, val = f.split("=", 1)
-                w = _parse_word(b, val, lineno)
-                key = key.strip()
-                if key not in ("y", "s"):
-                    raise WordSyntaxError(f"line {lineno}: unknown edge field {key!r}")
-                if key in given:
-                    raise WordSyntaxError(f"line {lineno}: duplicate edge field {key!r}")
-                given[key] = w
-            edges.append(GogEdge(name, ends[0], ends[1], given.get("y"), given.get("s")))
-        elif section == "witness":
-            parts = line.split()
-            head, colon, rest = line.partition(":")
-            if parts[0] == "map" and len(parts) == 4 and parts[2] == "->":
-                entries, key, entry = vmap, parts[1], parts[3]
-            elif parts[0] == "edge" and len(parts) in (4, 5) and parts[2] == "->":
-                flip = len(parts) == 5
-                if flip and parts[4] != "!":
-                    raise WordSyntaxError(f"line {lineno}: expected '!' flip marker")
-                entries, key, entry = emap, parts[1], (parts[3], flip)
-            elif colon and len(head.split()) == 2 and head.split()[0] == "corrector":
-                entries, key, entry = corr, head.split()[1], _parse_word(b, rest, lineno)
+    with Lines(text) as lines:
+        for line in lines:
+            line = line.lstrip()
+            if line.startswith("basis:"):
+                b = _basis_line(line, b)
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip().lower()
+                if section not in ("vertices", "edges", "witness"):
+                    raise WordSyntaxError(f"unknown section {section!r}")
+                if section == "witness" and witness is None:
+                    witness = FixedSplittingWitness()
+                continue
+            if b is None:
+                raise WordSyntaxError("basis must come first")
+            if section == "vertices":
+                name, rest = _named(line, "vertex", "name: words")
+                gens = [b.parse(part) for part in rest.split("|") if part.strip()]
+                vertices.append(GogVertex(name, stallings_graph(b, gens)))
+            elif section == "edges":
+                name, rest = _named(line, "edge", "name: u v ; fields")
+                fields = rest.split(";")
+                ends = fields[0].split()
+                if len(ends) != 2:
+                    raise WordSyntaxError("expected two endpoints")
+                given: dict[str, Word] = {}
+                for f in filter(str.strip, fields[1:]):
+                    key, eq, val = f.partition("=")
+                    if not eq:
+                        raise WordSyntaxError("expected 'key = word'")
+                    w, key = b.parse(val), key.strip()
+                    if key not in ("y", "s"):
+                        raise WordSyntaxError(f"unknown edge field {key!r}")
+                    put_once(given, key, w, "edge field")
+                edges.append(GogEdge(name, *ends, given.get("y"), given.get("s")))
+            elif section == "witness":
+                parts = line.split()
+                head, colon, rest = line.partition(":")
+                if parts[0] == "map" and len(parts) == 4 and parts[2] == "->":
+                    entries, key, entry = witness.vertex_map, parts[1], parts[3]
+                elif parts[0] == "edge" and len(parts) in (4, 5) and parts[2] == "->":
+                    if len(parts) == 5 and parts[4] != "!":
+                        raise WordSyntaxError("expected '!' flip marker")
+                    entries, key, entry = witness.edge_map, parts[1], (parts[3], len(parts) == 5)
+                elif colon and len(head.split()) == 2 and head.split()[0] == "corrector":
+                    entries, key, entry = witness.correctors, head.split()[1], b.parse(rest)
+                else:
+                    raise WordSyntaxError("unrecognized witness line")
+                put_once(entries, key, entry, "witness entry for")
             else:
-                raise WordSyntaxError(f"line {lineno}: unrecognized witness line")
-            if key in entries:
-                raise WordSyntaxError(f"line {lineno}: duplicate witness entry for {key!r}")
-            entries[key] = entry
-        else:
-            raise WordSyntaxError(f"line {lineno}: content outside any section")
-    if b is None:
-        raise WordSyntaxError("no basis line found")
-    gog = GraphOfGroups(b, tuple(vertices), tuple(edges))
-    return gog, FixedSplittingWitness(vmap, emap, corr) if saw_witness else None
+                raise WordSyntaxError("content outside any section")
+        if b is None:
+            raise WordSyntaxError("no basis line found")
+    return GraphOfGroups(b, tuple(vertices), tuple(edges)), witness
 
 
 def parse_hierarchy(text: str) -> Hierarchy:
@@ -645,80 +618,62 @@ def parse_hierarchy(text: str) -> Hierarchy:
     """
     b: Basis | None = None
     kind: str | None = None
-    stack: list[tuple[int, dict]] = []
-    root: dict | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.lstrip()
-        if stripped.startswith("basis:"):
-            b = _basis_line(stripped, lineno, b)
-            continue
-        if stripped.startswith("kind:"):
-            if kind is not None:
-                raise WordSyntaxError(f"line {lineno}: duplicate kind line")
-            if root is not None:
-                raise WordSyntaxError(f"line {lineno}: kind must come before the nodes")
-            kind = stripped[len("kind:"):].strip()
-            if kind not in ("free", "cyclic"):
-                raise WordSyntaxError(f"line {lineno}: kind must be free or cyclic")
-            continue
-        if b is None:
-            raise WordSyntaxError(f"line {lineno}: basis must come first")
-        indent = len(line) - len(stripped)
-        if indent % 2:
-            raise WordSyntaxError(f"line {lineno}: indentation must be even")
-        depth = indent // 2
-        parts = stripped.split()
-        name = parts[0]
-        group: StallingsGraph | None = None
-        status = "unexpanded"
-        given: set[str] = set()
-        for p in parts[1:]:
-            key, eq, val = p.partition("=")
-            if not eq or key not in ("group", "status"):
-                raise WordSyntaxError(f"line {lineno}: unknown field {p!r}")
-            if key in given:
-                raise WordSyntaxError(f"line {lineno}: duplicate field {key!r}")
-            given.add(key)
-            if key == "group":
-                gens = [_parse_word(b, g.replace("_", " "), lineno) for g in val.split("|") if g]
-                group = stallings_graph(b, gens)
-            elif val in ("absolute", "no-splitting", "unexpanded"):
-                status = val
-            else:
-                raise WordSyntaxError(f"line {lineno}: unknown status {val!r}")
-        node = {
-            "name": name,
-            "group": group if group is not None else full_group(b),
-            "status": status,
-            "children": [],
-        }
-        while stack and stack[-1][0] >= depth:
-            stack.pop()
-        if not stack:
-            if root is not None:
-                raise WordSyntaxError(f"line {lineno}: more than one root")
-            root = node
-        else:
-            if depth != stack[-1][0] + 1:
-                raise WordSyntaxError(f"line {lineno}: indentation jumps a level")
-            stack[-1][1]["children"].append(node)
-        stack.append((depth, node))
-    if root is None:
+    # (depth, name, group, status, children) of each node whose subtree is still open;
+    # a node is built when a line at its depth or above, or the end, closes it
+    open_nodes: list[tuple[int, str, StallingsGraph, str, list[HierarchyNode]]] = []
+    roots: list[HierarchyNode] = []
+
+    def close(depth: int) -> None:
+        """Build every open node at ``depth`` or deeper."""
+        while open_nodes and open_nodes[-1][0] >= depth:
+            _, name, group, status, children = open_nodes.pop()
+            node = HierarchyNode(name, group, tuple(children), None, status)
+            (open_nodes[-1][4] if open_nodes else roots).append(node)
+
+    with Lines(text) as lines:
+        for line in lines:
+            stripped = line.lstrip()
+            if stripped.startswith("basis:"):
+                b = _basis_line(stripped, b)
+                continue
+            if stripped.startswith("kind:"):
+                if kind is not None:
+                    raise WordSyntaxError("duplicate kind line")
+                if open_nodes or roots:
+                    raise WordSyntaxError("kind must come before the nodes")
+                kind = stripped[len("kind:"):].strip()
+                if kind not in ("free", "cyclic"):
+                    raise WordSyntaxError("kind must be free or cyclic")
+                continue
+            if b is None:
+                raise WordSyntaxError("basis must come first")
+            depth, odd = divmod(len(line) - len(stripped), 2)
+            if odd:
+                raise WordSyntaxError("indentation must be even")
+            name, *parts = stripped.split()
+            fields: dict[str, str] = {}
+            group = None
+            for p in parts:
+                key, eq, val = p.partition("=")
+                if not eq or key not in ("group", "status"):
+                    raise WordSyntaxError(f"unknown field {p!r}")
+                put_once(fields, key, val, "field")
+                if key == "group":
+                    gens = [b.parse(g.replace("_", " ")) for g in val.split("|") if g]
+                    group = stallings_graph(b, gens)
+                elif val not in ("absolute", "no-splitting", "unexpanded"):
+                    raise WordSyntaxError(f"unknown status {val!r}")
+            close(depth)
+            if not open_nodes and roots:
+                raise WordSyntaxError("more than one root")
+            if open_nodes and depth != open_nodes[-1][0] + 1:
+                raise WordSyntaxError("indentation jumps a level")
+            status = fields.get("status", "unexpanded")
+            open_nodes.append((depth, name, group or full_group(b), status, []))
+    close(0)
+    if not roots:
         raise WordSyntaxError("no hierarchy nodes found")
-
-    def build(d: dict) -> HierarchyNode:
-        return HierarchyNode(
-            name=d["name"],
-            group=d["group"],
-            children=tuple(build(c) for c in d["children"]),
-            splitting=None,
-            status=d["status"],
-        )
-
-    return Hierarchy(kind or "free", build(root))
+    return Hierarchy(kind or "free", roots[0])
 
 
 __all__ = [

@@ -22,8 +22,9 @@ as ``1``.
 from __future__ import annotations
 
 import re
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class BasisMismatchError(ValueError):
@@ -31,7 +32,38 @@ class BasisMismatchError(ValueError):
 
 
 class WordSyntaxError(ValueError):
-    """Unparseable word literal."""
+    """Unparseable input: a word literal, a basis's names or a file line."""
+
+
+class Lines(AbstractContextManager):
+    """A text input's lines, ``#`` comments cut, trailing blanks stripped
+    and blank lines skipped.  In ``with lines:`` a WordSyntaxError gains
+    the prefix ``line N: `` of the line being read, or of the line that
+    ``lines.at(N)`` names; after the last line it keeps its bare message."""
+
+    def __init__(self, text: str) -> None:
+        self._text, self.lineno = text, None
+
+    def __iter__(self) -> Iterator[str]:
+        for self.lineno, raw in enumerate(self._text.splitlines(), start=1):
+            if line := raw.split("#", 1)[0].rstrip():
+                yield line
+        self.lineno = None
+
+    def at(self, lineno: int) -> "Lines":
+        self.lineno = lineno
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, WordSyntaxError) and self.lineno is not None:
+            raise WordSyntaxError(f"line {self.lineno}: {exc}") from None
+
+
+def put_once(entries: dict, key, value, what: str) -> None:
+    """``entries[key] = value``; a key given before is a duplicate ``what``."""
+    if key in entries:
+        raise WordSyntaxError(f"duplicate {what} {key!r}")
+    entries[key] = value
 
 
 class VerificationError(RuntimeError):
@@ -50,13 +82,13 @@ class Basis:
 
     def __post_init__(self) -> None:
         if not self.names:
-            raise ValueError("basis needs at least one generator")
+            raise WordSyntaxError("basis needs at least one generator")
         seen = set()
         for name in self.names:
             if not _valid_name(name):
-                raise ValueError(f"bad generator name {name!r}")
+                raise WordSyntaxError(f"bad generator name {name!r}")
             if name in seen:
-                raise ValueError(f"duplicate generator name {name!r}")
+                raise WordSyntaxError(f"duplicate generator name {name!r}")
             seen.add(name)
         object.__setattr__(self, "_index", {n: i + 1 for i, n in enumerate(self.names)})
 
@@ -318,6 +350,13 @@ class CyclicWord:
         if canon != self.letters:
             raise ValueError("not in canonical rotation; use cyclic_reduce")
 
+    @classmethod
+    def _rotated(cls, basis: Basis, letters: tuple[int, ...]) -> "CyclicWord":
+        """The class of letters known to be cyclically reduced and rotated, unchecked."""
+        self = object.__new__(cls)
+        vars(self).update(basis=basis, letters=letters)
+        return self
+
     @property
     def length(self) -> int:
         return len(self.letters)
@@ -355,7 +394,7 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     stripped = ls[lo:hi]
     canon, offset = _canonical_rotation(stripped)
     conj = Word(w.basis, free_reduce(ls[:lo] + stripped[:offset]))
-    return CyclicWord(w.basis, canon), conj
+    return CyclicWord._rotated(w.basis, canon), conj
 
 
 def cyclic_word(w: Word) -> CyclicWord:

@@ -514,3 +514,12 @@ def test_slot_table_invariants_hold_after_every_drain(case, witnessed):
     assert_canonical_table(g)
     fold.add_path(free_reduce(tail), 1)
     assert_slot_table_is_folded(fold)
+
+
+def test_hash_agrees_with_equality_and_builds_no_edge_tuple():
+    b = basis("a b")
+    g = stallings_graph(b, [b.parse("a b a'"), b.parse("b b")])
+    h = stallings_graph(b, [b.parse("b b"), b.parse("a b a'"), b.parse("a b b a'")])
+    assert g == h and hash(g) == hash(h)
+    assert "edges" not in vars(g)
+    assert hash(g) != hash(stallings_graph(b, [b.parse("a")]))

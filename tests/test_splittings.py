@@ -10,6 +10,7 @@ from fgrow.automorphisms import (
     inner_automorphism,
     parse_automorphism,
 )
+from fgrow.cli import main
 from fgrow.folding import full_group, stallings_graph, trivial_subgroup
 from fgrow.mapping_torus import torus_group
 from fgrow.splittings import (
@@ -155,6 +156,41 @@ def test_validate_rejects_non_generating_decomposition():
     gog = GraphOfGroups(F, (v1, v2), (GogEdge("e", "v1", "v2"),))
     with pytest.raises(SplittingViolation):
         validate_splitting(gog)
+
+
+# Three vertices joined in a triangle; only e1 carries a stable letter.
+# A spanning tree through e1 leaves e0 off the tree without one, which
+# would skip the generation check; the tree must leave e1 off instead.
+TRIANGLE = """\
+basis: a b c
+[vertices]
+v1: a
+v2: b
+v3: 1
+[edges]
+e0: v2 v3
+e2: v1 v2
+e1: v1 v3 ; s = {s}
+"""
+
+
+def test_stable_letter_edges_stay_off_the_spanning_tree():
+    gog, _ = parse_splitting(TRIANGLE.format(s="c c"))
+    with pytest.raises(
+        SplittingViolation,
+        match="^vertex groups and stable letters do not generate the whole group$",
+    ):
+        validate_splitting(gog)
+    gog, _ = parse_splitting(TRIANGLE.format(s="c"))
+    validate_splitting(gog)
+
+
+def test_split_refuses_the_non_generating_triangle(tmp_path):
+    path = tmp_path / "triangle.gog"
+    path.write_text(TRIANGLE.format(s="c c"), encoding="utf-8")
+    assert main(["split", "--map", "a -> a; b -> b; c -> c", "--gog", str(path)]) == 1
+    path.write_text(TRIANGLE.format(s="c"), encoding="utf-8")
+    assert main(["split", "--map", "a -> a; b -> b; c -> c", "--gog", str(path)]) == 0
 
 
 # -- witnesses -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Words, reduction, and the cyclic normal form."""
 
 import doctest
+import pathlib
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,6 +11,8 @@ from fgrow.words import (
     _canonical_rotation,
     Basis,
     BasisMismatchError,
+    CyclicWord,
+    Lines,
     Word,
     WordSyntaxError,
     basis,
@@ -19,6 +22,7 @@ from fgrow.words import (
     free_reduce,
     identity,
     join,
+    put_once,
     translation_length,
 )
 
@@ -250,3 +254,93 @@ def test_adjacent_pairs_wraparound():
 def test_word_validates_reduction():
     with pytest.raises(ValueError):
         Word(F, (1, -1))
+
+
+def test_cyclic_word_rotates_once(monkeypatch):
+    calls = []
+
+    def counted(letters):
+        calls.append(letters)
+        return _canonical_rotation(letters)
+
+    monkeypatch.setattr(fgrow.words, "_canonical_rotation", counted)
+    w = F3.parse("c a b' a c' a' b a' b c")
+    c = cyclic_word(w)
+    assert len(calls) == 1
+    assert c == cyclic_word(F3.parse("a b' a c' a' b a' b c c")) and len(calls) == 2
+    assert c.letters == least_rotation_reference(c.letters)[0]
+
+
+def test_cyclic_word_constructor_still_checks_its_letters():
+    for bad in [(1, -1), (1, 2, -1), (2, 1), (0,), (4,)]:
+        with pytest.raises(ValueError):
+            CyclicWord(F3, bad)
+    assert CyclicWord(F3, (1, 2)).letters == (1, 2)
+
+
+# -- the line reader --------------------------------------------------------
+
+
+def test_lines_cut_comments_and_skip_blank_lines():
+    lines = Lines("a -> b  # a rule\n\n   \n# only a comment\n  b -> a ; \t\n")
+    seen = [(lines.lineno, line) for line in lines]
+    assert seen == [(1, "a -> b"), (5, "  b -> a ;")]
+    assert lines.lineno is None
+
+
+def test_lines_prefix_errors_with_the_line_being_read():
+    lines = Lines("x\n\n# c\ny z")
+    with pytest.raises(WordSyntaxError) as info:
+        with lines:
+            for line in lines:
+                if "z" in line:
+                    raise WordSyntaxError("unknown symbol 'z'")
+    assert str(info.value) == "line 4: unknown symbol 'z'"
+
+
+def test_lines_leave_errors_after_the_last_line_bare():
+    lines = Lines("x\ny")
+    with pytest.raises(WordSyntaxError) as info:
+        with lines:
+            for _ in lines:
+                pass
+            raise WordSyntaxError("no rules found")
+    assert str(info.value) == "no rules found"
+
+
+def test_lines_at_names_an_earlier_line():
+    lines = Lines("x\ny\nz")
+    list(lines)
+    with pytest.raises(WordSyntaxError) as info:
+        with lines.at(2):
+            F.parse("q")
+    assert str(info.value) == "line 2: unknown symbol 'q' in 'q'"
+
+
+def test_lines_pass_other_errors_through_unchanged():
+    lines = Lines("x")
+    with pytest.raises(KeyError):
+        with lines:
+            for _ in lines:
+                raise KeyError("k")
+
+
+def test_put_once_refuses_a_second_key():
+    entries = {}
+    put_once(entries, "y", 1, "edge field")
+    with pytest.raises(WordSyntaxError) as info:
+        put_once(entries, "y", 2, "edge field")
+    assert str(info.value) == "duplicate edge field 'y'" and entries == {"y": 1}
+
+
+def test_line_prefix_is_written_only_in_the_reader():
+    src = pathlib.Path(fgrow.words.__file__).parent
+    hits = [
+        (path.name, line.strip())
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "line {" in line
+    ]
+    assert hits == [
+        ("words.py", 'raise WordSyntaxError(f"line {self.lineno}: {exc}") from None')
+    ]
