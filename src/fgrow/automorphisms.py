@@ -108,7 +108,13 @@ class Automorphism(Endomorphism):
     inverse_images: tuple[Word, ...]
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.basis, self.inverse_images, self.images)
+        """The inverse, built once; its own inverse is this object."""
+        inv = getattr(self, "_inverse", None)
+        if inv is None:
+            inv = Automorphism(self.basis, self.inverse_images, self.images)
+            object.__setattr__(inv, "_inverse", self)
+            object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def __repr__(self) -> str:
         return f"<automorphism {self}>"

@@ -2,18 +2,21 @@
 
 The ball is built by breadth-first search over the generating set
 (fiber basis and the section letter t, with inverses), using the
-normal form (w, k) with w·tᵏ·a = w·Φᵏ(a)·tᵏ to stay exact.  Vertices
-are indexed by column, the t-exponent k and then the fiber word w, and
-stored in BFS order, so a vertex's level is read off its index.  Each
-column has one move table: the images under Φᵏ of the fiber letters
-and the columns k and k ± 1, so expanding a vertex costs one table
-lookup, and each neighbour one hash (a setdefault that files a new
-vertex).  Only the levels below r are expanded; the outer sphere S(r)
-gets its neighbour lists on first use, by a search or a query.  Balls
-are all or nothing: exceeding the vertex budget raises instead of
-returning a partial metric.  A pair search writes its target side into
-a scratch list kept by the ball and clears what it wrote before it
-returns, so a search allocates only the list it returns.
+normal form (w, k) with w·tᵏ·a = w·Φᵏ(a)·tᵏ to stay exact.  A ball is
+flat tables: its vertices in BFS order, so a vertex's level is read
+off its index, as a list of fiber words w and a list of t-exponents k,
+indexed by column k and then w.  Each column has one move table: the
+images under Φᵏ of the fiber letters, one Φ^±1 step from the column
+next to it, and the columns k and k ± 1.  Expanding a vertex costs one
+table lookup, and each neighbour one hash (a setdefault that files a
+new vertex) and one append to a flat slot list, 2·rank + 2 slots per
+vertex.  Only the levels below r are expanded; the first search or
+neighbour query lists the outer sphere S(r), −1 marking a neighbour
+outside B(r), and cuts the slots into rows.  Balls are all or nothing:
+exceeding the vertex budget raises instead of returning a partial
+metric.  A pair search writes its target side into a scratch list
+kept by the ball and clears what it wrote before it returns, so a
+search allocates only the list it returns.
 
 The divergence probe samples far-apart pairs on a sphere and measures
 detour lengths around a forbidden inner ball, then fits a log-log
@@ -30,11 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .automorphisms import apply_power
-from .mapping_torus import TorusElement, TorusGroup
+from .mapping_torus import TorusElement, TorusGroup, _twister
 from .words import BasisMismatchError, Word, join
-
-State = tuple[tuple[int, ...], int]
 
 FIT_MIN_RADIUS = 4
 CAVEAT = "desk-scale radii: trust orderings between maps, not absolute exponents"
@@ -53,31 +53,43 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(eq=False, repr=False)
 class BallGraph:
-    """Metric ball B(r) in Cay(G, basis ∪ {t}) with exact distances;
-    the neighbour lists of S(r) are built together on first use.
-    Level d is range(_bounds[d], _bounds[d + 1]) of the BFS order, and
-    _index[k][w] is the index of (w, k): one column per t-exponent k."""
+    """Metric ball B(r) in Cay(G, basis ∪ {t}) with exact distances.
+    Vertex i is (_words[i], _exps[i]) in BFS order; level d is
+    range(_bounds[d], _bounds[d + 1]), and _index[k][w] is the index of
+    (w, k): one column per t-exponent k.  _slots holds W = 2·rank + 2
+    neighbour slots per expanded vertex; the first search lists S(r),
+    cuts _slots into the rows _adj and empties it."""
 
     group: TorusGroup
     radius: int
-    _states: list[State]
+    _words: list[tuple[int, ...]]
+    _exps: list[int]
     _bounds: list[int]
-    _adj: list[tuple[int, ...]]  # in BFS order; S(r)'s are appended on first use
+    _slots: list[int]
     _index: dict[int, dict[tuple[int, ...], int]]
     _expand: Callable[[int], None]
+    _adj: list[tuple[int, ...]] | None = None
     _far: list[int | None] | None = None  # all None between searches
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._words)
 
     def _vertex(self, i: int) -> int:
-        if not 0 <= i < len(self._states):
+        if not 0 <= i < len(self._words):
             raise IndexError(f"vertex {i} lies outside a ball of {len(self)} vertices")
         return i
 
+    def _rows(self) -> list[tuple[int, ...]]:
+        """Each vertex's slot row, −1 where a neighbour lies outside B(r)."""
+        if self._adj is None:
+            self._expand(self.radius + 1)  # S(r) at once: BFS order keeps lookups local
+            self._adj = list(zip(*[iter(self._slots)] * (2 * self.group.basis.rank + 2)))
+            self._slots.clear()
+        return self._adj
+
     def element(self, i: int) -> TorusElement:
-        w, k = self._states[self._vertex(i)]
-        return TorusElement(self.group, Word(self.group.basis, w), k)
+        i = self._vertex(i)
+        return TorusElement(self.group, Word(self.group.basis, self._words[i]), self._exps[i])
 
     def _column(self, g: TorusElement) -> dict[tuple[int, ...], int]:
         if g.group is not self.group and g.group != self.group:
@@ -100,9 +112,7 @@ class BallGraph:
         return bisect_right(self._bounds, self._vertex(i)) - 1
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        if self._vertex(i) >= len(self._adj):  # S(r) at once: BFS order keeps lookups local
-            self._expand(self.radius + 1)
-        return self._adj[i]
+        return tuple(sorted(j for j in self._rows()[self._vertex(i)] if j >= 0))
 
     def sphere_indices(self, k: int) -> list[int]:
         return list(range(*self._bounds[k : k + 2])) if 0 <= k <= self.radius else []
@@ -124,10 +134,9 @@ class BallGraph:
         balls of radii a and b first touch at distance a + b + 1.  The
         other entries hold what the start side reached.
         """
-        # the vertices at level ≥ min_level are those from index `first` on
-        adj, first = self._adj, self._bounds[min(max(min_level or 0, 0), self.radius + 1)]
-        if len(adj) < len(self._states):  # any search may reach S(r)
-            self._expand(self.radius + 1)
+        # the vertices at level ≥ min_level are those from index `first` on;
+        # a slot of −1 fails the test j >= first before mine[j] is read
+        adj, first = self._rows(), self._bounds[min(max(min_level or 0, 0), self.radius + 1)]
         out: list[int | None] = [None] * len(adj)
         if target is not None:
             self._vertex(target)
@@ -154,7 +163,7 @@ class BallGraph:
                     layers.append(nxt)
                 for i in front:
                     for j in adj[i]:
-                        if mine[j] is None and j >= first:
+                        if j >= first and mine[j] is None:
                             mine[j] = d
                             nxt.append(j)  # the meeting vertex too, so that it is cleared
                             if other[j] is not None:
@@ -171,70 +180,58 @@ class BallGraph:
 def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallGraph:
     """Exact BFS ball of radius r; raises BudgetExceededError rather
     than returning a partial result.  Only the levels below r are
-    expanded; the neighbour lists of S(r) are built together on first use."""
+    expanded; the neighbour slots of S(r) are listed together on first use."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if max_vertices < 1:
         raise ValueError("max_vertices must be positive")
-    fiber = [Word(group.basis, (s * i,)) for i in range(1, group.basis.rank + 1) for s in (1, -1)]
-    # moves[k] = (images, columns[k], ((k + 1, columns[k + 1]), (k - 1, columns[k - 1]))):
-    # the images under Φᵏ of the fiber letters in the order above, as
-    # (w, k)·x = (w·Φᵏ(x), k) and only the junction can cancel, and the
-    # t-moves (w, k)·t^±1 = (w, k ± 1): one lookup per expanded vertex.
-    moves: dict[int, tuple] = {}
+    fiber = [s * i for i in range(1, group.basis.rank + 1) for s in (1, -1)]
+    twist = _twister(group.phi)
+    # moves[k] lists the probes (y, k', column k') of a vertex (w, k) in
+    # probe order: (w, k)·x = (w·Φᵏ(x), k) for the fiber letters above,
+    # where only the junction can cancel, then (w, k)·t^±1 = (w, k ± 1)
+    # with y = (): one lookup per expanded vertex.
+    moves: dict[int, list] = {}
 
-    # expand(stop) lists, level by level in BFS order, the neighbours of
-    # the vertices below level stop, adding vertices only inside B(r):
-    # expand(r) finds B(r), and expand(r + 1) later lists S(r).  The
+    # expand(stop) fills, level by level in BFS order, the neighbour
+    # slots of the vertices below level stop, adding vertices only inside
+    # B(r): expand(r) finds B(r), and expand(r + 1) later lists S(r).  The
     # generating set is symmetric, hence so is the adjacency.  Below
     # level r a probe is one setdefault, which files a missing neighbour
-    # as the next vertex n; on S(r) it is a get, and a miss is dropped.
+    # as the next vertex n; on S(r) it is a get, and a miss fills n = −1.
     # Each expanded vertex adds at most 2·rank + 2, so checking the
     # budget once per vertex still raises exactly when |B(r)| exceeds it.
     columns: dict[int, dict[tuple[int, ...], int]] = {0: {(): 0}}
-    states: list[State] = [((), 0)]
+    words: list[tuple[int, ...]] = [()]
+    exps = [0]
     bounds = [0, 1]
-    adj: list[tuple[int, ...]] = []
+    slots: list[int] = []
+    fill = slots.append
 
     def expand(stop: int) -> None:
-        n = len(states)
         for d in range(len(bounds) - 2, stop):
-            probe = dict.get if d == r else dict.setdefault
-            for i in range(bounds[d], bounds[d + 1]):
-                w, k = states[i]
+            probe, n = (dict.get, -1) if d == r else (dict.setdefault, len(words))
+            lo, hi = bounds[d], bounds[d + 1]
+            for w, k in zip(words[lo:hi], exps[lo:hi]):
                 move = moves.get(k)
                 if move is None:
-                    ts = tuple((kk, columns.setdefault(kk, {})) for kk in (k + 1, k - 1))
-                    images = [apply_power(group.phi, k, x).letters for x in fiber]
-                    move = moves[k] = (images, columns[k], ts)
-                images, column, ts = move
-                nbrs = []
-                for y in images:
-                    v = join(w, y)
+                    move = moves[k] = [(twist(k, x).letters, k, columns[k]) for x in fiber]
+                    move += [((), kk, columns.setdefault(kk, {})) for kk in (k + 1, k - 1)]
+                for y, kk, column in move:
+                    v = join(w, y) if y else w
                     j = probe(column, v, n)
-                    if j == n:
-                        if d == r:
-                            continue
-                        states.append((v, k))
+                    if j == n and d < r:
+                        words.append(v)
+                        exps.append(kk)
                         n += 1
-                    nbrs.append(j)
-                for kk, col in ts:
-                    j = probe(col, w, n)
-                    if j == n:
-                        if d == r:
-                            continue
-                        states.append((w, kk))
-                        n += 1
-                    nbrs.append(j)
+                    fill(j)
                 if n > max_vertices:
                     raise BudgetExceededError(max_vertices, r)
-                nbrs.sort()
-                adj.append(tuple(nbrs))
             if d < r:
                 bounds.append(n)
 
     expand(r)
-    return BallGraph(group, r, states, bounds, adj, columns, expand)
+    return BallGraph(group, r, words, exps, bounds, slots, columns, expand)
 
 
 def free_times_z_ball_size(rank: int, r: int) -> int:

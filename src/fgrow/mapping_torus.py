@@ -26,7 +26,7 @@ than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .automorphisms import (
     Automorphism,
@@ -110,18 +110,19 @@ class TorusGroup:
     def normalize(self, item: str | Iterable[int]) -> "TorusElement":
         """Normal form of a word over basis ∪ {t}, given as text or as
         letters of ``extended_basis``: each fiber letter x read after
-        t-exponent k moves left past t^k as Φ^k(x), and the images are
-        joined and reduced once."""
+        t-exponent k moves left past t^k as Φ^k(x), one twist per
+        (k, x) in a call, and the images are joined and reduced once."""
         if isinstance(item, str):
             item = self.extended_basis.parse(item).letters
         section = self.basis.rank + 1
+        twist = _twister(self.phi)
         k = 0
         parts = []
         for x in item:
             if abs(x) == section:
                 k += 1 if x > 0 else -1
             else:
-                parts.append(apply_power(self.phi, k, Word(self.basis, (x,))))
+                parts.append(twist(k, x))
         return TorusElement(self, concat_all(self.basis, parts), k)
 
     # -- presentation ---------------------------------------------------
@@ -143,6 +144,23 @@ class TorusGroup:
             for name, img in zip(self.basis.names, self.phi.images)
         )
         return f"< {gens} | {rels} >"
+
+
+def _twister(phi: Automorphism) -> Callable[[int, int], Word]:
+    """twist(k, x) = Φᵏ(x) for a signed fiber letter x, kept while the
+    twister lives: each height is built from the one next to it, nearer
+    0, by one apply_power(Φ, ±1, ·) step, without recursion."""
+    runs: dict[tuple[int, bool], list[Word]] = {}
+
+    def twist(k: int, x: int) -> Word:
+        run = runs.get((x, k < 0))
+        if run is None:
+            run = runs[x, k < 0] = [Word(phi.basis, (x,))]
+        while len(run) <= abs(k):
+            run.append(apply_power(phi, -1 if k < 0 else 1, run[-1]))
+        return run[abs(k)]
+
+    return twist
 
 
 def torus_group(phi: Endomorphism) -> TorusGroup:

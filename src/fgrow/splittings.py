@@ -557,6 +557,8 @@ def parse_splitting(
         for line in lines:
             line = line.lstrip()
             if line.startswith("basis:"):
+                if section is not None:
+                    raise WordSyntaxError("basis must come before any section")
                 b = _basis_line(line, b)
                 continue
             if line.startswith("[") and line.endswith("]"):
@@ -634,6 +636,8 @@ def parse_hierarchy(text: str) -> Hierarchy:
         for line in lines:
             stripped = line.lstrip()
             if stripped.startswith("basis:"):
+                if open_nodes or roots:
+                    raise WordSyntaxError("basis must come before the nodes")
                 b = _basis_line(stripped, b)
                 continue
             if stripped.startswith("kind:"):

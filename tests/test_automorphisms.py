@@ -110,6 +110,18 @@ def test_fibonacci_inverse():
         assert FIB.apply(inv.apply(W(g))) == W(g)
 
 
+def test_inverse_is_built_once():
+    phi = parse_automorphism("a -> a b\nb -> a")
+    inv = phi.inverse()
+    assert phi.inverse() is inv and inv.inverse() is phi
+    # the cached link is not a field: equality and hash read the images only
+    fresh = Automorphism(F, phi.inverse_images, phi.images)
+    assert inv == fresh and hash(inv) == hash(fresh)
+    again = Automorphism(F, phi.images, phi.inverse_images)
+    assert phi == again and hash(phi) == hash(again)
+    assert again.inverse() == inv and again.inverse() is not inv
+
+
 def test_not_surjective_witness():
     squares = parse_endomorphism("a -> a a\nb -> b")
     with pytest.raises(NotSurjectiveError) as info:

@@ -15,7 +15,7 @@ import numpy
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fgrow import geometry
+from fgrow import geometry, mapping_torus
 from fgrow.automorphisms import (
     Endomorphism,
     certify_automorphism,
@@ -146,6 +146,48 @@ def test_ball_expands_only_inner_levels(monkeypatch):
             assert ball.neighbors(outer) == ball.neighbors(outer)
             # S(r) is listed in one pass, once
             assert len(calls) == per_vertex * len(ball)
+
+
+def test_ball_twists_each_column_one_step_from_the_last(monkeypatch):
+    ks = []
+    step = mapping_torus.apply_power
+
+    def spy(phi, k, w):
+        ks.append(k)
+        return step(phi, k, w)
+
+    monkeypatch.setattr(mapping_torus, "apply_power", spy)
+    for group in (GID, GPOLY, GFIB, G3):
+        per_column = 2 * group.basis.rank
+        for r in (0, 1, 4, 6):
+            ks.clear()
+            ball = cayley_ball(group, r)
+            # a column gets its move table when its first vertex is expanded
+            expanded = len(ball) - ball.sphere_sizes()[r]
+            columns = {ball.element(i).k for i in range(expanded)} - {0}
+            assert set(ks) <= {1, -1}
+            assert len(ks) == per_column * len(columns)
+            ball.neighbors(0)  # lists S(r), whose outermost columns are new
+            columns = {ball.element(i).k for i in range(len(ball))} - {0}
+            assert set(ks) <= {1, -1}
+            assert len(ks) == per_column * len(columns)
+
+
+def test_ball_queries_build_no_rows(monkeypatch):
+    calls = []
+
+    def spy(u, v):
+        calls.append(u)
+        return join(u, v)
+
+    monkeypatch.setattr(geometry, "join", spy)
+    ball = cayley_ball(GFIB, 5)
+    built = len(calls)
+    for i in range(len(ball)):
+        e = ball.element(i)
+        assert ball.contains(e) and ball.distance(e) == ball.distance_by_index(i)
+    assert len(calls) == built  # S(r) was never listed
+    assert ball._adj is None  # and the slots were never cut into rows
 
 
 @st.composite

@@ -8,9 +8,10 @@ the twist applied by table substitution from helpers.
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fgrow import folding, mapping_torus
-from fgrow.automorphisms import identity_automorphism, parse_automorphism
+from fgrow.automorphisms import apply_power, identity_automorphism, parse_automorphism
 from fgrow.folding import stallings_graph, trivial_subgroup
 from fgrow.mapping_torus import (
     TorusElement,
@@ -19,7 +20,7 @@ from fgrow.mapping_torus import (
     fiber_intersection,
     torus_group,
 )
-from fgrow.words import VerificationError, basis
+from fgrow.words import VerificationError, Word, basis
 
 from helpers import (
     image_table,
@@ -101,6 +102,73 @@ def test_normalize_long_words_matches_pair_model(name):
         letters = [rng.choice(alphabet) for _ in range(rng.randint(20, 60))]
         got = group.normalize(letters)
         assert (got.w.letters, got.k) == model_normalize(phi, letters), letters
+
+
+NORMALIZE_TORI = {
+    "fib": G,
+    "poly": torus_group(parse_automorphism("a -> a\nb -> b a")),
+    "swap": torus_group(parse_automorphism("a -> b\nb -> a")),
+    "rank3": torus_group(parse_automorphism("a -> a\nb -> b a\nc -> c b")),
+}
+
+
+def letterwise_normalize(group, letters):
+    """(w, k) with each fiber letter's Φᵏ(x) applied from scratch."""
+    section = group.basis.rank + 1
+    k, out = 0, []
+    for x in letters:
+        if abs(x) == section:
+            k += 1 if x > 0 else -1
+        else:
+            out.extend(apply_power(group.phi, k, Word(group.basis, (x,))).letters)
+    return reduce_letters(out), k
+
+
+@st.composite
+def torus_inputs(draw, height=10):
+    """A torus name and a word over its basis ∪ {t} whose t-height stays
+    within ±height, so that fib's images stay short."""
+    name = draw(st.sampled_from(sorted(NORMALIZE_TORI)))
+    section = NORMALIZE_TORI[name].basis.rank + 1
+    alphabet = [s * i for i in range(1, section + 1) for s in (1, -1)]
+    k, letters = 0, []
+    for x in draw(st.lists(st.sampled_from(alphabet), max_size=80)):
+        if abs(x) == section:
+            if abs(k + (1 if x > 0 else -1)) > height:
+                continue
+            k += 1 if x > 0 else -1
+        letters.append(x)
+    return name, letters
+
+
+@settings(max_examples=200, deadline=None)
+@given(torus_inputs())
+@example(("poly", [3] * 3000 + [2] + [-3] * 3000))
+@example(("rank3", [-4] * 7 + [3, 2, 1, 4, 4, -3] + [4] * 20 + [-1, 3]))
+def test_normalize_matches_letterwise_powers(case):
+    # a height far past the recursion limit is reached by steps, not by recursion
+    name, letters = case
+    group = NORMALIZE_TORI[name]
+    got = group.normalize(letters)
+    assert (got.w.letters, got.k) == letterwise_normalize(group, letters)
+
+
+def test_normalize_steps_each_height_once(monkeypatch):
+    ks = []
+
+    def spy(phi, k, w):
+        ks.append(k)
+        return apply_power(phi, k, w)
+
+    monkeypatch.setattr(mapping_torus, "apply_power", spy)
+    group = NORMALIZE_TORI["poly"]
+    # b and a at height 5, b again at 2, then b⁻¹ and a at -2: each
+    # height of each letter is one step from the height next to it
+    text = "t^5 b a t^-3 b t^-4 b' a"
+    e = group.normalize(text)
+    assert sorted(ks) == [-1] * 4 + [1] * 10
+    letters = group.extended_basis.parse(text).letters
+    assert (e.w.letters, e.k) == letterwise_normalize(group, letters)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -48,7 +48,7 @@ MAP = [
 
 SPLIT = [
     ("basis: a a\n[vertices]\nv1: a", None, "line 1: duplicate generator name 'a'"),
-    ("# a comment\n\n[vertices]\n\n\nbasis: a 1\n", None, "line 6: bad generator name '1'"),
+    ("# a comment\n\n\n\n\nbasis: a 1\n[vertices]\n", None, "line 6: bad generator name '1'"),
     ("basis:\n[vertices]", None, "line 1: basis needs at least one generator"),
     ("basis: a b\n[vertices]\nv1: a", F3, "line 1: basis does not match the ambient one"),
     ("basis: a b\nbasis: a c", None, "line 2: basis does not match the ambient one"),
@@ -92,7 +92,12 @@ SPLIT = [
      "line 4: unknown symbol 'q' in 'q'"),
     ("basis: a b\n[witness]\nmap v1 -> v2\nmap v1 -> v2 extra", None,
      "line 4: unrecognized witness line"),
-    ("basis: a b\n[vertices]\nv1: a\nbasis: a", None, "line 4: basis does not match the ambient one"),
+    ("basis: a b\n[vertices]\nbasis: a b", None, "line 3: basis must come before any section"),
+    ("basis: a b\n[witness]\n\n# late\nbasis: a b", None,
+     "line 5: basis must come before any section"),
+    # a misplaced basis line is refused before its names are read
+    ("basis: a b\n[vertices]\nv1: a\nbasis: a", None, "line 4: basis must come before any section"),
+    ("[vertices]\nbasis: a 1", None, "line 2: basis must come before any section"),
 ]
 
 HIERARCHY = [
@@ -132,6 +137,8 @@ HIERARCHY = [
     ("basis: a b\ng\nh status=done", "line 3: unknown status 'done'"),
     ("kind: odd\ng", "line 1: kind must be free or cyclic"),
     ("basis: a b\ng\nkind: odd", "line 3: kind must come before the nodes"),
+    ("basis: a b\ng\n  h\nbasis: a b", "line 4: basis must come before the nodes"),
+    ("basis: a b\ng\nbasis: a a", "line 3: basis must come before the nodes"),
     ("basis: a b\nkind: free\ng\nkind: odd", "line 4: duplicate kind line"),
 ]
 

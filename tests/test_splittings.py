@@ -591,7 +591,7 @@ def test_parse_splitting_diagnostics(snippet, message):
 def test_parse_splitting_bad_basis_names_its_line():
     with pytest.raises(WordSyntaxError, match="^line 1: duplicate generator name 'a'$"):
         parse_splitting("basis: a a\n[vertices]\nv1: a")
-    text = "# a comment\n\n[vertices]\n\n\nbasis: a 1\n"
+    text = "# a comment\n\n\n\n\nbasis: a 1\n[vertices]\n"
     with pytest.raises(WordSyntaxError, match="^line 6: bad generator name '1'$"):
         parse_splitting(text)
 
