@@ -535,8 +535,8 @@ def cmd_divergence(args) -> Report:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser, built on first use; ``parse_args`` leaves it unchanged."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The one parser and its subcommands', built on first use; parsing leaves them unchanged."""
     parser = _Parser(prog="fgrow", description="free-by-cyclic group toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -581,7 +581,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-vertices", type=_at_least(1), default=500_000)
     p.add_argument("--emit", choices=["json", "csv", "svg", "text"], default="json")
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS: dict[str, Callable[[argparse.Namespace], Report]] = {
@@ -595,7 +595,15 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], Report]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run ``argv`` (default ``sys.argv[1:]``).  A known subcommand is parsed
+    by its own parser, as the top-level one would hand it on; anything else
+    goes through the top-level parser, so every message stays the same."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = parser.parse_args(argv)
     try:
         meta, result, code, views = _COMMANDS[args.command](args)
         if args.emit == "json":

@@ -12,11 +12,14 @@ table lookup, and each neighbour one hash (a setdefault that files a
 new vertex) and one append to a flat slot list, 2·rank + 2 slots per
 vertex.  Only the levels below r are expanded; the first search or
 neighbour query lists the outer sphere S(r), −1 marking a neighbour
-outside B(r), and cuts the slots into rows.  Balls are all or nothing:
-exceeding the vertex budget raises instead of returning a partial
-metric.  A pair search writes its target side into a scratch list
-kept by the ball and clears what it wrote before it returns, so a
-search allocates only the list it returns.
+outside B(r), and cuts the slots into rows.  The length-parity
+character on basis ∪ {t} kills every relator t·x·t⁻¹·Φ(x)⁻¹ iff each
+|Φ(x)| is odd; then |g| ≡ parity(g) mod 2, no edge stays inside a
+sphere, and S(r)'s rows are read off S(r − 1)'s without a probe.
+Balls are all or nothing: exceeding the vertex budget raises instead
+of returning a partial metric.  A pair search writes its target side
+into a scratch list kept by the ball and clears what it wrote before
+it returns, so a search allocates only the list it returns.
 
 The divergence probe samples far-apart pairs on a sphere and measures
 detour lengths around a forbidden inner ball, then fits a log-log
@@ -180,7 +183,10 @@ class BallGraph:
 def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallGraph:
     """Exact BFS ball of radius r; raises BudgetExceededError rather
     than returning a partial result.  Only the levels below r are
-    expanded; the neighbour slots of S(r) are listed together on first use."""
+    expanded; the neighbour slots of S(r) are listed together on first use.
+    When every |Φ(x)| is odd, every relator has even length, so g ↦ |g|
+    mod 2 is a character and no edge joins two vertices of S(r): its rows
+    are the partners of S(r − 1)'s slots, found with no join or probe."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if max_vertices < 1:
@@ -207,9 +213,21 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
     bounds = [0, 1]
     slots: list[int] = []
     fill = slots.append
+    width = len(fiber) + 2
+    bipartite = all(len(img) % 2 for img in group.phi.images)
 
     def expand(stop: int) -> None:
         for d in range(len(bounds) - 2, stop):
+            if d == r and bipartite:
+                # u·s = v with u on S(r − 1) puts u in v's slot for s⁻¹, the
+                # partner c ^ 1 of u's slot c (x ↔ x⁻¹, t ↔ t⁻¹)
+                first, base = bounds[r], width * bounds[max(r - 1, 0)]
+                inner = slots[base:]
+                slots.extend([-1] * (width * (len(words) - first)))
+                for p, j in enumerate(inner, base):
+                    if j >= first:
+                        slots[width * j + (p % width ^ 1)] = p // width
+                continue
             probe, n = (dict.get, -1) if d == r else (dict.setdefault, len(words))
             lo, hi = bounds[d], bounds[d + 1]
             for w, k in zip(words[lo:hi], exps[lo:hi]):

@@ -22,6 +22,7 @@ G-side hierarchy mirrors the F-side one node for node.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -611,6 +612,15 @@ def parse_splitting(
     return GraphOfGroups(b, tuple(vertices), tuple(edges)), witness
 
 
+def _spaced(b: Basis, word: str) -> str:
+    """A ``group=`` word with ``_`` as spaces except within names, longest name first."""
+    names = sorted((n for n in b.names if "_" in n), key=len, reverse=True)
+    if not names:
+        return word.replace("_", " ")
+    name = rf"(?<![^_])(?:{'|'.join(map(re.escape, names))})(?=['^_]|$)"
+    return re.sub(f"{name}|_", lambda m: " " if m[0] == "_" else m[0], word)
+
+
 def parse_hierarchy(text: str) -> Hierarchy:
     """Parse an indented hierarchy file; see docs/formats.md.
 
@@ -663,7 +673,7 @@ def parse_hierarchy(text: str) -> Hierarchy:
                     raise WordSyntaxError(f"unknown field {p!r}")
                 put_once(fields, key, val, "field")
                 if key == "group":
-                    gens = [b.parse(g.replace("_", " ")) for g in val.split("|") if g]
+                    gens = [b.parse(_spaced(b, g)) for g in val.split("|") if g]
                     group = stallings_graph(b, gens)
                 elif val not in ("absolute", "no-splitting", "unexpanded"):
                     raise WordSyntaxError(f"unknown status {val!r}")

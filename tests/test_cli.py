@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import re
+import sys
 
 import pytest
 
@@ -552,3 +553,67 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert info.value.code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: argument --iters")
+
+
+
+# -- dispatch: a known subcommand is parsed by its own parser ---------------
+
+CHOICES = "'growth', 'fold', 'torus', 'split', 'hierarchy', 'divergence'"
+USAGE_ERROR = {
+    "no command": "error: the following arguments are required: command\n",
+    "no map": "error: the following arguments are required: --map\n",
+}
+
+
+def call(capsys, argv):
+    """main's exit code, stdout and stderr, whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 1, "", USAGE_ERROR["no command"]),
+        (["-h"], 0, "top help", ""),
+        (["-h", "growth"], 0, "top help", ""),
+        (["nope"], 1, "", f"error: argument command: invalid choice: 'nope' (choose from {CHOICES})\n"),
+        (["--", "growth"], 1, "", f"error: argument command: invalid choice: '--' (choose from {CHOICES})\n"),
+        (["--emit", "pdf"], 1, "", f"error: argument command: invalid choice: 'pdf' (choose from {CHOICES})\n"),
+        (["growth"], 1, "", USAGE_ERROR["no map"]),
+        (["growth", "--map"], 1, "", "error: argument --map: expected one argument\n"),
+        (["growth", "--map", FIB, "extra"], 1, "", "error: unrecognized arguments: extra\n"),
+        (["growth", "--ma", FIB], 0, "growth", ""),
+        (["growth", f"--map={FIB}"], 0, "growth", ""),
+        (["growth", "--", "--map"], 1, "", USAGE_ERROR["no map"]),
+        (["growth", "-h"], 0, "growth help", ""),
+        (["growth", "--map", FIB, "-h"], 0, "growth help", ""),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_dispatch_pins_code_and_bytes(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    parser, commands = cli._build_parser()
+    views = {
+        "top help": parser.format_help(),
+        "growth help": commands["growth"].format_help(),
+        "growth": call(capsys, ["growth", "--map", FIB])[1],
+    }
+    assert views["top help"].startswith(
+        "usage: fgrow [-h] {growth,fold,torus,split,hierarchy,divergence} ...\n"
+    )
+    assert views["growth help"].startswith("usage: fgrow growth [-h] --map MAP [--word WORD]")
+    assert call(capsys, argv) == (code, views.get(out, out), err)
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    # the fgrow console script calls main() with no arguments
+    expected = call(capsys, ["growth", "--map", FIB, "--emit", "text"])
+    monkeypatch.setattr(sys, "argv", ["fgrow", "growth", "--map", FIB, "--emit", "text"])
+    assert call(capsys, None) == expected
+    monkeypatch.setattr(sys, "argv", ["fgrow"])
+    assert call(capsys, None) == (1, "", USAGE_ERROR["no command"])

@@ -23,9 +23,12 @@ from fgrow.splittings import (
 from fgrow.words import Word, basis, free_reduce
 
 # generator names; words in a hierarchy's group= field spell spaces as
-# underscores, so those bases leave underscores out
+# underscores, so a name that joins other names by `_` would read as that
+# name there: JOINLESS_NAMES put a digit after their one underscore, which
+# no name starts with
 NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True)
 PLAIN_NAMES = st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True)
+JOINLESS_NAMES = st.from_regex(r"[a-z][a-z0-9]{0,2}(_[0-9][a-z0-9]{0,2})?", fullmatch=True)
 
 
 def bases(names=NAMES):
@@ -118,7 +121,7 @@ def test_splitting_files_parse_back(case, data):
 
 @st.composite
 def hierarchies(draw):
-    b = draw(bases(PLAIN_NAMES))
+    b = draw(bases(JOINLESS_NAMES))
     count = iter(range(10**6))
 
     def node(depth):

@@ -40,6 +40,10 @@ GID = torus_group(identity_automorphism(F))
 GPOLY = torus_group(parse_automorphism("a -> a\nb -> b a"))
 GFIB = torus_group(parse_automorphism("a -> a b\nb -> a"))
 G3 = torus_group(parse_automorphism("a -> a\nb -> b a\nc -> c b"))
+# every image has odd length, so the Cayley graph is bipartite
+GSWAP = torus_group(parse_automorphism("a -> b\nb -> a"))
+GODD3 = torus_group(parse_automorphism("a -> a\nb -> b\nc -> c a b"))
+BIPARTITE = (GID, GSWAP, GODD3)
 
 
 def shortest_spellings(group, max_len):
@@ -115,7 +119,11 @@ def test_adjacency_is_unit_distance_and_symmetric():
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
-@pytest.mark.parametrize("group", [GID, GPOLY, GFIB, G3], ids=["id", "poly", "fib", "rank3"])
+@pytest.mark.parametrize(
+    "group",
+    [GID, GPOLY, GFIB, G3, GSWAP, GODD3],
+    ids=["id", "poly", "fib", "rank3", "swap", "odd-rank3"],
+)
 def test_adjacency_is_complete(group, r):
     # every in-ball e·s is listed, on the outer sphere S(r) too
     ball = cayley_ball(group, r)
@@ -135,7 +143,7 @@ def test_ball_expands_only_inner_levels(monkeypatch):
         return join(u, v)
 
     monkeypatch.setattr(geometry, "join", spy)
-    for group in (GID, GFIB, G3):
+    for group in (GID, GSWAP, GFIB, G3):
         per_vertex = 2 * group.basis.rank
         for r in (0, 3, 4):
             calls.clear()
@@ -144,8 +152,10 @@ def test_ball_expands_only_inner_levels(monkeypatch):
             assert len(calls) == per_vertex * expanded
             outer = ball.sphere_indices(r)[-1]
             assert ball.neighbors(outer) == ball.neighbors(outer)
-            # S(r) is listed in one pass, once
-            assert len(calls) == per_vertex * len(ball)
+            # S(r) is listed in one pass, once; a bipartite ball reads it
+            # off the rows of S(r − 1) and joins nothing
+            listed = expanded if group in BIPARTITE else len(ball)
+            assert len(calls) == per_vertex * listed
 
 
 def test_ball_twists_each_column_one_step_from_the_last(monkeypatch):
@@ -157,7 +167,7 @@ def test_ball_twists_each_column_one_step_from_the_last(monkeypatch):
         return step(phi, k, w)
 
     monkeypatch.setattr(mapping_torus, "apply_power", spy)
-    for group in (GID, GPOLY, GFIB, G3):
+    for group in (GID, GSWAP, GPOLY, GFIB, G3):
         per_column = 2 * group.basis.rank
         for r in (0, 1, 4, 6):
             ks.clear()
@@ -167,8 +177,11 @@ def test_ball_twists_each_column_one_step_from_the_last(monkeypatch):
             columns = {ball.element(i).k for i in range(expanded)} - {0}
             assert set(ks) <= {1, -1}
             assert len(ks) == per_column * len(columns)
-            ball.neighbors(0)  # lists S(r), whose outermost columns are new
-            columns = {ball.element(i).k for i in range(len(ball))} - {0}
+            # lists S(r), whose outermost columns are new unless the
+            # ball is bipartite, which builds no move table for S(r)
+            ball.neighbors(0)
+            if group not in BIPARTITE:
+                columns = {ball.element(i).k for i in range(len(ball))} - {0}
             assert set(ks) <= {1, -1}
             assert len(ks) == per_column * len(columns)
 
@@ -213,6 +226,8 @@ def nielsen_tori(draw):
 @given(nielsen_tori(), st.integers(0, 5))
 @example(GFIB, 5)
 @example(G3, 5)
+@example(GSWAP, 5)
+@example(GODD3, 5)
 def test_ball_matches_the_reference_bfs(group, r):
     # the vertex order fixes which pairs divergence sampling draws
     states, levels, adj = reference_ball(group, r)
@@ -225,6 +240,14 @@ def test_ball_matches_the_reference_bfs(group, r):
     assert ball.ball_sizes() == [sum(map(len, spheres[: k + 1])) for k in range(r + 1)]
     assert ball.neighbors(len(ball) - 1) == adj[-1]  # lists S(r)
     assert [ball.neighbors(i) for i in range(len(ball))] == adj
+
+
+@pytest.mark.parametrize("group", [*BIPARTITE, GPOLY, GFIB, G3])
+def test_outer_sphere_edges_only_on_non_bipartite_tori(group):
+    ball = cayley_ball(group, 5)
+    outer = ball.sphere_indices(5)
+    inside = sum(j >= outer[0] for i in outer for j in ball.neighbors(i))
+    assert (inside == 0) == (group in BIPARTITE)
 
 
 FIB2_SIZE = len(cayley_ball(GFIB, 2))

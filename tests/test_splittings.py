@@ -618,6 +618,23 @@ def test_parse_hierarchy():
 
 
 @pytest.mark.parametrize(
+    "names, word, letters",
+    [
+        ("x_1 y", "x_1_y", "x_1 y"),
+        ("x_1 y", "y'_x_1^2_y", "y' x_1 x_1 y"),
+        ("x_1 x_1_y y", "x_1_y_x_1", "x_1_y x_1"),  # the longest name first
+        ("a b a_b", "a_b", "a_b"),  # a run that is a name is that name ...
+        ("a b a_b", "a^1_b", "a b"),  # ... so a·b needs an exponent to split it
+        ("a b", "b_a_1", "b a"),
+    ],
+)
+def test_hierarchy_group_words_read_underscore_names(names, word, letters):
+    b = basis(names)
+    h = parse_hierarchy(f"basis: {names}\ng group={word}\n")
+    assert h.root.group == stallings_graph(b, [b.parse(letters)])
+
+
+@pytest.mark.parametrize(
     "snippet,message",
     [
         ("basis: a b\nkind: odd\ng", "free or cyclic"),
