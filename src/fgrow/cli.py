@@ -257,20 +257,6 @@ def cmd_growth(args) -> Report:
 # fold
 
 
-def _fold_payload(graph: StallingsGraph) -> dict:
-    idx = graph.index()
-    return {
-        "vertices": graph.n_vertices,
-        "edges": [
-            {"from": u, "letter": graph.basis.symbol(x), "to": v}
-            for u, x, v in graph.edges
-        ],
-        "rank": graph.rank(),
-        "index": idx,
-        "free_basis": [str(w) for w in graph.free_basis()],
-    }
-
-
 def _dot_graph(graph: StallingsGraph, name: str) -> str:
     lines = [f"digraph {name} {{"]
     for u, x, v in graph.edges:
@@ -284,11 +270,20 @@ def cmd_fold(args) -> Report:
     gens = [b.parse(part) for part in args.gens.split(",") if part.strip()]
     graph = stallings_graph(b, gens)
     meta = _meta("fold", args.gens, {})
-    result = _fold_payload(graph)
-    edges = result["edges"]
+    sym = b.symbol
+    result = {
+        "vertices": graph.n_vertices,
+        # one row per edge, built only for the json view that prints them
+        "edges": [
+            {"from": u, "letter": sym(x), "to": v} for u, x, v in graph.edges
+        ] if args.emit == "json" else [],
+        "rank": graph.rank(),
+        "index": graph.index(),
+        "free_basis": [str(w) for w in graph.free_basis()],
+    }
 
     def csv() -> str:
-        rows = (f"{e['from']},{e['letter']},{e['to']}" for e in edges)
+        rows = (f"{u},{sym(x)},{v}" for u, x, v in graph.edges)
         return _csv(meta, ["from,letter,to", *rows])
 
     def text() -> str:
@@ -296,7 +291,7 @@ def cmd_fold(args) -> Report:
         return _text([
             f"vertices: {result['vertices']}",
             "edges:",
-            *(f"  {e['from']} --{e['letter']}--> {e['to']}" for e in edges),
+            *(f"  {u} --{sym(x)}--> {v}" for u, x, v in graph.edges),
             f"rank: {result['rank']}",
             f"index: {index}",
             "free basis: " + ", ".join(result["free_basis"]),

@@ -11,16 +11,18 @@ explicit s ∈ H with exponent n by Euclidean combination, re-express
 the generators as fiber seeds gᵢ·s^{-kᵢ/n}, and saturate the folded
 seed subgroup under θ, conjugation by s (a ↦ x·Φⁿ(a)·x⁻¹ when
 s = x·tⁿ), until the subgroup is invariant both ways.  θ^±1 is applied
-as w ↦ y·ψ(w)·y⁻¹ on letter tuples, where ψ is the inner conjugate of
-Φ^±n of least total image length, so only the two ends of ψ(w) meet
-the conjugator.  One live fold holds the subgroup throughout: each
-round traces the images on it and folds those that escape onto it, and
-the canonical graph is built once nothing escapes.  Seeds are mapped
-both ways, an escape θ^±1(w) only onward by θ^±1: its image back,
-θ^∓1(θ^±1(w)) = w, is an entry, so it can never escape.
-Stabilization is guaranteed only when H ∩ F is finitely generated, so
-budgets are enforced and exhaustion raises UnstabilizedError rather
-than guessing.
+as w ↦ y·ψ(w)·y⁻¹ on letter tuples, where ψ = ψ_{±n} is the inner
+conjugate of Φ^±n of least total image length, so only the two ends of
+ψ(w) meet the conjugator.  The group keeps ψ_m per exponent m, so
+repeated intersections on one torus normalize each power once.  One
+live fold holds the subgroup throughout: each round traces the images
+on it and folds those that escape onto it, and the canonical graph is
+built once nothing escapes.  Seeds are mapped both ways, an escape
+θ^±1(w) only onward by θ^±1: its image back, θ^∓1(θ^±1(w)) = w, is an
+entry, so it can never escape.  Stabilization is guaranteed only when
+H ∩ F is finitely generated, so budgets are enforced and exhaustion
+raises UnstabilizedError rather than guessing; the round past the
+round budget stops at its first escape, which is all the error reads.
 """
 
 from __future__ import annotations
@@ -78,13 +80,21 @@ SECTION_NAME = "t"
 
 @dataclass(frozen=True)
 class TorusGroup:
-    """G = F ⋊ Z for a certified automorphism of F."""
+    """G = F ⋊ Z for a certified automorphism of F.
+
+    The group keeps one normalized power per exponent asked for, held
+    while it lives: ψ_m = i_h∘Φ^m of least total image length, with h,
+    which fiber saturation reads as θ^±1's map.  Like an automorphism's
+    kept inverse, the kept powers are not fields, so they take no part
+    in ``==`` or ``hash``.
+    """
 
     phi: Automorphism
 
     def __post_init__(self) -> None:
         if SECTION_NAME in self.phi.basis.names:
             raise ValueError("generator name 't' is reserved for the section letter")
+        object.__setattr__(self, "_powers", {})
 
     @property
     def basis(self) -> Basis:
@@ -124,6 +134,21 @@ class TorusGroup:
             else:
                 parts.append(twist(k, x))
         return TorusElement(self, concat_all(self.basis, parts), k)
+
+    def _conjugation(
+        self, g: "TorusElement"
+    ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], tuple[int, ...]]:
+        """(y, ψ's substitution table, y⁻¹) with conjugation by
+        g = x·tᵐ equal to i_y∘ψ, where ψ = i_h∘Φᵐ is the kept
+        normalized power and y = x·h⁻¹: y meets ψ(w) at its two ends
+        only, where Φᵐ's own images would cancel at every junction."""
+        kept = self._powers.get(g.k)
+        if kept is None:
+            psi, h = _inner_normalize(power(self.phi, g.k))
+            kept = self._powers[g.k] = (psi._subst, h.letters)
+        table, h = kept
+        y = join(g.w.letters, _inv(h))
+        return y, table, _inv(y)
 
     # -- presentation ---------------------------------------------------
 
@@ -293,17 +318,6 @@ class FiberIntersection:
         return out
 
 
-def _conjugation(
-    theta: Automorphism,
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], tuple[int, ...]]:
-    """(y, ψ's substitution table, y⁻¹) with θ = i_y∘ψ, where ψ is θ's
-    inner normalization: θ(w) = y·ψ(w)·y⁻¹, so y meets ψ(w) at its two
-    ends only, where θ's own images would cancel at every junction."""
-    psi, h = _inner_normalize(theta)
-    y = _inv(h.letters)
-    return y, psi._subst, h.letters
-
-
 def fiber_intersection(
     group: TorusGroup,
     gens: Sequence[TorusElement],
@@ -311,7 +325,14 @@ def fiber_intersection(
     max_vertices: int = 100_000,
     with_witnesses: bool = False,
 ) -> FiberIntersection:
-    """Folded graph of ⟨gens⟩ ∩ F, saturated under conjugation by s."""
+    """Folded graph of ⟨gens⟩ ∩ F, saturated under conjugation by s.
+
+    θ^±1 = i_y∘ψ_{±n} reads ψ_{±n}, Φ^±n's least inner conjugate, from
+    the group's kept powers; θ itself is composed only to certify a
+    stop, by the closing ``is_invariant`` recheck.  The round past
+    ``max_rounds`` stops at its first escape and raises
+    UnstabilizedError, as does a fold past ``max_vertices``.
+    """
     if max_rounds < 0:
         raise ValueError("max_rounds must be nonnegative")
     if max_vertices < 1:
@@ -351,13 +372,12 @@ def fiber_intersection(
         fold.add_path(w)
     rounds = 0
     if n:
-        # the composed θ serves only the closing recheck; rounds apply
-        # θ^±1 = i_y∘ψ through _conjugation
-        theta = compose(inner_automorphism(b, s.w), power(group.phi, n))
+        # θ^±1, conjugation by s^±1, is i_y∘ψ_{±n} from the group's kept
+        # powers; the composed θ serves only the closing recheck
         s_inv_expr = _inv(s_expr)
         moves = (
-            (*_conjugation(theta), s_expr, s_inv_expr),
-            (*_conjugation(theta.inverse()), s_inv_expr, s_expr),
+            (*group._conjugation(s), s_expr, s_inv_expr),
+            (*group._conjugation(s.inverse()), s_inv_expr, s_expr),
         )
         # H_{r+1} = ⟨H_r ∪ θ(H_r) ∪ θ⁻¹(H_r)⟩: only the last round's new
         # entries need mapping, as older entries' images are already
@@ -377,15 +397,17 @@ def fiber_intersection(
                     y, table, y_inv, pre, post = move
                     img = join(join(y, free_reduce(w, table)), y_inv)
                     if _walk(fold.t, fold.r, 0, img) != (0, len(img)):
+                        # past the round budget any escape raises, so
+                        # the last round's scan stops at its first
+                        if rounds == max_rounds:
+                            raise UnstabilizedError(
+                                "fiber saturation exceeded the round budget",
+                                rounds + 1, fold.uf.roots,
+                            )
                         escapes.append((img, pre + e + post, (move,)))
             if not escapes:
                 break
             rounds += 1
-            if rounds > max_rounds:
-                raise UnstabilizedError(
-                    "fiber saturation exceeded the round budget",
-                    rounds, fold.uf.roots,
-                )
             for w, e, _ in escapes:
                 entries.append((w, e))
                 fold.add_path(w)
@@ -393,7 +415,9 @@ def fiber_intersection(
     graph = fold.graph(b)
     # nothing escapes, so θ^±1 of every entry is a member and θ(H) = H:
     # this recheck, which certifies the stop, cannot fail
-    if n and not is_invariant(graph, theta):
+    if n and not is_invariant(
+        graph, compose(inner_automorphism(b, s.w), power(group.phi, n))
+    ):
         raise VerificationError("saturated fiber subgroup is not invariant")
 
     result = FiberIntersection(group, gens, graph, n, s if n else None, rounds)

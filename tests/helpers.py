@@ -281,12 +281,15 @@ def two_way_saturation(group, gens, max_rounds, max_vertices):
     when it mapped every new entry by both θ and θ⁻¹; entries are
     (letters, expression) pairs in the order they were folded.  Raises
     UnstabilizedError on the same budgets."""
-    from fgrow.automorphisms import compose, inner_automorphism, power
+    from fgrow.automorphisms import _inner_normalize, compose, inner_automorphism, power
     from fgrow.folding import _Fold, _inv, _walk
-    from fgrow.mapping_torus import (
-        UnstabilizedError, _conjugation, _ext_gcd, _pow_expr,
-    )
+    from fgrow.mapping_torus import UnstabilizedError, _ext_gcd, _pow_expr
     from fgrow.words import free_reduce, join
+
+    def conjugation(theta):
+        # θ = i_y∘ψ for ψ = i_h∘θ, θ's own inner normalization: y = h⁻¹
+        psi, h = _inner_normalize(theta)
+        return _inv(h.letters), psi._subst, h.letters
 
     n, s, s_expr = 0, group.identity_element(), ()
     for i, g in enumerate(gens, start=1):
@@ -312,8 +315,8 @@ def two_way_saturation(group, gens, max_rounds, max_vertices):
     theta = compose(inner_automorphism(group.basis, s.w), power(group.phi, n))
     s_inv_expr = _inv(s_expr)
     moves = (
-        (*_conjugation(theta), s_expr, s_inv_expr),
-        (*_conjugation(theta.inverse()), s_inv_expr, s_expr),
+        (*conjugation(theta), s_expr, s_inv_expr),
+        (*conjugation(theta.inverse()), s_inv_expr, s_expr),
     )
     frontier, rounds = entries, 0
     while True:

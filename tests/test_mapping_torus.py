@@ -11,7 +11,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fgrow import folding, mapping_torus
-from fgrow.automorphisms import apply_power, identity_automorphism, parse_automorphism
+from fgrow.automorphisms import (
+    Endomorphism,
+    apply_power,
+    certify_automorphism,
+    compose,
+    identity_automorphism,
+    inner_automorphism,
+    parse_automorphism,
+    power,
+)
 from fgrow.folding import stallings_graph, trivial_subgroup
 from fgrow.mapping_torus import (
     TorusElement,
@@ -20,7 +29,7 @@ from fgrow.mapping_torus import (
     fiber_intersection,
     torus_group,
 )
-from fgrow.words import VerificationError, Word, basis
+from fgrow.words import VerificationError, Word, basis, free_reduce, join
 
 from helpers import (
     image_table,
@@ -290,7 +299,7 @@ def test_unstabilized_budget():
         fiber_intersection(
             GID, [GID.element("a", 1), GID.element("b", 1)], max_rounds=8
         )
-    assert info.value.rounds > 0
+    assert (info.value.rounds, info.value.vertices) == (9, 18)
 
 
 def test_saturation_links_only_what_new_loops_fold(monkeypatch):
@@ -312,10 +321,7 @@ def test_saturation_links_only_what_new_loops_fold(monkeypatch):
     assert len(links) <= 4000
 
 
-def test_saturation_maps_escapes_only_onward(monkeypatch):
-    # A deterministic work count: mapping every new entry by θ and θ⁻¹
-    # built 56 images on this run, 26 of them the entry an escape came
-    # from.  Seeds go both ways and escapes only onward: 2·2 + 26.
+def count_images(monkeypatch):
     images = []
     free_reduce = mapping_torus.free_reduce
 
@@ -324,11 +330,117 @@ def test_saturation_maps_escapes_only_onward(monkeypatch):
         return free_reduce(w, table)
 
     monkeypatch.setattr(mapping_torus, "free_reduce", counted)
+    return images
+
+
+def test_saturation_maps_escapes_only_onward(monkeypatch):
+    # A deterministic work count: mapping every new entry by θ and θ⁻¹
+    # built 56 images on this run, 26 of them the entry an escape came
+    # from.  Seeds go both ways and escapes only onward: 2·2 + 26.
+    images = count_images(monkeypatch)
     gens = [G.normalize("a b"), G.normalize("b a t' a")]
     with pytest.raises(UnstabilizedError) as info:
         fiber_intersection(G, gens, max_vertices=5000)
     assert (info.value.rounds, info.value.vertices) == (14, 7020)
     assert len(images) == 30
+
+
+def budget_hit(name):
+    if name == "identity":
+        return GID, [GID.element("a", 1), GID.element("b", 1)], 8, 100_000
+    # a seeded case whose last frontier is wider
+    return list(saturation_cases(name))[19][1:]
+
+
+@pytest.mark.parametrize("name, want", [("identity", (9, 18, 19)), ("twisted", (8, 246, 31))])
+def test_round_past_the_budget_stops_at_its_first_escape(monkeypatch, name, want):
+    # A deterministic work count: any escape in the round past
+    # max_rounds raises, so that round builds images only up to its
+    # first escape.  Scanning its whole frontier built 20 and 34 images.
+    group, gens, max_rounds, max_vertices = budget_hit(name)
+    images = count_images(monkeypatch)
+    with pytest.raises(UnstabilizedError) as info:
+        fiber_intersection(group, gens, max_rounds=max_rounds, max_vertices=max_vertices)
+    assert info.value.rounds == max_rounds + 1
+    assert (info.value.rounds, info.value.vertices, len(images)) == want
+
+
+def test_group_normalizes_each_power_once(monkeypatch):
+    # θ^±1 read ψ_{±n} off the group: one _inner_normalize per exponent
+    # across every intersection on one torus, however often it is asked
+    exponents = []
+    normalize = mapping_torus._inner_normalize
+
+    def counted(endo):
+        exponents.append(endo)
+        return normalize(endo)
+
+    monkeypatch.setattr(mapping_torus, "_inner_normalize", counted)
+    group = torus_group(FIB)
+    for _ in range(3):
+        fiber_intersection(group, [group.element("b"), group.t()])
+        fiber_intersection(group, [group.element("a b", 2), group.t(-2)])
+    assert exponents == [power(FIB, 1), power(FIB, -1), power(FIB, 2), power(FIB, -2)]
+    assert sorted(group._powers) == [-2, -1, 1, 2]
+    # a second group over the same map keeps its own powers
+    other = torus_group(FIB)
+    fiber_intersection(other, [other.element("b"), other.t()])
+    assert len(exponents) == 6
+
+
+def test_kept_powers_do_not_enter_equality():
+    kept, fresh = torus_group(FIB), torus_group(parse_automorphism("a -> a b; b -> a"))
+    fiber_intersection(kept, [kept.element("b"), kept.t()])
+    assert kept._powers and not fresh._powers
+    assert kept == fresh and hash(kept) == hash(fresh)
+    assert kept.element("a b", 1) == fresh.element("a b", 1)
+
+
+def letter_lists(rank, max_len):
+    alphabet = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    return st.lists(st.sampled_from(alphabet), max_size=max_len).map(reduce_letters)
+
+
+@st.composite
+def conjugations(draw):
+    """A torus, an element x·tᵐ of it and a fiber word.  The map is a
+    product of Nielsen moves after an inner twist, so its powers need
+    not be of least total image length, or one of SATURATION_TORI."""
+    name = draw(st.sampled_from(sorted(SATURATION_TORI) + ["nielsen"]))
+    if name != "nielsen":
+        phi = parse_automorphism(SATURATION_TORI[name])
+    else:
+        rank = draw(st.integers(2, 3))
+        imgs = [(j,) for j in range(1, rank + 1)]
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.permutations(range(rank)))[:2]
+            if draw(st.booleans()):
+                imgs[i] = reduce_letters(imgs[i] + imgs[j])
+            else:
+                imgs[i] = tuple(-x for x in reversed(imgs[i]))
+        b = basis("a b c"[: 2 * rank - 1])
+        nielsen = certify_automorphism(Endomorphism(b, tuple(Word(b, w) for w in imgs)))
+        twist = Word(b, draw(letter_lists(rank, 3)))
+        phi = compose(inner_automorphism(b, twist), nielsen)
+    rank = phi.basis.rank
+    x, w = draw(letter_lists(rank, 6)), draw(letter_lists(rank, 20))
+    return torus_group(phi), x, draw(st.integers(-3, 3)), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugations())
+def test_kept_power_moves_are_conjugation(case):
+    # w ↦ y·ψ_m(w)·y⁻¹ from the kept power is conjugation by s = x·tᵐ,
+    # i_x∘Φᵐ, composed in full, and the move for s⁻¹ is its inverse
+    group, x, m, w = case
+    b = group.basis
+    s = group.element(Word(b, x), m)
+    theta = compose(inner_automorphism(b, s.w), power(group.phi, m))
+    for g, want in ((s, theta), (s.inverse(), theta.inverse())):
+        y, table, y_inv = group._conjugation(g)
+        assert y_inv == tuple(-a for a in reversed(y))
+        got = join(join(y, free_reduce(w, table)), y_inv)
+        assert got == want.apply(Word(b, w)).letters
 
 
 @pytest.mark.parametrize(
