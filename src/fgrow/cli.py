@@ -28,18 +28,14 @@ from typing import Callable, Iterable, Sequence
 
 from .automorphisms import certify_automorphism, parse_endomorphism
 from .folding import StallingsGraph, stallings_graph
-from .geometry import (
-    FIT_MIN_RADIUS,
-    BudgetExceededError,
-    divergence_estimate,
-)
+from .geometry import FIT_MIN_RADIUS, divergence_estimate
 from .growth import (
     KIND_INCONCLUSIVE,
     GrowthParams,
     GrowthReport,
     classify_growth,
 )
-from .mapping_torus import UnstabilizedError, fiber_intersection, torus_group
+from .mapping_torus import fiber_intersection, torus_group
 from .splittings import (
     SplittingViolation,
     induce_torus_splitting,
@@ -51,7 +47,7 @@ from .splittings import (
     validate_splitting,
     verify_fixed,
 )
-from .words import Basis, VerificationError, WordSyntaxError, basis as make_basis
+from .words import Basis, BudgetExceededError, VerificationError, WordSyntaxError, basis as make_basis
 
 SCHEMA = 2
 
@@ -221,7 +217,7 @@ def cmd_growth(args) -> Report:
     source = _read_input(args.map)
     phi = parse_endomorphism(source)
     params = GrowthParams(iterations=args.iters, cap=args.cap)
-    word = phi.basis.parse(args.word) if args.word else None
+    word = phi.basis.parse(args.word) if args.word is not None else None
     report = classify_growth(phi, word, params)
     meta = _meta("growth", source, {"iters": args.iters, "cap": args.cap})
     steps = list(enumerate(report.lengths, start=1))
@@ -322,7 +318,7 @@ def cmd_torus(args) -> Report:
     group = torus_group(phi)
     budgets = {"max_rounds": args.max_rounds, "max_vertices": args.max_vertices}
     meta = _meta("torus", source, budgets)
-    if not args.gens:
+    if args.gens is None:
         if args.emit == "graph":
             raise ValueError("--emit graph needs --gens")
         result = {
@@ -605,7 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             out = _json({**meta, "result": result})
         else:
             out = views[args.emit]()
-    except (BudgetExceededError, UnstabilizedError) as exc:
+    except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, VerificationError) as exc:

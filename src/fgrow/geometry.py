@@ -37,21 +37,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .mapping_torus import TorusElement, TorusGroup, _twister
-from .words import BasisMismatchError, Word, join
+from .words import BasisMismatchError, BudgetExceededError, Word, join
 
 FIT_MIN_RADIUS = 4
 CAVEAT = "desk-scale radii: trust orderings between maps, not absolute exponents"
-
-
-class BudgetExceededError(RuntimeError):
-    """The ball would exceed the vertex budget; nothing is returned."""
-
-    def __init__(self, budget: int, radius: int):
-        super().__init__(
-            f"ball of radius {radius} exceeds the budget of {budget} vertices"
-        )
-        self.budget = budget
-        self.radius = radius
 
 
 @dataclass(eq=False, repr=False)
@@ -181,8 +170,8 @@ class BallGraph:
 
 
 def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallGraph:
-    """Exact BFS ball of radius r; raises BudgetExceededError rather
-    than returning a partial result.  Only the levels below r are
+    """Exact BFS ball of radius r; raises words.BudgetExceededError
+    rather than returning a partial result.  Only the levels below r are
     expanded; the neighbour slots of S(r) are listed together on first use.
     When every |Φ(x)| is odd, every relator has even length, so g ↦ |g|
     mod 2 is a character and no edge joins two vertices of S(r): its rows
@@ -244,7 +233,8 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
                         n += 1
                     fill(j)
                 if n > max_vertices:
-                    raise BudgetExceededError(max_vertices, r)
+                    msg = f"ball of radius {r} exceeds the budget of {max_vertices} vertices"
+                    raise BudgetExceededError(msg)
             if d < r:
                 bounds.append(n)
 
@@ -371,7 +361,6 @@ def divergence_estimate(
 
 __all__ = [
     "BallGraph",
-    "BudgetExceededError",
     "DivergenceReport",
     "DivergenceSample",
     "cayley_ball",

@@ -21,8 +21,9 @@ built once nothing escapes.  Seeds are mapped both ways, an escape
 θ^±1(w) only onward by θ^±1: its image back, θ^∓1(θ^±1(w)) = w, is an
 entry, so it can never escape.  Stabilization is guaranteed only when
 H ∩ F is finitely generated, so budgets are enforced and exhaustion
-raises UnstabilizedError rather than guessing; the round past the
-round budget stops at its first escape, which is all the error reads.
+raises UnstabilizedError, a ``words.BudgetExceededError``, rather than
+guessing; the round past the round budget stops at its first escape,
+which is all the error reads.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .folding import (
 from .words import (
     Basis,
     BasisMismatchError,
+    BudgetExceededError,
     VerificationError,
     Word,
     basis as make_basis,
@@ -62,7 +64,7 @@ from .words import (
 )
 
 
-class UnstabilizedError(RuntimeError):
+class UnstabilizedError(BudgetExceededError):
     """Saturation budget exhausted before the fiber subgroup stabilized.
 
     Signals either an intersection that is not finitely generated or
@@ -219,11 +221,13 @@ class TorusElement:
         return TorusElement(self.group, w, -self.k)
 
     def __pow__(self, m: int) -> "TorusElement":
+        """gᵐ = w·Φᵏ(w)·Φ²ᵏ(w)⋯·t^(|m|k) for g^±1 = w·tᵏ: each factor is
+        one Φᵏ step from the last, and the product is reduced once."""
         base = self if m >= 0 else self.inverse()
-        out = self.group.identity_element()
-        for _ in range(abs(m)):
-            out = out * base
-        return out
+        parts = [base.w] if m else []
+        for _ in range(abs(m) - 1):
+            parts.append(apply_power(self.group.phi, base.k, parts[-1]))
+        return TorusElement(self.group, concat_all(self.group.basis, parts), base.k * abs(m))
 
     def __str__(self) -> str:
         parts = [self.group.basis.symbol(x) for x in self.w.letters]

@@ -74,6 +74,11 @@ class VerificationError(RuntimeError):
     """
 
 
+class BudgetExceededError(RuntimeError):
+    """A budget ran out before the answer was complete; every layer
+    raises this one type, and no partial answer is returned."""
+
+
 @dataclass(frozen=True)
 class Basis:
     """An ordered tuple of distinct generator names."""

@@ -87,6 +87,14 @@ def test_growth_word_and_csv(capsys):
     assert lines[-1] == "# kind: Exponential"
 
 
+def test_growth_empty_word_is_the_identity(capsys):
+    # an explicitly empty --word is the word 1, not the whole map
+    for word in ("", "1"):
+        code, out, _ = run(capsys, "growth", "--map", FIB, "--word", word, "--emit", "text")
+        assert code == 0
+        assert out.startswith("subject: 1\nkind: Polynomial\ncertified: True\ndegree: 0\n")
+
+
 def test_growth_map_file(tmp_path, capsys):
     path = tmp_path / "fib.map"
     path.write_text(FIB)
@@ -210,6 +218,19 @@ def test_torus_unstabilized_exit_two(capsys):
     )
     assert code == 2
     assert "budget exceeded" in err
+
+
+def test_torus_empty_gens_is_the_trivial_intersection(capsys):
+    # an explicitly empty --gens asks for ⟨⟩ ∩ F, as ";" does, not for the
+    # presentation
+    outs = []
+    for gens in ("", ";"):
+        code, out, _ = run(capsys, "torus", "--map", FIB, "--gens", gens, "--emit", "text")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == "intersection basis: \nrank: 0\nt step: 0\nrounds: 0\n"
+    code, out, _ = run(capsys, "torus", "--map", FIB, "--gens", "", "--emit", "graph")
+    assert (code, out) == (0, "digraph fiber {\n}\n")
 
 
 # -- split -------------------------------------------------------------
@@ -340,6 +361,16 @@ def test_divergence_json_and_csv(capsys):
     lines = csv_out.splitlines()
     assert "# seed: 1" in lines
     assert "radius,p,q,distance,detour,reachable" in lines
+
+
+def test_divergence_ball_budget_exit_two(capsys):
+    # a Cayley ball past --max-vertices stops through the one budget handler
+    code, out, err = run(
+        capsys, "divergence", "--map", "a -> a; b -> b a", "--radii", "3",
+        "--max-vertices", "10",
+    )
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: ball of radius 3 exceeds the budget of 10 vertices\n"
 
 
 def test_divergence_svg(capsys):

@@ -24,14 +24,13 @@ from fgrow.automorphisms import (
 )
 from fgrow.geometry import (
     BallGraph,
-    BudgetExceededError,
     _loglog_fit,
     cayley_ball,
     divergence_estimate,
     free_times_z_ball_size,
 )
 from fgrow.mapping_torus import torus_group
-from fgrow.words import BasisMismatchError, Word, basis, join
+from fgrow.words import BasisMismatchError, BudgetExceededError, Word, basis, join
 
 from helpers import reduce_letters, reference_ball, torus_words
 

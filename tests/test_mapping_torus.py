@@ -22,6 +22,7 @@ from fgrow.automorphisms import (
     power,
 )
 from fgrow.folding import stallings_graph, trivial_subgroup
+from fgrow.geometry import cayley_ball
 from fgrow.mapping_torus import (
     TorusElement,
     UnstabilizedError,
@@ -29,7 +30,14 @@ from fgrow.mapping_torus import (
     fiber_intersection,
     torus_group,
 )
-from fgrow.words import VerificationError, Word, basis, free_reduce, join
+from fgrow.words import (
+    BudgetExceededError,
+    VerificationError,
+    Word,
+    basis,
+    free_reduce,
+    join,
+)
 
 from helpers import (
     image_table,
@@ -204,6 +212,36 @@ def test_powers():
     assert e ** 0 == G.identity_element()
 
 
+@settings(max_examples=150, deadline=None)
+@given(torus_inputs(height=4), st.integers(-5, 5))
+def test_power_is_repeated_product(case, m):
+    name, letters = case
+    group = NORMALIZE_TORI[name]
+    g = group.normalize(letters)
+    base = g if m >= 0 else g.inverse()
+    want = group.identity_element()
+    for _ in range(abs(m)):
+        want = want * base
+    assert g ** m == want
+
+
+def test_power_steps_each_factor_once(monkeypatch):
+    # A deterministic work count: g^m as |m| products applied Φ^(ik) to
+    # w for each i < |m|, 2,001,022 calls to apply on this input; each
+    # factor one Φ^k step from the last takes 4,021.
+    calls = []
+    apply = Endomorphism.apply
+
+    def counted(self, w):
+        calls.append(w)
+        return apply(self, w)
+
+    monkeypatch.setattr(Endomorphism, "apply", counted)
+    fi = fiber_intersection(GID, [GID.normalize("a t^2000"), GID.t()])
+    assert [str(w) for w in fi.graph.free_basis()] == ["a"]
+    assert len(calls) <= 5000
+
+
 def test_conjugation_by_t_applies_map():
     t = G.t()
     for name in ("a", "b"):
@@ -319,6 +357,42 @@ def test_saturation_links_only_what_new_loops_fold(monkeypatch):
         fiber_intersection(G, gens, max_vertices=5000)
     assert (info.value.rounds, info.value.vertices) == (14, 7020)
     assert len(links) <= 4000
+
+
+@pytest.mark.parametrize(
+    "overrun, message, counts",
+    [
+        (
+            lambda: cayley_ball(GID, 4, max_vertices=50),
+            "ball of radius 4 exceeds the budget of 50 vertices",
+            None,
+        ),
+        (
+            lambda: fiber_intersection(
+                G, [G.normalize("a b"), G.normalize("b a t' a")], max_vertices=5000
+            ),
+            "fiber saturation exceeded the vertex budget",
+            (14, 7020),
+        ),
+        (
+            lambda: fiber_intersection(
+                GID, [GID.element("a", 1), GID.element("b", 1)], max_rounds=8
+            ),
+            "fiber saturation exceeded the round budget",
+            (9, 18),
+        ),
+    ],
+    ids=["ball vertices", "fiber vertices", "fiber rounds"],
+)
+def test_every_budget_raises_the_one_error_type(overrun, message, counts):
+    # the CLI catches BudgetExceededError alone; a fiber overrun is its
+    # subclass UnstabilizedError, which keeps its counts
+    with pytest.raises(BudgetExceededError) as info:
+        overrun()
+    assert str(info.value) == message
+    if counts is not None:
+        assert isinstance(info.value, UnstabilizedError)
+        assert (info.value.rounds, info.value.vertices) == counts
 
 
 def count_images(monkeypatch):
