@@ -151,15 +151,20 @@ def compose(f: Endomorphism, g: Endomorphism):
 
 
 def power(phi: Endomorphism, k: int):
-    """k-fold composition; negative k inverts first (automorphisms only)."""
+    """k-fold composition, by repeated squaring: O(log k) compositions;
+    negative k inverts first (automorphisms only)."""
     if k < 0:
         if not isinstance(phi, Automorphism):
             raise ValueError("negative power of a non-invertible map")
         return power(phi.inverse(), -k)
     identity = identity_automorphism if isinstance(phi, Automorphism) else identity_endomorphism
-    out = identity(phi.basis)
-    for _ in range(k):
-        out = compose(phi, out)
+    out, square = identity(phi.basis), phi
+    while k:
+        if k & 1:
+            out = compose(square, out)
+        k >>= 1
+        if k:
+            square = compose(square, square)
     return out
 
 

@@ -470,6 +470,7 @@ def cmd_divergence(args) -> Report:
         "mean_detour": [
             {"radius": r, "mean": m} for r, m in report.mean_detour
         ],
+        # one row per sample, built only for the json view that prints them
         "samples": [
             {
                 "radius": s.radius,
@@ -480,7 +481,7 @@ def cmd_divergence(args) -> Report:
                 "reachable": s.reachable,
             }
             for s in report.samples
-        ],
+        ] if args.emit == "json" else [],
     }
 
     def csv() -> str:

@@ -32,6 +32,8 @@ iterates are counted, not spelled, off an earlier one through a table
 of powers of ψ; what cancels where two images meet depends only on the
 two (bounded cancellation, Cooper), and such junctions, the base's
 illegal turns (Bestvina–Handel), take few forms, each scanned once.
+Where they sit depends only on the base and on the end letters of the
+images, so one search of the base serves every power that keeps them.
 Budgets make the heuristic honest: a truncated or ambiguous sequence
 is reported Inconclusive rather than forced into a class.
 """
@@ -277,22 +279,27 @@ def _cancel(u: tuple[int, ...], hi: int, v: tuple[int, ...], lo: int) -> int:
     return k
 
 
-def _read_runs(table: Table, ys: Sequence[int]) -> tuple[list[Run], int]:
+def _junctions(ys: Sequence[int], turns: frozenset[tuple[int, int]]) -> list[int]:
+    """Positions j of ys whose turn (ys[j−1], ys[j]) is in ``turns``."""
+    return list(compress(range(1, len(ys)), map(turns.__contains__, zip(ys, islice(ys, 1, None)))))
+
+
+def _read_runs(table: Table, ys: Sequence[int], junctions: Iterable[int]) -> tuple[list[Run], int]:
     """The reduced product ∏ table[y] over ys as runs (i, e, lo, hi),
     table[ys[i]][lo:], the images of ys[i+1:e], table[ys[e]][:hi] (one
-    slice when i = e), and the letter pairs it cancels.  Only junctions
-    whose images cancel, and the position after an image that cancels
-    whole, are visited.  A cancellation depends only on the top image and
-    the end it has left, the new image and the start it has left, so
-    each is scanned once.
+    slice when i = e), and the letter pairs it cancels.  Only the
+    ``junctions``, the positions whose two images cancel where they meet
+    (ascending, from ``_junctions``), and the position after an image
+    that cancels whole, are visited.  A cancellation depends only on the
+    top image and the end it has left, the new image and the start it
+    has left, so each is scanned once.
     """
     n = len(ys)
     size = {x: len(t) for x, t in table.items()}
-    ends = {(x, y) for x, u in table.items() if u for y, v in table.items() if v and u[-1] == -v[0]}
     runs = []
     i, lo = (0 if n else -1), 0  # the top run is (i, e, lo, hi); i < 0 when the stack is empty
     cut, memo, last = 0, {}, 0
-    for j in compress(range(1, n), map(ends.__contains__, zip(ys, islice(ys, 1, None)))):
+    for j in junctions:
         if j <= last:
             continue
         e = j - 1
@@ -355,6 +362,12 @@ def _iterated_lengths(
     the iterate is four times the base; until then a step is plain,
     ``free_reduce`` of w₍ₙ₋₁₎.  T advances while len(base) + Σ|T[y]| ≤
     |w₍ₙ₋₁₎|; past that the base moves onto w₍ₙ₋₁₎ and the step is plain.
+    The junctions of the base, the positions whose two images cancel,
+    are found once per set of live letters (nonempty images) and of
+    turns (x, y) whose images cancel, T[x] ending in T[y][0]⁻¹, and kept
+    until the base moves: under the polynomial maps one set holds for
+    the whole base, and where end letters cycle each set in the cycle
+    is scanned once.
     """
     psi = endo._subst
     seq = [len(core)]
@@ -363,7 +376,7 @@ def _iterated_lengths(
     for i in range(n):
         if cur is None or 4 * len(base) <= seq[-1]:
             if table is None:
-                table, m, counts = psi, 1, Counter(base)
+                table, m, counts, scans = psi, 1, Counter(base), {}
             while m <= i - j and len(base) + sum(len(table[x]) for x in counts) <= seq[-1]:
                 table = {x: free_reduce(table[x], psi) for x in counts}
                 m += 1
@@ -377,8 +390,15 @@ def _iterated_lengths(
             cur = red[lo:hi]
             seq.append(len(cur))
         else:
-            ys = base if all(map(table.__getitem__, counts)) else [y for y in base if table[y]]
-            runs, cut = _read_runs(table, ys)
+            # the turns whose images cancel depend only on the images' end letters
+            live = tuple(x for x in counts if table[x])
+            turns = frozenset((x, y) for x in live for y in live if table[x][-1] == -table[y][0])
+            scan = scans.get((live, turns))
+            if scan is None:
+                ys = base if len(live) == len(counts) else [y for y in base if table[y]]
+                scan = scans[live, turns] = ys, _junctions(ys, turns)
+            ys, junctions = scan
+            runs, cut = _read_runs(table, ys, junctions)
             total = sum(k * len(table[x]) for x, k in counts.items()) - 2 * cut
             ends = map(add, chain.from_iterable(_parts(table, ys, runs)),
                        chain.from_iterable(_parts(table, ys, runs, -1)))

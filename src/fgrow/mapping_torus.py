@@ -230,7 +230,7 @@ class TorusElement:
         return TorusElement(self.group, concat_all(self.group.basis, parts), base.k * abs(m))
 
     def __str__(self) -> str:
-        parts = [self.group.basis.symbol(x) for x in self.w.letters]
+        parts = [str(self.w)] if self.w else []
         parts += [SECTION_NAME if self.k > 0 else SECTION_NAME + "'"] * abs(self.k)
         return " ".join(parts) if parts else "1"
 

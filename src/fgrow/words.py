@@ -96,6 +96,10 @@ class Basis:
                 raise WordSyntaxError(f"duplicate generator name {name!r}")
             seen.add(name)
         object.__setattr__(self, "_index", {n: i + 1 for i, n in enumerate(self.names)})
+        # the signed-name table that every word rendering reads
+        symbols = {k: n for n, k in self._index.items()}
+        symbols.update({-k: n + "'" for n, k in self._index.items()})
+        object.__setattr__(self, "_symbols", symbols)
 
     @property
     def rank(self) -> int:
@@ -109,11 +113,10 @@ class Basis:
         return k if sign > 0 else -k
 
     def symbol(self, letter: int) -> str:
-        k = abs(letter)
-        if not 1 <= k <= self.rank:
-            raise ValueError(f"letter {letter} out of range")
-        name = self.names[k - 1]
-        return name if letter > 0 else name + "'"
+        try:
+            return self._symbols[letter]
+        except KeyError:
+            raise ValueError(f"letter {letter} out of range") from None
 
     def parse(self, text: str) -> "Word":
         return Word(self, free_reduce(self._scan(text)))
@@ -236,9 +239,7 @@ class Word:
         return concat(self, other)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(self.basis.symbol(x) for x in self.letters)
+        return " ".join(map(self.basis._symbols.__getitem__, self.letters)) or "1"
 
     def __repr__(self) -> str:
         return f"<word {self}>"
@@ -355,13 +356,6 @@ class CyclicWord:
         if canon != self.letters:
             raise ValueError("not in canonical rotation; use cyclic_reduce")
 
-    @classmethod
-    def _rotated(cls, basis: Basis, letters: tuple[int, ...]) -> "CyclicWord":
-        """The class of letters known to be cyclically reduced and rotated, unchecked."""
-        self = object.__new__(cls)
-        vars(self).update(basis=basis, letters=letters)
-        return self
-
     @property
     def length(self) -> int:
         return len(self.letters)
@@ -376,11 +370,17 @@ class CyclicWord:
             return []
         return [(ls[i], ls[(i + 1) % len(ls)]) for i in range(len(ls))]
 
-    def __str__(self) -> str:
-        return str(self.as_word())
+    __str__ = Word.__str__
 
     def __repr__(self) -> str:
         return f"<cyclic {self}>"
+
+
+def _unchecked(cls, basis: Basis, letters: tuple[int, ...]):
+    """A ``cls`` (Word or CyclicWord) of letters known to meet its invariant."""
+    self = object.__new__(cls)
+    vars(self).update(basis=basis, letters=letters)
+    return self
 
 
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
@@ -396,10 +396,9 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     """
     ls = w.letters
     lo, hi = _cyclic_trim(ls)
-    stripped = ls[lo:hi]
-    canon, offset = _canonical_rotation(stripped)
-    conj = Word(w.basis, free_reduce(ls[:lo] + stripped[:offset]))
-    return CyclicWord._rotated(w.basis, canon), conj
+    canon, offset = _canonical_rotation(ls[lo:hi])
+    # the conjugator is a prefix of w, so it is reduced
+    return _unchecked(CyclicWord, w.basis, canon), _unchecked(Word, w.basis, ls[: lo + offset])
 
 
 def cyclic_word(w: Word) -> CyclicWord:

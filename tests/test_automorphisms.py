@@ -209,6 +209,47 @@ def test_compose_and_power():
     assert apply_power(FIB, -2, apply_power(FIB, 2, w)) == w
 
 
+WORKLOAD_MAPS = [
+    "a -> a b; b -> a",
+    "a -> a b; b -> a c; c -> a",
+    "a -> a; b -> b a",
+    "a -> a; b -> b a; c -> c b",
+    "a -> a; b -> b a; c -> c b; d -> d c",
+]
+
+
+@pytest.mark.parametrize("rules", WORKLOAD_MAPS)
+@pytest.mark.parametrize("parse", [parse_automorphism, parse_endomorphism])
+def test_power_is_the_n_fold_composition(rules, parse):
+    phi = parse(rules)
+    invertible = isinstance(phi, Automorphism)
+    want = {0: (identity_automorphism if invertible else identity_endomorphism)(phi.basis)}
+    for n in range(1, 9):
+        want[n] = compose(phi, want[n - 1])
+        if invertible:
+            want[-n] = compose(phi.inverse(), want[1 - n])
+    for n, folded in want.items():
+        got = power(phi, n)
+        assert got == folded and type(got) is type(folded), n
+
+
+def test_power_composes_log_n_times(monkeypatch):
+    calls = []
+    real = automorphisms.compose
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(automorphisms, "compose", counted)
+    for rules, tail in (("a -> a; b -> b", ()), ("a -> a; b -> b a", (1,) * 10**6)):
+        phi = parse_automorphism(rules)
+        calls.clear()
+        out = power(phi, 10**6)
+        assert len(calls) <= 2 * (10**6).bit_length()
+        assert out.images[1].letters == (2,) + tail
+
+
 def test_negative_power_needs_certified_map():
     endo = parse_endomorphism("a -> a b\nb -> a")
     with pytest.raises(ValueError):

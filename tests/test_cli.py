@@ -363,6 +363,23 @@ def test_divergence_json_and_csv(capsys):
     assert "radius,p,q,distance,detour,reachable" in lines
 
 
+@pytest.mark.parametrize("emit,rendered", [("json", 12), ("csv", 12), ("text", 0), ("svg", 0)])
+def test_divergence_renders_samples_only_for_views_that_print_them(
+    monkeypatch, capsys, emit, rendered
+):
+    # json and csv print the 12 samples (6 per radius), each with its p and q
+    calls = []
+    real = mapping_torus.TorusElement.__str__
+    monkeypatch.setattr(
+        mapping_torus.TorusElement, "__str__", lambda g: calls.append(g) or real(g)
+    )
+    code, _, _ = run(
+        capsys, "divergence", "--map", "a -> a; b -> b", "--radii", "4,5",
+        "--samples", "6", "--seed", "1", "--emit", emit,
+    )
+    assert code == 0 and len(calls) == 2 * rendered
+
+
 def test_divergence_ball_budget_exit_two(capsys):
     # a Cayley ball past --max-vertices stops through the one budget handler
     code, out, err = run(

@@ -160,8 +160,8 @@ def test_run_steps_match_substitution_oracle(monkeypatch, rules, letters, n):
     phi = parse_endomorphism(rules)
     read, reads = growth._read_runs, []
 
-    def spy(table, ys):
-        reads.append(read(table, ys))
+    def spy(table, ys, junctions):
+        reads.append(read(table, ys, junctions))
         return reads[-1]
 
     monkeypatch.setattr(growth, "_read_runs", spy)
@@ -170,12 +170,71 @@ def test_run_steps_match_substitution_oracle(monkeypatch, rules, letters, n):
     assert reads
 
 
+def _scan_steps(monkeypatch, rules, letters, n):
+    """(scans, reads) of the iteration: one (ys, turns) per junction scan
+    and one ys per run step.  Each step's junctions must be the ones a
+    fresh scan of its table finds, and its lengths the oracle's."""
+    phi = parse_endomorphism(rules)
+    scan, read, scans, reads = growth._junctions, growth._read_runs, [], []
+
+    def scanned(ys, turns):
+        scans.append((tuple(ys), turns))
+        return scan(ys, turns)
+
+    def spy(table, ys, junctions):
+        fresh = [j for j in range(1, len(ys)) if table[ys[j - 1]][-1] == -table[ys[j]][0]]
+        assert list(junctions) == fresh
+        reads.append(tuple(ys))
+        return read(table, ys, junctions)
+
+    monkeypatch.setattr(growth, "_junctions", scanned)
+    monkeypatch.setattr(growth, "_read_runs", spy)
+    seq, _ = growth._iterated_lengths(phi, cyclic_word(Word(phi.basis, letters)).letters, n, None)
+    monkeypatch.undo()
+    assert seq[1:] == naive_length_sequence(phi, letters, n)
+    return scans, reads
+
+
+SCAN_SHAPES = [
+    # poly2 on a 60-letter word: the base stays for 36 run steps, all
+    # under one set of cancelling end pairs
+    ("a -> a; b -> b a; c -> c b", free_reduce(random_letters(random.Random(3), 3, 60)), 40, 1, 20),
+    # fib, k = 1: ψᵐ(a) ends in b, a, b, … and ψᵐ(b) in the other letter,
+    # so the pairs that cancel stay the same while the base stays
+    ("a -> a b; b -> a", (1, 2) * 3, 20, 1, 12),
+    # a's image is empty: the scanned positions skip the base's a's
+    ("a -> ; b -> b c; c -> c", free_reduce(random_letters(random.Random(5), 3, 30)), 40, 1, 10),
+    # a's image flips sign each step, so two sets of end pairs take turns
+    ("a -> a'; b -> a' a'; c -> c c b", (3, -2, -2, -2, 3, 3, 2), 20, 2, 12),
+]
+
+
+@pytest.mark.parametrize("rules,letters,n,sets,steps", SCAN_SHAPES)
+def test_junction_scan_is_kept_while_the_base_stays(monkeypatch, rules, letters, n, sets, steps):
+    scans, reads = _scan_steps(monkeypatch, rules, letters, n)
+    # one base, read at many powers, scanned once per set of end pairs
+    assert len(set(reads)) == 1 and len(reads) >= steps
+    assert len(scans) == sets
+    if rules.startswith("a -> ;"):
+        assert 1 in map(abs, letters) and all(abs(y) != 1 for ys, _ in scans for y in ys)
+
+
+@pytest.mark.parametrize(
+    "rules,letters,n", [shape[:3] for shape in SCAN_SHAPES] + RUN_SHAPES
+)
+def test_junction_scan_runs_once_per_base_and_end_set(monkeypatch, rules, letters, n):
+    scans, reads = _scan_steps(monkeypatch, rules, letters, n)
+    assert len(set(scans)) == len(scans)
+    assert {ys for ys, _ in scans} == set(reads)
+
+
 def _work(monkeypatch, phi, letters, n, cap):
-    """(letters fed to free_reduce, letter pairs it cancelled or the run
-    reader compared) for the iteration, then for a plain step loop over
-    the same iterates; all are per-letter Python work."""
+    """(letters fed to free_reduce, letter pairs it cancelled, the run
+    reader compared or the junction scan tested) for the iteration, then
+    for a plain step loop over the same iterates; all are per-letter
+    Python work."""
     tally = [0, 0]
-    cancel = growth._cancel
+    cancel, scan = growth._cancel, growth._junctions
 
     def counted(w, images=None):
         out = free_reduce(w, images)
@@ -189,8 +248,13 @@ def _work(monkeypatch, phi, letters, n, cap):
         tally[1] += min(k + 1, hi, len(v) - lo)
         return k
 
+    def junctions(ys, turns):
+        tally[1] += max(len(ys) - 1, 0)
+        return scan(ys, turns)
+
     monkeypatch.setattr(growth, "free_reduce", counted)
     monkeypatch.setattr(growth, "_cancel", scanned)
+    monkeypatch.setattr(growth, "_junctions", junctions)
     core = cyclic_word(Word(phi.basis, letters)).letters
     seq, _ = growth._iterated_lengths(phi, core, n, cap)
     fast = tuple(tally)

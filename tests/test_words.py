@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import fgrow.words
+from fgrow.automorphisms import identity_automorphism
+from fgrow.mapping_torus import TorusElement, torus_group
 from fgrow.words import (
     _canonical_rotation,
     Basis,
@@ -166,6 +168,44 @@ def test_cyclic_word_conjugacy_invariant(w, g):
 def test_cyclic_reduce_reassembles(w):
     core, conj = cyclic_reduce(w)
     assert conj * core.as_word() * conj.inverse() == w
+
+
+@given(words(F3, max_size=30))
+def test_cyclic_reduce_conjugator_is_a_prefix(w):
+    # the conjugator is built unchecked from w's letters: it must be a
+    # reduced word, and a prefix of w
+    _, conj = cyclic_reduce(w)
+    assert Word(F3, conj.letters) == conj
+    assert w.letters[: len(conj)] == conj.letters
+
+
+# generator names of one to four characters; t names the torus's section
+NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(lambda n: n != "t")
+
+
+@st.composite
+def named_words(draw):
+    b = basis(draw(st.lists(NAMES, min_size=1, max_size=4, unique=True)))
+    return b, free_reduce(draw(letters(b.rank, 40))), draw(st.integers(-4, 4))
+
+
+@given(named_words())
+def test_rendering_reads_one_name_table(case):
+    b, ls, k = case
+
+    def spelled(letters):
+        return [b.names[abs(x) - 1] + ("'" if x < 0 else "") for x in letters]
+
+    assert [b.symbol(x) for x in ls] == spelled(ls)
+    w = Word(b, ls)
+    assert str(w) == (" ".join(spelled(ls)) or "1")
+    core = cyclic_word(w)
+    assert str(core) == (" ".join(spelled(core.letters)) or "1")
+    g = TorusElement(torus_group(identity_automorphism(b)), w, k)
+    assert str(g) == (" ".join(spelled(ls) + ["t" if k > 0 else "t'"] * abs(k)) or "1")
+    for x in (0, b.rank + 1, -b.rank - 1):
+        with pytest.raises(ValueError, match="out of range"):
+            b.symbol(x)
 
 
 def test_cyclic_reduce_example():
