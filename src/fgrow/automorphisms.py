@@ -52,12 +52,12 @@ class NotInvariantError(ValueError):
         self.offender = offender
 
 
-def _signed_table(images: tuple[Word, ...]) -> dict[int, tuple[int, ...]]:
+def _signed_table(images: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
     """Image letters of every signed letter j and -j, for images in basis order."""
     table: dict[int, tuple[int, ...]] = {}
     for j, w in enumerate(images, start=1):
-        table[j] = w.letters
-        table[-j] = tuple(-t for t in reversed(w.letters))
+        table[j] = w
+        table[-j] = tuple(-t for t in reversed(w))
     return table
 
 
@@ -75,7 +75,7 @@ class Endomorphism:
             if w.basis != self.basis:
                 raise BasisMismatchError("image over a different basis")
         # the substitution table that apply and the growth iterations read
-        object.__setattr__(self, "_subst", _signed_table(self.images))
+        object.__setattr__(self, "_subst", _signed_table([w.letters for w in self.images]))
 
     def image(self, letter: int) -> Word:
         """Image of a single signed letter."""
@@ -86,6 +86,30 @@ class Endomorphism:
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
         return Word(self.basis, free_reduce(w.letters, self._subst))
+
+    def _table(self, k: int) -> dict[int, tuple[int, ...]]:
+        """T_k, kept while the map lives: T_0 is the identity, T_±1 are Φ's
+        and Φ⁻¹'s ``_subst``, and a missing T_k is T_a∘T_(k−a), T_(a+b)[x]
+        = Φᵃ(T_b[x]), with ±a the top bit 2ʲ of |k| − 1.  A composition
+        halves a power of two or strips k's top bit, so any T_k costs
+        O(log |k|) of them, and one next to kept heights costs one."""
+        tables = getattr(self, "_tables", None)
+        if tables is None:
+            tables = {0: {x: (x,) for x in self._subst}, 1: self._subst}
+            object.__setattr__(self, "_tables", tables)
+        table = tables.get(k)
+        if table is None:
+            if k == -1:
+                if not isinstance(self, Automorphism):
+                    raise ValueError("negative power of a non-invertible map")
+                table = self.inverse()._subst
+            else:
+                a = (1 << ((abs(k) - 1).bit_length() - 1)) * (1 if k > 0 else -1)
+                outer, inner = self._table(a), self._table(k - a)
+                ys = (inner[j] for j in range(1, self.basis.rank + 1))
+                table = _signed_table([free_reduce(y, outer) for y in ys])
+            tables[k] = table
+        return table
 
     def is_identity(self) -> bool:
         return all(
@@ -151,32 +175,20 @@ def compose(f: Endomorphism, g: Endomorphism):
 
 
 def power(phi: Endomorphism, k: int):
-    """k-fold composition, by repeated squaring: O(log k) compositions;
-    negative k inverts first (automorphisms only)."""
-    if k < 0:
-        if not isinstance(phi, Automorphism):
-            raise ValueError("negative power of a non-invertible map")
-        return power(phi.inverse(), -k)
-    identity = identity_automorphism if isinstance(phi, Automorphism) else identity_endomorphism
-    out, square = identity(phi.basis), phi
-    while k:
-        if k & 1:
-            out = compose(square, out)
-        k >>= 1
-        if k:
-            square = compose(square, square)
-    return out
+    """Φᵏ, its images read off the kept table T_k and an automorphism's
+    inverse images off T_−k.  Negative k needs an automorphism."""
+    b = phi.basis
+    ks = (k, -k) if isinstance(phi, Automorphism) else (k,)
+    images = [tuple(Word(b, phi._table(m)[j]) for j in range(1, b.rank + 1)) for m in ks]
+    return type(phi)(b, *images)
 
 
 def apply_power(phi: Endomorphism, k: int, w: Word) -> Word:
-    """Φ^k(w) by repeated application."""
-    if k < 0:
-        if not isinstance(phi, Automorphism):
-            raise ValueError("negative power of a non-invertible map")
-        return apply_power(phi.inverse(), -k, w)
-    for _ in range(k):
-        w = phi.apply(w)
-    return w
+    """Φᵏ(w), one substitution through the kept table T_k, which the
+    first call for k builds by O(log |k|) table compositions."""
+    if w.basis != phi.basis:
+        raise BasisMismatchError("word over a different basis")
+    return Word(phi.basis, free_reduce(w.letters, phi._table(k)))
 
 
 def _inner_normalize(endo: Endomorphism) -> tuple[Endomorphism, Word]:
@@ -257,7 +269,7 @@ class RestrictedAutomorphism:
     embedding: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_embed", _signed_table(self.embedding))
+        object.__setattr__(self, "_embed", _signed_table([w.letters for w in self.embedding]))
 
     def to_ambient(self, w: Word) -> Word:
         if w.basis != self.auto.basis:

@@ -299,9 +299,9 @@ def cmd_fold(args) -> Report:
 def _infer_basis(gens_text: str) -> Basis:
     names: list[str] = []
     for token in gens_text.replace(",", " ").split():
-        name = token.rstrip("'")
-        name = name.split("^", 1)[0]
-        if name and name not in names:
+        name = token.rstrip("'").split("^", 1)[0]
+        # ``1`` is the empty word, as in Basis.parse, not a generator name
+        if name and token != "1" and name not in names:
             names.append(name)
     if not names:
         raise WordSyntaxError("no generators given")

@@ -6,8 +6,8 @@ normal form (w, k) with w·tᵏ·a = w·Φᵏ(a)·tᵏ to stay exact.  A ball is
 flat tables: its vertices in BFS order, so a vertex's level is read
 off its index, as a list of fiber words w and a list of t-exponents k,
 indexed by column k and then w.  Each column has one move table: the
-images under Φᵏ of the fiber letters, one Φ^±1 step from the column
-next to it, and the columns k and k ± 1.  Expanding a vertex costs one
+images under Φᵏ of the fiber letters, read through the map's kept
+table T_k, and the columns k and k ± 1.  Expanding a vertex costs one
 table lookup, and each neighbour one hash (a setdefault that files a
 new vertex) and one append to a flat slot list, 2·rank + 2 slots per
 vertex.  Only the levels below r are expanded; the first search or
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .mapping_torus import TorusElement, TorusGroup, _twister
+from .automorphisms import apply_power
+from .mapping_torus import TorusElement, TorusGroup
 from .words import BasisMismatchError, BudgetExceededError, Word, join
 
 FIT_MIN_RADIUS = 4
@@ -180,12 +181,12 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
         raise ValueError("radius must be nonnegative")
     if max_vertices < 1:
         raise ValueError("max_vertices must be positive")
-    fiber = [s * i for i in range(1, group.basis.rank + 1) for s in (1, -1)]
-    twist = _twister(group.phi)
+    fiber = [Word(group.basis, (s * i,)) for i in range(1, group.basis.rank + 1) for s in (1, -1)]
     # moves[k] lists the probes (y, k', column k') of a vertex (w, k) in
     # probe order: (w, k)·x = (w·Φᵏ(x), k) for the fiber letters above,
     # where only the junction can cancel, then (w, k)·t^±1 = (w, k ± 1)
-    # with y = (): one lookup per expanded vertex.
+    # with y = (): one lookup per expanded vertex.  BFS reaches column k
+    # after k ∓ 1, so its T_k is one composition of two kept tables.
     moves: dict[int, list] = {}
 
     # expand(stop) fills, level by level in BFS order, the neighbour
@@ -222,7 +223,8 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
             for w, k in zip(words[lo:hi], exps[lo:hi]):
                 move = moves.get(k)
                 if move is None:
-                    move = moves[k] = [(twist(k, x).letters, k, columns[k]) for x in fiber]
+                    twists = [apply_power(group.phi, k, x).letters for x in fiber]
+                    move = moves[k] = [(y, k, columns[k]) for y in twists]
                     move += [((), kk, columns.setdefault(kk, {})) for kk in (k + 1, k - 1)]
                 for y, kk, column in move:
                     v = join(w, y) if y else w

@@ -3,7 +3,8 @@
 Elements carry the unique normal form w·t^k with w a reduced word in
 the fiber F and t the section letter; the relation t·a·t⁻¹ = Φ(a)
 moves t past fiber letters, so multiplication is
-(w₁, k₁)·(w₂, k₂) = (w₁·Φ^{k₁}(w₂), k₁+k₂).
+(w₁, k₁)·(w₂, k₂) = (w₁·Φ^{k₁}(w₂), k₁+k₂).  Each Φᵏ is one
+substitution through the map's kept table T_k (``Endomorphism._table``).
 
 ``fiber_intersection`` computes H ∩ F for a finitely generated
 H = ⟨gens⟩ ≤ G: take n = gcd of the generators' t-exponents, build an
@@ -29,7 +30,7 @@ which is all the error reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .automorphisms import (
     Automorphism,
@@ -84,11 +85,11 @@ SECTION_NAME = "t"
 class TorusGroup:
     """G = F ⋊ Z for a certified automorphism of F.
 
-    The group keeps one normalized power per exponent asked for, held
-    while it lives: ψ_m = i_h∘Φ^m of least total image length, with h,
-    which fiber saturation reads as θ^±1's map.  Like an automorphism's
-    kept inverse, the kept powers are not fields, so they take no part
-    in ``==`` or ``hash``.
+    Φᵏ is ``phi``'s kept table T_k; the group keeps one normalized power
+    per exponent asked for: ψ_m = i_h∘Φ^m of least total image length,
+    with h, which fiber saturation reads as θ^±1's map.  Like an
+    automorphism's kept inverse, the kept powers are not fields, so
+    they take no part in ``==`` or ``hash``.
     """
 
     phi: Automorphism
@@ -122,20 +123,22 @@ class TorusGroup:
     def normalize(self, item: str | Iterable[int]) -> "TorusElement":
         """Normal form of a word over basis ∪ {t}, given as text or as
         letters of ``extended_basis``: each fiber letter x read after
-        t-exponent k moves left past t^k as Φ^k(x), one twist per
-        (k, x) in a call, and the images are joined and reduced once."""
+        t-exponent k moves left past t^k as Φ^k(x), read off the map's
+        kept table T_k, and the images are joined and reduced once."""
         if isinstance(item, str):
             item = self.extended_basis.parse(item).letters
         section = self.basis.rank + 1
-        twist = _twister(self.phi)
+        table_of = self.phi._table
         k = 0
-        parts = []
+        out: list[int] = []
         for x in item:
             if abs(x) == section:
                 k += 1 if x > 0 else -1
+            elif 0 < abs(x) < section:
+                out += table_of(k)[x]
             else:
-                parts.append(twist(k, x))
-        return TorusElement(self, concat_all(self.basis, parts), k)
+                raise ValueError(f"letter {x} out of range for rank {section}")
+        return TorusElement(self, Word(self.basis, free_reduce(out)), k)
 
     def _conjugation(
         self, g: "TorusElement"
@@ -171,23 +174,6 @@ class TorusGroup:
             for name, img in zip(self.basis.names, self.phi.images)
         )
         return f"< {gens} | {rels} >"
-
-
-def _twister(phi: Automorphism) -> Callable[[int, int], Word]:
-    """twist(k, x) = Φᵏ(x) for a signed fiber letter x, kept while the
-    twister lives: each height is built from the one next to it, nearer
-    0, by one apply_power(Φ, ±1, ·) step, without recursion."""
-    runs: dict[tuple[int, bool], list[Word]] = {}
-
-    def twist(k: int, x: int) -> Word:
-        run = runs.get((x, k < 0))
-        if run is None:
-            run = runs[x, k < 0] = [Word(phi.basis, (x,))]
-        while len(run) <= abs(k):
-            run.append(apply_power(phi, -1 if k < 0 else 1, run[-1]))
-        return run[abs(k)]
-
-    return twist
 
 
 def torus_group(phi: Endomorphism) -> TorusGroup:

@@ -9,6 +9,25 @@ settings.load_profile("fgrow")
 ACCEPTANCE_LINES: list[str] = []
 
 
+@pytest.fixture
+def compositions(monkeypatch):
+    """The heights k of the tables T_k of Φᵏ that any map builds by
+    composing two kept tables while the test runs, in the order they are
+    asked for; T_0 and T_±1 are read off the map, so they are not listed."""
+    from fgrow.automorphisms import Endomorphism
+
+    built: list[int] = []
+    real = Endomorphism._table
+
+    def spy(phi, k):
+        if k not in (0, 1, -1) and k not in getattr(phi, "_tables", ()):
+            built.append(k)
+        return real(phi, k)
+
+    monkeypatch.setattr(Endomorphism, "_table", spy)
+    return built
+
+
 @pytest.hookimpl(trylast=True)
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:

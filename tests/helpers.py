@@ -344,7 +344,6 @@ def reference_ball(group, r):
     torus, by the plain BFS over (w, k) keys: a fiber letter x moves
     (w, k) to (w·Φᵏ(x), k), and t^±1 moves it to (w, k ± 1).  Every
     vertex, S(r) included, lists its in-ball neighbours, sorted."""
-    from fgrow.automorphisms import apply_power
     from fgrow.words import Word
 
     b = group.basis
@@ -356,7 +355,12 @@ def reference_ball(group, r):
         w, k = states[len(adj)]
         d = levels[len(adj)]
         if k not in twists:
-            twists[k] = [apply_power(group.phi, k, x).letters for x in fiber]
+            # |k| steps of Φ or Φ⁻¹, none of the package's kept tables
+            step = group.phi.apply if k > 0 else group.phi.inverse().apply
+            column = fiber
+            for _ in range(abs(k)):
+                column = [step(x) for x in column]
+            twists[k] = [x.letters for x in column]
         nbrs = []
         for st in [(reduce_letters(w + y), k) for y in twists[k]] + [(w, k + 1), (w, k - 1)]:
             j = index.get(st)

@@ -233,21 +233,18 @@ def test_power_is_the_n_fold_composition(rules, parse):
         assert got == folded and type(got) is type(folded), n
 
 
-def test_power_composes_log_n_times(monkeypatch):
-    calls = []
-    real = automorphisms.compose
-
-    def counted(f, g):
-        calls.append(1)
-        return real(f, g)
-
-    monkeypatch.setattr(automorphisms, "compose", counted)
+def test_power_composes_log_n_times(compositions):
     for rules, tail in (("a -> a; b -> b", ()), ("a -> a; b -> b a", (1,) * 10**6)):
         phi = parse_automorphism(rules)
-        calls.clear()
         out = power(phi, 10**6)
-        assert len(calls) <= 2 * (10**6).bit_length()
+        # the images come from T_k and the inverse images from T_−k
+        for sign in (1, -1):
+            built = [k for k in compositions if k * sign > 0]
+            assert 0 < len(built) <= 2 * (10**6).bit_length()
         assert out.images[1].letters == (2,) + tail
+        compositions.clear()
+        assert power(phi, 10**6) == out
+        assert compositions == []
 
 
 def test_negative_power_needs_certified_map():

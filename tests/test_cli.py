@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from fgrow import cli, mapping_torus
+from fgrow.automorphisms import Endomorphism
 from fgrow.cli import main
 from fgrow.words import VerificationError
 
@@ -180,6 +181,15 @@ def test_fold_inferred_basis(capsys):
     assert json.loads(out)["result"]["rank"] == 2
 
 
+@pytest.mark.parametrize("basis", [(), ("--basis", "a b")])
+def test_fold_gens_take_the_empty_word(capsys, basis):
+    # ``1`` is the empty word, not a generator name, with or without --basis
+    code, out, err = run(capsys, "fold", "--gens", "a b, 1", *basis, "--emit", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["rank"] == 1 and result["free_basis"] == ["a b"]
+
+
 # -- torus -------------------------------------------------------------
 
 
@@ -218,6 +228,28 @@ def test_torus_unstabilized_exit_two(capsys):
     )
     assert code == 2
     assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "gens, top, budget", [("a t^3000; b t", 3000, "round"), ("a t^2000; b t^7", 2000, "vertex")]
+)
+def test_torus_high_exponents_cost_log_k(capsys, monkeypatch, compositions, gens, top, budget):
+    # A deterministic work count: every Φᵏ is one substitution through a
+    # kept table built by O(log k) compositions, where stepping Φ once per
+    # unit of k would apply it thousands of times.
+    applies = []
+    apply = Endomorphism.apply
+
+    def counted(phi, w):
+        applies.append(w)
+        assert len(applies) <= 2 * top.bit_length(), "Φ applied once per unit of k"
+        return apply(phi, w)
+
+    monkeypatch.setattr(Endomorphism, "apply", counted)
+    code, out, err = run(capsys, "torus", "--map", "a -> a; b -> b", "--gens", gens)
+    assert (code, out) == (2, "")
+    assert err == f"budget exceeded: fiber saturation exceeded the {budget} budget\n"
+    assert len(compositions) <= 4 * top.bit_length()
 
 
 def test_torus_empty_gens_is_the_trivial_intersection(capsys):

@@ -15,8 +15,9 @@ import numpy
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fgrow import geometry, mapping_torus
+from fgrow import geometry
 from fgrow.automorphisms import (
+    Automorphism,
     Endomorphism,
     certify_automorphism,
     identity_automorphism,
@@ -157,32 +158,31 @@ def test_ball_expands_only_inner_levels(monkeypatch):
             assert len(calls) == per_vertex * listed
 
 
-def test_ball_twists_each_column_one_step_from_the_last(monkeypatch):
-    ks = []
-    step = mapping_torus.apply_power
-
-    def spy(phi, k, w):
-        ks.append(k)
-        return step(phi, k, w)
-
-    monkeypatch.setattr(mapping_torus, "apply_power", spy)
+def test_ball_twists_each_column_one_step_from_the_last(compositions):
     for group in (GID, GSWAP, GPOLY, GFIB, G3):
-        per_column = 2 * group.basis.rank
+        # a fresh copy of the map, so that no earlier test kept its tables
+        phi = group.phi
+        group = torus_group(Automorphism(phi.basis, phi.images, phi.inverse_images))
+        tabled: set[int] = set()
         for r in (0, 1, 4, 6):
-            ks.clear()
+            compositions.clear()
             ball = cayley_ball(group, r)
-            # a column gets its move table when its first vertex is expanded
+            # a column gets its move table when its first vertex is
+            # expanded, and its T_k by one composition of kept tables
             expanded = len(ball) - ball.sphere_sizes()[r]
-            columns = {ball.element(i).k for i in range(expanded)} - {0}
-            assert set(ks) <= {1, -1}
-            assert len(ks) == per_column * len(columns)
+            columns = {ball.element(i).k for i in range(expanded)}
+            assert sorted(compositions) == sorted(k for k in columns - tabled if abs(k) > 1)
             # lists S(r), whose outermost columns are new unless the
             # ball is bipartite, which builds no move table for S(r)
             ball.neighbors(0)
             if group not in BIPARTITE:
-                columns = {ball.element(i).k for i in range(len(ball))} - {0}
-            assert set(ks) <= {1, -1}
-            assert len(ks) == per_column * len(columns)
+                columns = {ball.element(i).k for i in range(len(ball))}
+            assert sorted(compositions) == sorted(k for k in columns - tabled if abs(k) > 1)
+            tabled |= columns
+            # the tables stay with the map: a second ball composes none
+            compositions.clear()
+            cayley_ball(group, r).neighbors(0)
+            assert compositions == []
 
 
 def test_ball_queries_build_no_rows(monkeypatch):

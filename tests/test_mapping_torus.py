@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from fgrow import folding, mapping_torus
 from fgrow.automorphisms import (
     Endomorphism,
-    apply_power,
     certify_automorphism,
     compose,
     identity_automorphism,
@@ -102,6 +101,12 @@ def test_t_name_reserved():
         torus_group(identity_automorphism(basis("t u")))
 
 
+@pytest.mark.parametrize("letters", [[1, 0], [3, 4], [-5]])
+def test_normalize_rejects_letters_outside_the_extended_basis(letters):
+    with pytest.raises(ValueError, match="out of range for rank 3"):
+        G.normalize(letters)
+
+
 def test_normalize_matches_pair_model_exhaustively():
     for letters in torus_words(2, 3):
         got = G.normalize(letters)
@@ -130,14 +135,19 @@ NORMALIZE_TORI = {
 
 
 def letterwise_normalize(group, letters):
-    """(w, k) with each fiber letter's Φᵏ(x) applied from scratch."""
+    """(w, k) with each fiber letter's Φᵏ(x) applied from scratch, by
+    |k| steps of Φ or Φ⁻¹ and none of the package's kept tables."""
     section = group.basis.rank + 1
     k, out = 0, []
     for x in letters:
         if abs(x) == section:
             k += 1 if x > 0 else -1
         else:
-            out.extend(apply_power(group.phi, k, Word(group.basis, (x,))).letters)
+            step = group.phi.apply if k > 0 else group.phi.inverse().apply
+            w = Word(group.basis, (x,))
+            for _ in range(abs(k)):
+                w = step(w)
+            out.extend(w.letters)
     return reduce_letters(out), k
 
 
@@ -170,20 +180,18 @@ def test_normalize_matches_letterwise_powers(case):
     assert (got.w.letters, got.k) == letterwise_normalize(group, letters)
 
 
-def test_normalize_steps_each_height_once(monkeypatch):
-    ks = []
-
-    def spy(phi, k, w):
-        ks.append(k)
-        return apply_power(phi, k, w)
-
-    monkeypatch.setattr(mapping_torus, "apply_power", spy)
-    group = NORMALIZE_TORI["poly"]
-    # b and a at height 5, b again at 2, then b⁻¹ and a at -2: each
-    # height of each letter is one step from the height next to it
+def test_normalize_steps_each_height_once(compositions):
+    # a fresh map, so that no earlier test kept its tables
+    group = torus_group(parse_automorphism("a -> a\nb -> b a"))
+    # b and a at height 5, b again at 2, then b⁻¹ and a at -2: T_5 is
+    # T_4∘T_1, T_4 is T_2∘T_2 and T_2 is T_1∘T_1, so height 2 is kept
+    # by then; T_−2 is T_−1∘T_−1.  Each table is built once per map.
     text = "t^5 b a t^-3 b t^-4 b' a"
     e = group.normalize(text)
-    assert sorted(ks) == [-1] * 4 + [1] * 10
+    assert sorted(compositions) == [-2, 2, 4, 5]
+    compositions.clear()
+    assert group.normalize(text) == e
+    assert compositions == []
     letters = group.extended_basis.parse(text).letters
     assert (e.w.letters, e.k) == letterwise_normalize(group, letters)
 
@@ -399,8 +407,10 @@ def count_images(monkeypatch):
     images = []
     free_reduce = mapping_torus.free_reduce
 
-    def counted(w, table):
-        images.append(w)
+    def counted(w, table=None):
+        # normalize reduces its joined images with no table: not an image
+        if table is not None:
+            images.append(w)
         return free_reduce(w, table)
 
     monkeypatch.setattr(mapping_torus, "free_reduce", counted)
