@@ -52,13 +52,26 @@ class NotInvariantError(ValueError):
         self.offender = offender
 
 
-def _signed_table(images: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+def _signed_table(images: tuple[Word, ...]) -> dict[int, tuple[int, ...]]:
     """Image letters of every signed letter j and -j, for images in basis order."""
     table: dict[int, tuple[int, ...]] = {}
     for j, w in enumerate(images, start=1):
-        table[j] = w
-        table[-j] = tuple(-t for t in reversed(w))
+        table[j] = w.letters
+        table[-j] = tuple(-t for t in reversed(w.letters))
     return table
+
+
+class _Composite(dict):
+    """T_(a+b) = T_a∘T_b, composed per signed letter x on first lookup as
+    Φᵃ(T_b[x]), with x⁻¹'s image: only letters a word reaches, in both."""
+
+    def __init__(self, outer: dict, inner: dict):
+        self.outer, self.inner = outer, inner
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        y = self[x] = free_reduce(self.inner[x], self.outer)
+        self[-x] = tuple(-t for t in reversed(y))
+        return y
 
 
 @dataclass(frozen=True)
@@ -75,7 +88,7 @@ class Endomorphism:
             if w.basis != self.basis:
                 raise BasisMismatchError("image over a different basis")
         # the substitution table that apply and the growth iterations read
-        object.__setattr__(self, "_subst", _signed_table([w.letters for w in self.images]))
+        object.__setattr__(self, "_subst", _signed_table(self.images))
 
     def image(self, letter: int) -> Word:
         """Image of a single signed letter."""
@@ -88,11 +101,12 @@ class Endomorphism:
         return Word(self.basis, free_reduce(w.letters, self._subst))
 
     def _table(self, k: int) -> dict[int, tuple[int, ...]]:
-        """T_k, kept while the map lives: T_0 is the identity, T_±1 are Φ's
-        and Φ⁻¹'s ``_subst``, and a missing T_k is T_a∘T_(k−a), T_(a+b)[x]
-        = Φᵃ(T_b[x]), with ±a the top bit 2ʲ of |k| − 1.  A composition
-        halves a power of two or strips k's top bit, so any T_k costs
-        O(log |k|) of them, and one next to kept heights costs one."""
+        """T_k, kept with every image it has composed while the map lives:
+        T_0 is the identity, T_±1 are Φ's and Φ⁻¹'s ``_subst``, and a
+        missing T_k is the ``_Composite`` T_a∘T_(k−a), with ±a the top
+        bit 2ʲ of |k| − 1.  A split halves a power of two or strips k's
+        top bit, so a letter's image under any Φᵏ costs O(log |k|)
+        compositions, and one next to kept heights costs one."""
         tables = getattr(self, "_tables", None)
         if tables is None:
             tables = {0: {x: (x,) for x in self._subst}, 1: self._subst}
@@ -105,9 +119,7 @@ class Endomorphism:
                 table = self.inverse()._subst
             else:
                 a = (1 << ((abs(k) - 1).bit_length() - 1)) * (1 if k > 0 else -1)
-                outer, inner = self._table(a), self._table(k - a)
-                ys = (inner[j] for j in range(1, self.basis.rank + 1))
-                table = _signed_table([free_reduce(y, outer) for y in ys])
+                table = _Composite(self._table(a), self._table(k - a))
             tables[k] = table
         return table
 
@@ -184,8 +196,8 @@ def power(phi: Endomorphism, k: int):
 
 
 def apply_power(phi: Endomorphism, k: int, w: Word) -> Word:
-    """Φᵏ(w), one substitution through the kept table T_k, which the
-    first call for k builds by O(log |k|) table compositions."""
+    """Φᵏ(w), one substitution through the kept table T_k, which composes
+    each letter's image on its first lookup by O(log |k|) compositions."""
     if w.basis != phi.basis:
         raise BasisMismatchError("word over a different basis")
     return Word(phi.basis, free_reduce(w.letters, phi._table(k)))
@@ -269,7 +281,7 @@ class RestrictedAutomorphism:
     embedding: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_embed", _signed_table([w.letters for w in self.embedding]))
+        object.__setattr__(self, "_embed", _signed_table(self.embedding))
 
     def to_ambient(self, w: Word) -> Word:
         if w.basis != self.auto.basis:

@@ -186,7 +186,7 @@ def cayley_ball(group: TorusGroup, r: int, max_vertices: int = 500_000) -> BallG
     # probe order: (w, k)·x = (w·Φᵏ(x), k) for the fiber letters above,
     # where only the junction can cancel, then (w, k)·t^±1 = (w, k ± 1)
     # with y = (): one lookup per expanded vertex.  BFS reaches column k
-    # after k ∓ 1, so its T_k is one composition of two kept tables.
+    # after k ∓ 1, so each letter's image in T_k is one composition.
     moves: dict[int, list] = {}
 
     # expand(stop) fills, level by level in BFS order, the neighbour

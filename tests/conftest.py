@@ -11,20 +11,27 @@ ACCEPTANCE_LINES: list[str] = []
 
 @pytest.fixture
 def compositions(monkeypatch):
-    """The heights k of the tables T_k of Φᵏ that any map builds by
-    composing two kept tables while the test runs, in the order they are
-    asked for; T_0 and T_±1 are read off the map, so they are not listed."""
-    from fgrow.automorphisms import Endomorphism
+    """(k, x) for each image T_k[x] of a signed fiber letter x under Φᵏ
+    that any map composes from two kept tables while the test runs, in
+    the order they are asked for.  x⁻¹'s image comes with x's, and T_0
+    and T_±1 are read off the map, so neither is listed."""
+    from fgrow.automorphisms import Endomorphism, _Composite
 
-    built: list[int] = []
-    real = Endomorphism._table
+    heights: dict[int, int] = {}
+    built: list[tuple[int, int]] = []
+    table, missing = Endomorphism._table, _Composite.__missing__
 
-    def spy(phi, k):
-        if k not in (0, 1, -1) and k not in getattr(phi, "_tables", ()):
-            built.append(k)
-        return real(phi, k)
+    def spy_table(phi, k):
+        t = table(phi, k)
+        heights[id(t)] = k
+        return t
 
-    monkeypatch.setattr(Endomorphism, "_table", spy)
+    def spy_missing(t, x):
+        built.append((heights.get(id(t)), x))
+        return missing(t, x)
+
+    monkeypatch.setattr(Endomorphism, "_table", spy_table)
+    monkeypatch.setattr(_Composite, "__missing__", spy_missing)
     return built
 
 

@@ -237,10 +237,12 @@ def test_power_composes_log_n_times(compositions):
     for rules, tail in (("a -> a; b -> b", ()), ("a -> a; b -> b a", (1,) * 10**6)):
         phi = parse_automorphism(rules)
         out = power(phi, 10**6)
-        # the images come from T_k and the inverse images from T_−k
+        # the images come from T_k and the inverse images from T_−k, each
+        # letter's image composed once per height, at O(log k) heights
         for sign in (1, -1):
-            built = [k for k in compositions if k * sign > 0]
-            assert 0 < len(built) <= 2 * (10**6).bit_length()
+            built = [(k, abs(x)) for k, x in compositions if k * sign > 0]
+            assert len(set(built)) == len(built)
+            assert 0 < len(built) <= 2 * (10**6).bit_length() * phi.basis.rank
         assert out.images[1].letters == (2,) + tail
         compositions.clear()
         assert power(phi, 10**6) == out

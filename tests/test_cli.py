@@ -235,8 +235,8 @@ def test_torus_unstabilized_exit_two(capsys):
 )
 def test_torus_high_exponents_cost_log_k(capsys, monkeypatch, compositions, gens, top, budget):
     # A deterministic work count: every Φᵏ is one substitution through a
-    # kept table built by O(log k) compositions, where stepping Φ once per
-    # unit of k would apply it thousands of times.
+    # kept table whose letter images take O(log k) compositions each,
+    # where stepping Φ once per unit of k would apply it thousands of times.
     applies = []
     apply = Endomorphism.apply
 
@@ -249,7 +249,7 @@ def test_torus_high_exponents_cost_log_k(capsys, monkeypatch, compositions, gens
     code, out, err = run(capsys, "torus", "--map", "a -> a; b -> b", "--gens", gens)
     assert (code, out) == (2, "")
     assert err == f"budget exceeded: fiber saturation exceeded the {budget} budget\n"
-    assert len(compositions) <= 4 * top.bit_length()
+    assert len(compositions) <= 4 * top.bit_length() * 2
 
 
 def test_torus_empty_gens_is_the_trivial_intersection(capsys):

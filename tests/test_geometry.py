@@ -164,20 +164,27 @@ def test_ball_twists_each_column_one_step_from_the_last(compositions):
         phi = group.phi
         group = torus_group(Automorphism(phi.basis, phi.images, phi.inverse_images))
         tabled: set[int] = set()
+
+        def composed_once_per_letter(columns):
+            # each fiber letter's image at a new column, one composition of
+            # images kept at the columns before it, and nothing else
+            new = [k for k in columns - tabled if abs(k) > 1]
+            assert sorted(k for k, _ in compositions) == sorted(new * group.basis.rank)
+            assert len({(k, abs(x)) for k, x in compositions}) == len(compositions)
+
         for r in (0, 1, 4, 6):
             compositions.clear()
             ball = cayley_ball(group, r)
-            # a column gets its move table when its first vertex is
-            # expanded, and its T_k by one composition of kept tables
+            # a column gets its move table when its first vertex is expanded
             expanded = len(ball) - ball.sphere_sizes()[r]
             columns = {ball.element(i).k for i in range(expanded)}
-            assert sorted(compositions) == sorted(k for k in columns - tabled if abs(k) > 1)
+            composed_once_per_letter(columns)
             # lists S(r), whose outermost columns are new unless the
             # ball is bipartite, which builds no move table for S(r)
             ball.neighbors(0)
             if group not in BIPARTITE:
                 columns = {ball.element(i).k for i in range(len(ball))}
-            assert sorted(compositions) == sorted(k for k in columns - tabled if abs(k) > 1)
+            composed_once_per_letter(columns)
             tabled |= columns
             # the tables stay with the map: a second ball composes none
             compositions.clear()

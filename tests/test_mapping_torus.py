@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from fgrow import folding, mapping_torus
 from fgrow.automorphisms import (
     Endomorphism,
+    _Composite,
     certify_automorphism,
     compose,
     identity_automorphism,
@@ -184,16 +185,33 @@ def test_normalize_steps_each_height_once(compositions):
     # a fresh map, so that no earlier test kept its tables
     group = torus_group(parse_automorphism("a -> a\nb -> b a"))
     # b and a at height 5, b again at 2, then b⁻¹ and a at -2: T_5 is
-    # T_4∘T_1, T_4 is T_2∘T_2 and T_2 is T_1∘T_1, so height 2 is kept
-    # by then; T_−2 is T_−1∘T_−1.  Each table is built once per map.
+    # T_4∘T_1, T_4 is T_2∘T_2 and T_2 is T_1∘T_1, so b's image at 5
+    # composes b's and a's at 4 and 2, and a's at 5 reads a's kept at 4;
+    # T_−2 is T_−1∘T_−1.  Each letter's image is composed once per map.
     text = "t^5 b a t^-3 b t^-4 b' a"
     e = group.normalize(text)
-    assert sorted(compositions) == [-2, 2, 4, 5]
+    assert compositions == [(5, 2), (4, 2), (2, 2), (2, 1), (4, 1), (5, 1), (-2, -2), (-2, 1)]
     compositions.clear()
     assert group.normalize(text) == e
     assert compositions == []
     letters = group.extended_basis.parse(text).letters
     assert (e.w.letters, e.k) == letterwise_normalize(group, letters)
+
+
+def test_powers_compose_only_the_letters_reached(compositions):
+    # Φ fixes c while a and b grow: |Φ⁶⁰(a)| is F_61 ≈ 2.5·10¹² letters,
+    # so a table composed for every letter could not be built
+    group = torus_group(parse_automorphism("a -> a b; b -> a; c -> c"))
+    c = Word(group.basis, (3,))
+    assert group.normalize("t^60 c t^-60") == TorusElement(group, c, 0)
+    product = TorusElement(group, c, 60) * TorusElement(group, c, 0)
+    assert product == TorusElement(group, c * c, 60)
+    # only c's images, at the O(log k) heights that T_60 splits into
+    assert {abs(x) for _, x in compositions} == {3}
+    assert len(compositions) <= 2 * (60).bit_length()
+    # and the kept tables hold those one-letter images and nothing more
+    kept = [t for t in group.phi._tables.values() if isinstance(t, _Composite)]
+    assert sum(len(y) for t in kept for y in t.values()) == 2 * len(compositions)
 
 
 @pytest.mark.parametrize("seed", range(4))
