@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .folding import StallingsGraph, witnessed_graph
 from .words import Basis, BasisMismatchError, Lines, VerificationError, Word, WordSyntaxError
-from .words import _valid_name, basis as make_basis, free_reduce, put_once
+from .words import _inv, _valid_name, basis as make_basis, free_reduce, put_once
 
 
 class NotSurjectiveError(ValueError):
@@ -57,7 +57,7 @@ def _signed_table(images: tuple[Word, ...]) -> dict[int, tuple[int, ...]]:
     table: dict[int, tuple[int, ...]] = {}
     for j, w in enumerate(images, start=1):
         table[j] = w.letters
-        table[-j] = tuple(-t for t in reversed(w.letters))
+        table[-j] = _inv(w.letters)
     return table
 
 
@@ -70,7 +70,7 @@ class _Composite(dict):
 
     def __missing__(self, x: int) -> tuple[int, ...]:
         y = self[x] = free_reduce(self.inner[x], self.outer)
-        self[-x] = tuple(-t for t in reversed(y))
+        self[-x] = _inv(y)
         return y
 
 
@@ -106,7 +106,8 @@ class Endomorphism:
         missing T_k is the ``_Composite`` T_a∘T_(k−a), with ±a the top
         bit 2ʲ of |k| − 1.  A split halves a power of two or strips k's
         top bit, so a letter's image under any Φᵏ costs O(log |k|)
-        compositions, and one next to kept heights costs one."""
+        compositions, and one next to kept heights costs one.  Powers,
+        normalization, the Cayley ball and growth's iterates read it."""
         tables = getattr(self, "_tables", None)
         if tables is None:
             tables = {0: {x: (x,) for x in self._subst}, 1: self._subst}

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .words import Basis, BasisMismatchError, Word, concat_all, free_reduce, join
+from .words import Basis, BasisMismatchError, Word, _inv, concat_all, free_reduce, join
 
 Edge = tuple[int, int, int]  # (source, label, target), label positive
 Slots = list[int]  # t[v·W + r + s]: v's end of the signed letter s, or −1
@@ -167,7 +167,7 @@ class StallingsGraph:
 
         out = []
         for u, x, v in self._cotree:
-            raw = path(u) + (x,) + tuple(-t for t in reversed(path(v)))
+            raw = path(u) + (x,) + _inv(path(v))
             out.append(Word(self.basis, free_reduce(raw)))
         return out
 
@@ -196,10 +196,6 @@ class StallingsGraph:
 # reading words along folded tables
 
 Expr = tuple[int, ...]  # signed 1-based indices into the generators
-
-
-def _inv(e: Expr) -> Expr:
-    return tuple(-j for j in reversed(e)) if e else e
 
 
 def _walk(t: Slots, r: int, at: int, letters: Sequence[int]) -> tuple[int, int]:
@@ -608,7 +604,6 @@ def double_coset_contains(
     if right.basis != b or s.basis != b or w.basis != b:
         raise BasisMismatchError("operands over different bases")
     ta, a_end = _coset_automaton(left, s.letters)
-    winv = tuple(-x for x in reversed(w.letters))
-    tb, b_end = _coset_automaton(right, winv)
+    tb, b_end = _coset_automaton(right, _inv(w.letters))
     ids, _ = _product(b.rank, ta, tb, (0, b_end))
     return (a_end, 0) in ids

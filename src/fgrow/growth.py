@@ -28,14 +28,15 @@ Without a certificate the classifier falls back to observation.  It
 iterates ψ on the cyclic core and reads the length sequence, calling a
 polynomial degree only on exactly vanishing finite differences and an
 exponential rate only on a stable tail of n-th root estimates.  Long
-iterates are counted, not spelled, off an earlier one through a table
-of powers of ψ; what cancels where two images meet depends only on the
-two (bounded cancellation, Cooper), and such junctions, the base's
-illegal turns (Bestvina–Handel), take few forms, each scanned once.
-Where they sit depends only on the base and on the end letters of the
-images, so one search of the base serves every power that keeps them.
-Budgets make the heuristic honest: a truncated or ambiguous sequence
-is reported Inconclusive rather than forced into a class.
+iterates are counted, not spelled, off an earlier one through ψᵐ, read
+off the tables ψ keeps; what cancels where two images meet depends
+only on the two (bounded cancellation, Cooper), and such junctions,
+the base's illegal turns (Bestvina–Handel), take few forms, each
+scanned once.  Where they sit depends only on the base and on the end
+letters of the images, so one search of the base serves every power
+that keeps them.  Budgets make the heuristic honest: a truncated or
+ambiguous sequence is reported Inconclusive rather than forced into a
+class.
 """
 
 from __future__ import annotations
@@ -356,12 +357,14 @@ def _iterated_lengths(
     letters ``core``, stopping past the cap.
 
     Iterate n is read as ψ^(n−j)(w_j), conjugate to ψⁿ(core), off the
-    base w_j through a table T = ψ^(n−j) on its letters, as runs: its
-    length is Σ count(y)·|T[y]| less the cancelled and trimmed letters.
-    A visited junction costs a few plain letters, so runs are read once
-    the iterate is four times the base; until then a step is plain,
-    ``free_reduce`` of w₍ₙ₋₁₎.  T advances while len(base) + Σ|T[y]| ≤
-    |w₍ₙ₋₁₎|; past that the base moves onto w₍ₙ₋₁₎ and the step is plain.
+    base w_j through the kept table T = ``endo._table(n − j)``, as runs:
+    its length is Σ count(y)·|T[y]| less the cancelled and trimmed
+    letters.  A visited junction costs a few plain letters, so runs are
+    read once the iterate is four times the base; until then a step is
+    plain, ``free_reduce`` of w₍ₙ₋₁₎.  Runs go on while the last step's
+    table fits beside the base, len(base) + Σ|T_(n−1−j)[y]| ≤ |w₍ₙ₋₁₎|;
+    past that the base moves onto w₍ₙ₋₁₎ and the step is plain.  The
+    tables stay on ``endo``, so callers pass a map built for the call.
     The junctions of the base, the positions whose two images cancel,
     are found once per set of live letters (nonempty images) and of
     turns (x, y) whose images cancel, T[x] ending in T[y][0]⁻¹, and kept
@@ -369,27 +372,25 @@ def _iterated_lengths(
     the whole base, and where end letters cycle each set in the cycle
     is scanned once.
     """
-    psi = endo._subst
     seq = [len(core)]
     base = cur = core  # cur is None while the last iterate is held as runs
-    table, j = None, 0  # T = ψ^m on the letters of the base w_j, while runs are read
+    counts, j = None, 0  # the letters of the base w_j, once runs are read off it
     for i in range(n):
         if cur is None or 4 * len(base) <= seq[-1]:
-            if table is None:
-                table, m, counts, scans = psi, 1, Counter(base), {}
-            while m <= i - j and len(base) + sum(len(table[x]) for x in counts) <= seq[-1]:
-                table = {x: free_reduce(table[x], psi) for x in counts}
-                m += 1
-            if m <= i - j:  # T would outgrow the iterate: the base moves onto it
+            if counts is None:
+                counts, scans = Counter(base), {}
+            if len(base) + sum(len(endo._table(i - j)[x]) for x in counts) > seq[-1]:
+                # T would outgrow the iterate: the base moves onto it
                 if cur is None:
                     cur = tuple(chain.from_iterable(_parts(table, ys, runs)))[t : total - t]
-                base, j, table = cur, i, None
-        if table is None:
-            red = free_reduce(cur, psi)
+                base, j, counts = cur, i, None
+        if counts is None:
+            red = free_reduce(cur, endo._subst)
             lo, hi = _cyclic_trim(red)
             cur = red[lo:hi]
             seq.append(len(cur))
         else:
+            table = endo._table(i + 1 - j)
             # the turns whose images cancel depend only on the images' end letters
             live = tuple(x for x in counts if table[x])
             turns = frozenset((x, y) for x in live for y in live if table[x][-1] == -table[y][0])
@@ -550,16 +551,16 @@ def classify_growth(
     Exact (certified) classification from the transition matrix when
     the cancellation certificate of Φ, or else of its inner
     normalization ψ = i_h∘Φ, covers the subject; otherwise the
-    iteration heuristic on ψ.  Inconclusive is a valid outcome.  A
+    iteration heuristic on ψ, a map built for the call, so the power
+    tables it keeps go with it.  Inconclusive is a valid outcome.  A
     report that stays heuristic carries Φ's failed certificate.
     """
     params = params or GrowthParams()
     cert = no_cancellation_certificate(phi)
-    psi, h, psi_cert = phi, None, cert
-    if not cert.holds:
-        psi, g = _inner_normalize(phi)
-        if g:
-            h, psi_cert = g, no_cancellation_certificate(psi)
+    psi, g = _inner_normalize(phi)
+    h, psi_cert = None, cert
+    if not cert.holds and g:
+        h, psi_cert = g, no_cancellation_certificate(psi)
 
     if x is not None:
         core = _core(phi, x)
@@ -570,11 +571,11 @@ def classify_growth(
                 (0,) * params.iterations, False, None, cert,
             )
         if psi_cert.covers(core):
-            return _certified_report(subject, psi, core, psi_cert, h, params)
+            return _certified_report(subject, core, psi_cert, h, params)
         return _heuristic_report(subject, psi, core, cert, params)
 
     if psi_cert.holds:
-        return _certified_report("map", psi, None, psi_cert, h, params)
+        return _certified_report("map", None, psi_cert, h, params)
     reports = [
         _heuristic_report("map", psi, cyclic_word(Word(psi.basis, (j,))), cert, params)
         for j in range(1, psi.basis.rank + 1)
@@ -592,13 +593,12 @@ def _heuristic_report(
 
 def _certified_report(
     subject: str,
-    endo: Endomorphism,
     core: CyclicWord | None,
     cert: Certificate,
     conjugator: Word | None,
     params: GrowthParams,
 ) -> GrowthReport:
-    m = transition_matrix(endo)
+    m = transition_matrix(cert.endo)
     support = range(len(m)) if core is None else [abs(t) - 1 for t in core.letters]
     lengths = tuple(_matrix_lengths(m, support, params.iterations)[1:])
     # one strata walk computes each Perron root once and serves both

@@ -46,7 +46,6 @@ from .folding import (
     StallingsGraph,
     WitnessedGraph,
     _Fold,
-    _inv,
     _walk,
     is_invariant,
     witnessed_graph,
@@ -57,6 +56,7 @@ from .words import (
     BudgetExceededError,
     VerificationError,
     Word,
+    _inv,
     basis as make_basis,
     concat_all,
     free_reduce,

@@ -245,7 +245,7 @@ class Word:
         return f"<word {self}>"
 
     def inverse(self) -> "Word":
-        return Word(self.basis, tuple(-x for x in reversed(self.letters)))
+        return Word(self.basis, _inv(self.letters))
 
 
 def identity(b: Basis) -> Word:
@@ -266,6 +266,10 @@ def concat(u: Word, v: Word) -> Word:
     if not v.letters:
         return u
     return Word(u.basis, join(u.letters, v.letters))
+
+
+def _inv(e: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-j for j in reversed(e)) if e else e
 
 
 def join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

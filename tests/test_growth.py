@@ -232,7 +232,9 @@ def _work(monkeypatch, phi, letters, n, cap):
     """(letters fed to free_reduce, letter pairs it cancelled, the run
     reader compared or the junction scan tested) for the iteration, then
     for a plain step loop over the same iterates; all are per-letter
-    Python work."""
+    Python work.  The iteration runs on a copy of phi, as growth's
+    callers build one, and the letters that its power tables compose
+    through ``automorphisms.free_reduce`` are counted too."""
     tally = [0, 0]
     cancel, scan = growth._cancel, growth._junctions
 
@@ -253,10 +255,11 @@ def _work(monkeypatch, phi, letters, n, cap):
         return scan(ys, turns)
 
     monkeypatch.setattr(growth, "free_reduce", counted)
+    monkeypatch.setattr(automorphisms, "free_reduce", counted)
     monkeypatch.setattr(growth, "_cancel", scanned)
     monkeypatch.setattr(growth, "_junctions", junctions)
     core = cyclic_word(Word(phi.basis, letters)).letters
-    seq, _ = growth._iterated_lengths(phi, core, n, cap)
+    seq, _ = growth._iterated_lengths(Endomorphism(phi.basis, phi.images), core, n, cap)
     fast = tuple(tally)
     tally[:] = [0, 0]
     cur = core
@@ -298,6 +301,25 @@ def test_power_table_reads_less_on_a_growing_word(monkeypatch):
     # letters and cancelled 85,724 pairs, re-cancelling the base's
     # junctions at every power; runs scan each junction's form once
     assert 3 * sum(fast) < 10_910 + 85_724
+
+
+def test_growth_leaves_no_tables_on_the_callers_map():
+    # a 600-letter word that fib's certificate does not cover goes
+    # heuristic; the powers of ψ it reads are kept on a map of the call's own
+    phi = parse_automorphism("a -> a b\nb -> a")
+    w = Word(phi.basis, free_reduce(random_letters(random.Random(7), 2, 600)))
+    assert no_cancellation_certificate(phi).holds
+    rep = classify_growth(phi, w, GrowthParams(cap=10**6))
+    assert not rep.certified and rep.truncated
+    assert length_sequence(phi, w, 40, 10**6) == list(rep.lengths)
+    assert not hasattr(phi, "_tables")
+
+
+def test_whole_map_letters_share_one_psis_tables(compositions):
+    rep = classify_growth(parse_endomorphism("a -> a b; b -> b c; c -> c a'"))
+    assert rep.kind == KIND_HEURISTIC_EXPONENTIAL
+    # every letter's iteration reads the same ψ, so no image is composed twice
+    assert compositions and len(set(compositions)) == len(compositions)
 
 
 def test_certified_matrix_lengths_equal_iteration():
