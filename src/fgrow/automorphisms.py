@@ -69,6 +69,11 @@ class _Composite(dict):
         self.outer, self.inner = outer, inner
 
     def __missing__(self, x: int) -> tuple[int, ...]:
+        below = [self]  # inner tables without x compose it bottom up, not |k| deep by recursion
+        while isinstance(below[-1].inner, _Composite) and x not in below[-1].inner:
+            below.append(below[-1].inner)
+        for t in below[:0:-1]:
+            t.__missing__(x)
         y = self[x] = free_reduce(self.inner[x], self.outer)
         self[-x] = _inv(y)
         return y
@@ -103,10 +108,12 @@ class Endomorphism:
     def _table(self, k: int) -> dict[int, tuple[int, ...]]:
         """T_k, kept with every image it has composed while the map lives:
         T_0 is the identity, T_±1 are Φ's and Φ⁻¹'s ``_subst``, and a
-        missing T_k is the ``_Composite`` T_a∘T_(k−a), with ±a the top
-        bit 2ʲ of |k| − 1.  A split halves a power of two or strips k's
-        top bit, so a letter's image under any Φᵏ costs O(log |k|)
-        compositions, and one next to kept heights costs one.  Powers,
+        missing T_k is the ``_Composite`` T_a∘T_(k−a).  Above a kept
+        T_(k∓1), a = ±1 and Φ^a goes outside: a climb, as growth's
+        iterates make, costs the images it reads, not T_(k∓1) of letters
+        whose images cancel.  Else ±a is the top bit 2ʲ of |k| − 1, which
+        halves a power of two or strips k's top bit, so a letter's image
+        under any Φᵏ costs O(log |k|) compositions.  Powers,
         normalization, the Cayley ball and growth's iterates read it."""
         tables = getattr(self, "_tables", None)
         if tables is None:
@@ -119,7 +126,8 @@ class Endomorphism:
                     raise ValueError("negative power of a non-invertible map")
                 table = self.inverse()._subst
             else:
-                a = (1 << ((abs(k) - 1).bit_length() - 1)) * (1 if k > 0 else -1)
+                s = 1 if k > 0 else -1
+                a = s if k - s in tables else (1 << ((abs(k) - 1).bit_length() - 1)) * s
                 table = _Composite(self._table(a), self._table(k - a))
             tables[k] = table
         return table

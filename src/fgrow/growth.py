@@ -361,10 +361,12 @@ def _iterated_lengths(
     its length is Σ count(y)·|T[y]| less the cancelled and trimmed
     letters.  A visited junction costs a few plain letters, so runs are
     read once the iterate is four times the base; until then a step is
-    plain, ``free_reduce`` of w₍ₙ₋₁₎.  Runs go on while the last step's
-    table fits beside the base, len(base) + Σ|T_(n−1−j)[y]| ≤ |w₍ₙ₋₁₎|;
-    past that the base moves onto w₍ₙ₋₁₎ and the step is plain.  The
-    tables stay on ``endo``, so callers pass a map built for the call.
+    plain, ``free_reduce`` of w₍ₙ₋₁₎.  Runs go on while T_h fits beside
+    the base, len(base) + Σ|T_h[y]| ≤ |w₍ₙ₋₁₎|, for h = n − 1 − j, and on
+    a base's first run step for every h from 1 up, in order, so each T_h
+    is ψ∘T_(h−1); at the first that does not fit the base moves onto
+    w₍ₙ₋₁₎ and the step is plain.  The tables stay on ``endo``, so
+    callers pass a map built for the call.
     The junctions of the base, the positions whose two images cancel,
     are found once per set of live letters (nonempty images) and of
     turns (x, y) whose images cancel, T[x] ending in T[y][0]⁻¹, and kept
@@ -377,17 +379,17 @@ def _iterated_lengths(
     counts, j = None, 0  # the letters of the base w_j, once runs are read off it
     for i in range(n):
         if cur is None or 4 * len(base) <= seq[-1]:
+            heights = range(1 if counts is None else i - j, i - j + 1)
             if counts is None:
                 counts, scans = Counter(base), {}
-            if len(base) + sum(len(endo._table(i - j)[x]) for x in counts) > seq[-1]:
-                # T would outgrow the iterate: the base moves onto it
+            if any(len(base) + sum(len(endo._table(h)[x]) for x in counts) > seq[-1]
+                   for h in heights):  # T_h would outgrow the iterate: the base moves onto it
                 if cur is None:
                     cur = tuple(chain.from_iterable(_parts(table, ys, runs)))[t : total - t]
                 base, j, counts = cur, i, None
         if counts is None:
             red = free_reduce(cur, endo._subst)
-            lo, hi = _cyclic_trim(red)
-            cur = red[lo:hi]
+            cur = red[slice(*_cyclic_trim(red))]
             seq.append(len(cur))
         else:
             table = endo._table(i + 1 - j)
@@ -521,9 +523,7 @@ def _exponential_tail(seq: Sequence[int]) -> float | None:
         if i < 1 or seq[i] <= 0:
             return None
         window.append(seq[i] ** (1.0 / i))
-    if min(window) < 1.0 + MARGIN:
-        return None
-    if max(window) - min(window) > DRIFT:
+    if min(window) < 1.0 + MARGIN or max(window) - min(window) > DRIFT:
         return None
     return window[-1]
 
@@ -566,10 +566,8 @@ def classify_growth(
         core = _core(phi, x)
         subject = str(core)
         if core.length == 0:
-            return GrowthReport(
-                subject, KIND_POLYNOMIAL, None, 0,
-                (0,) * params.iterations, False, None, cert,
-            )
+            zeros = (0,) * params.iterations
+            return GrowthReport(subject, KIND_POLYNOMIAL, None, 0, zeros, False, None, cert)
         if psi_cert.covers(core):
             return _certified_report(subject, core, psi_cert, h, params)
         return _heuristic_report(subject, psi, core, cert, params)
@@ -622,19 +620,13 @@ def _aggregate(subject: str, reports: list[GrowthReport], cert: Certificate) -> 
     truncated = any(r.truncated for r in reports)
     rates = [r.rate for r in reports if r.kind == KIND_HEURISTIC_EXPONENTIAL]
     if rates:
-        return GrowthReport(
-            subject, KIND_HEURISTIC_EXPONENTIAL, max(rates), None,
-            lengths, truncated, None, cert,
-        )
-    if any(r.kind == KIND_INCONCLUSIVE for r in reports):
-        return GrowthReport(
-            subject, KIND_INCONCLUSIVE, None, None, lengths, truncated, None, cert
-        )
-    degree = max(r.degree for r in reports if r.degree is not None)
-    return GrowthReport(
-        subject, KIND_HEURISTIC_POLYNOMIAL, None, degree,
-        lengths, truncated, None, cert,
-    )
+        kind, rate, degree = KIND_HEURISTIC_EXPONENTIAL, max(rates), None
+    elif any(r.kind == KIND_INCONCLUSIVE for r in reports):
+        kind, rate, degree = KIND_INCONCLUSIVE, None, None
+    else:
+        degree = max(r.degree for r in reports if r.degree is not None)
+        kind, rate = KIND_HEURISTIC_POLYNOMIAL, None
+    return GrowthReport(subject, kind, rate, degree, lengths, truncated, None, cert)
 
 
 __all__ = [

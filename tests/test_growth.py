@@ -279,6 +279,10 @@ WORK_SHAPES = [
     # each c c junction of the base cancels more the further T advances
     ("a -> a; b -> b; c -> d e c e' d'; d -> d e; e -> d",
      [(3, 3) * k + (4,) for k in (1, 5, 50, 200)], 40),
+    # [a, b] is fixed letter for letter while a and b grow like 2.618ⁿ:
+    # linear classes carried by exponentially growing letters, and in
+    # (a b a' b')¹⁰ c the base moves at T_4, where T_31 would not fit
+    ("a -> a b a; b -> b a; c -> c a b a' b'", [(3, 3, 3, 3), (1, 2, -1, -2) * 10 + (3,)], 40),
 ]
 
 
@@ -301,6 +305,15 @@ def test_power_table_reads_less_on_a_growing_word(monkeypatch):
     # letters and cancelled 85,724 pairs, re-cancelling the base's
     # junctions at every power; runs scan each junction's form once
     assert 3 * sum(fast) < 10_910 + 85_724
+
+
+def test_power_tables_compose_only_the_letters_of_the_base(compositions):
+    # ψᵏ(c) = c (a b a' b')ᵏ is read off T_k = ψ∘T_(k−1), never through
+    # T_k[a], which grows like 2.618ᵏ and would cancel whole
+    phi = parse_endomorphism("a -> a b a; b -> b a; c -> c a b a' b'")
+    seq, _ = growth._iterated_lengths(phi, (3, 3, 3, 3), 40, None)
+    assert seq == [4 + 16 * k for k in range(41)]
+    assert sorted(compositions) == [(k, 3) for k in range(2, 41)]
 
 
 def test_growth_leaves_no_tables_on_the_callers_map():
@@ -726,5 +739,6 @@ def test_substitutions_reach_free_reduce(monkeypatch):
     assert ra.to_ambient(Word(ra.auto.basis, (1, -2))) == x * y.inverse()
     assert tables == [ra._embed]
     tables.clear()
-    assert growth._iterated_lengths(FIB, cyclic_word(w).letters, 3, None) == ([2, 3, 5, 8], False)
-    assert tables == [FIB._subst] * 3
+    fib = Endomorphism(FIB.basis, FIB.images)  # growth keeps its tables on a map of its own
+    assert growth._iterated_lengths(fib, cyclic_word(w).letters, 3, None) == ([2, 3, 5, 8], False)
+    assert tables == [fib._subst] * 3

@@ -214,6 +214,18 @@ def test_powers_compose_only_the_letters_reached(compositions):
     assert sum(len(y) for t in kept for y in t.values()) == 2 * len(compositions)
 
 
+def test_a_climb_of_kept_tables_composes_bottom_up(compositions):
+    # t a t a … asks T_1[a], T_2[a], … in order, so each T_k is kept as
+    # T_1∘T_(k−1); b's image at the top then composes b's at every
+    # height below it once, bottom up, without recursing 1500 deep
+    group = torus_group(parse_automorphism("a -> b; b -> a"))
+    n = 1500
+    e = group.normalize("t a " * n + "t b")
+    assert (e.w.letters, e.k) == ((2, 1) * (n // 2) + (1,), n + 1)
+    want = [(k, 1) for k in range(2, n + 1)] + [(k, 2) for k in range(2, n + 2)]
+    assert sorted(compositions) == sorted(want)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_group_laws_random(seed):
     rng = random.Random(seed)
