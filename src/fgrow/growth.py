@@ -37,14 +37,31 @@ letters of the images, so one search of the base serves every power
 that keeps them.  Budgets make the heuristic honest: a truncated or
 ambiguous sequence is reported Inconclusive rather than forced into a
 class.
+
+Where no certificate covers a word x, two bounds can still pin its
+class, which has a well-defined rate and degree (Levitt).  Above,
+‖ψⁿ(x)‖ ≤ 1ᵀMⁿu_x: the rate is at most ρ_x, the largest radius of the
+strata x reaches, and if ρ_x ≤ 1 the degree is at most their chain
+degree d_x.  Below, a cyclic length is at least the ℓ¹ norm of the
+abelian image, ‖Aⁿv‖₁ for A = Φ_ab and v the exponent sums, which grows
+with the roots of μ_v, v's minimal polynomial under A.  So ρ_x > 1 is
+exact when it is a root of μ_v.  For p the reached block's
+characteristic polynomial, p, p′, p″, … change sign once just below
+ρ_x, so ρ_x is p's one root above that point (Budan–Fourier), and
+gcd(μ_v, p) changes sign past it.  If ρ_x ≤ 1, μ_v's nonzero roots are
+roots of unity (Kronecker), ‖Aⁿv‖₁ grows like n^(k−1) for k their top
+multiplicity, and d_x is exact when it is k − 1.  The report keeps the
+iterated lengths.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass
-from itertools import chain, compress, count, islice
-from operator import add
+from dataclasses import dataclass, replace
+from itertools import chain, compress, count, islice, pairwise, repeat
+from math import gcd
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .automorphisms import Endomorphism, _inner_normalize
@@ -164,16 +181,8 @@ def transition_matrix(phi: Endomorphism) -> Matrix:
     return m
 
 
-def _perron_root(a: Matrix) -> float:
-    """Largest real root ρ of det(xI − A) for a nonnegative integer block.
-
-    Faddeev–LeVerrier gives the integer coefficients exactly.  Newton's
-    method in floats starts from the largest column sum, an upper bound
-    on ρ.  No root of the polynomial or of its derivatives has real part
-    above ρ, so past ρ the polynomial is increasing and convex and the
-    iterates fall monotonically; the first step that does not fall ends
-    the descent.
-    """
+def _charpoly(a: Matrix) -> list[int]:
+    """det(xI − A), highest coefficient first, exact by Faddeev–LeVerrier."""
     k = len(a)
     rows = [[(t, v) for t, v in enumerate(row) if v] for row in a]
     coeffs = [1]
@@ -183,6 +192,19 @@ def _perron_root(a: Matrix) -> float:
         mk = [[sum(v * mk[t][c] for t, v in row) + coeffs[-1] * (r == c) for c in range(k)]
               for r, row in enumerate(rows)]
         coeffs.append(-sum(v * mk[t][r] for r, row in enumerate(rows) for t, v in row) // i)
+    return coeffs
+
+
+def _perron_root(a: Matrix) -> float:
+    """Largest real root ρ of det(xI − A) for a nonnegative integer block.
+
+    Newton's method in floats on ``_charpoly`` starts from the largest
+    column sum, an upper bound on ρ.  No root of the polynomial or of
+    its derivatives has real part above ρ, so past ρ the polynomial is
+    increasing and convex and the iterates fall monotonically; the first
+    step that does not fall ends the descent.
+    """
+    coeffs = _charpoly(a)
     x = float(max(sum(col) for col in zip(*a)))
     while True:
         p = dp = 0.0
@@ -192,6 +214,63 @@ def _perron_root(a: Matrix) -> float:
         if not (p > 0.0 and dp > 0.0 and x - p / dp < x):
             return x
         x -= p / dp
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p in ℚ[x] as a primitive integer list, highest coefficient first."""
+    p = p[next((i for i, c in enumerate(p) if c), len(p)):]
+    g = gcd(*p)
+    return [c // g for c in p]
+
+
+def _poly_gcd(p: list[int], q: list[int]) -> list[int]:
+    """gcd in ℚ[x] up to a constant, by primitive pseudo-remainders."""
+    while q:
+        while len(p := _primitive(p)) >= len(q):
+            p = [q[0] * x - p[0] * y for x, y in zip(p, chain(q, repeat(0)))]
+        p, q = q, p
+    return p
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [c * k for c, k in zip(p, range(len(p) - 1, 0, -1))]
+
+
+def _at(p: list[int], t: float) -> int:
+    """p(t) times a positive number: dᵈᵉᵍ·p(n/d) for t = n/d, exactly."""
+    n, d = t.as_integer_ratio()
+    s, dk = 0, 1
+    for c in p:
+        s, dk = s * n + c * dk, dk * d
+    return s
+
+
+def _one_root_above(p: list[int], t: float) -> bool:
+    """Whether p, with a positive leading coefficient, has just one real
+    root above t, counted with multiplicity: p, p′, p″, … change sign
+    once at t (Budan–Fourier)."""
+    values = []
+    while p:
+        values.append(_at(p, t))
+        p = _derivative(p)
+    return all(values) and sum((a > 0) != (b > 0) for a, b in pairwise(values)) == 1
+
+
+def _krylov(a: Matrix, v: list[int]) -> list[int]:
+    """Minimal polynomial of v under A, monic in ℤ[x]: v, Av, … reduced
+    fraction-free, each with its polynomial, lowest coefficient first."""
+    rows, w, r = [], v, len(v)
+    for k in count():  # at most r + 1 steps
+        u, c = w, [0] * k + [1] + [0] * (r - k)
+        for p, b, cb in rows:
+            f, g = b[p], u[p]
+            if g:
+                u = [f * x - g * y for x, y in zip(u, b)]
+                c = [f * x - g * y for x, y in zip(c, cb)]
+        if not any(u):
+            return _primitive([x * c[k] for x in reversed(c[: k + 1])])
+        rows.append((next(i for i, x in enumerate(u) if x), u, c))
+        w = [sum(map(mul, row, w)) for row in a]
 
 
 def _strata(m: Matrix, support: Sequence[int] | None = None) -> list[tuple[int, float]]:
@@ -552,8 +631,10 @@ def classify_growth(
     the cancellation certificate of Φ, or else of its inner
     normalization ψ = i_h∘Φ, covers the subject; otherwise the
     iteration heuristic on ψ, a map built for the call, so the power
-    tables it keeps go with it.  Inconclusive is a valid outcome.  A
-    report that stays heuristic carries Φ's failed certificate.
+    tables it keeps go with it, and for a word the bounds of
+    ``_sandwich``, which certify where they meet.  Inconclusive is a
+    valid outcome.  A report that stays heuristic carries Φ's failed
+    certificate.
     """
     params = params or GrowthParams()
     cert = no_cancellation_certificate(phi)
@@ -570,7 +651,7 @@ def classify_growth(
             return GrowthReport(subject, KIND_POLYNOMIAL, None, 0, zeros, False, None, cert)
         if psi_cert.covers(core):
             return _certified_report(subject, core, psi_cert, h, params)
-        return _heuristic_report(subject, psi, core, cert, params)
+        return _sandwich(_heuristic_report(subject, psi, core, cert, params), psi, core)
 
     if psi_cert.holds:
         return _certified_report("map", None, psi_cert, h, params)
@@ -587,6 +668,36 @@ def _heuristic_report(
     seq, truncated = _iterated_lengths(endo, core.letters, params.iterations, params.cap)
     kind, rate, degree = _heuristic_verdict(seq, truncated)
     return GrowthReport(subject, kind, rate, degree, tuple(seq[1:]), truncated, None, cert)
+
+
+def _sandwich(report: GrowthReport, psi: Endomorphism, core: CyclicWord) -> GrowthReport:
+    """``report`` certified where the abelian lower bound on x = ``core``
+    meets the matrix upper bound, unchanged where they part."""
+    # letters counted by bisection: a Counter is slow, as hash(−1) = hash(−2)
+    r, srt = psi.basis.rank, sorted(core.letters)
+    num = {t: bisect_right(srt, t) - bisect_left(srt, t) for t in range(-r, r + 1)}
+    m, a = transition_matrix(psi), [[0] * r for _ in range(r)]
+    for j, img in enumerate(psi.images):
+        for t in img.letters:
+            a[abs(t) - 1][j] += 1 if t > 0 else -1
+    mu = _krylov(a, [num[j] - num[-j] for j in range(1, r + 1)])
+    strata = _strata(m, [j - 1 for j in range(1, r + 1) if num[j] or num[-j]])
+    degree = _chain_degree(strata)
+    if degree is not None:  # k, the top multiplicity of a nonzero root of μ_v
+        g, k = mu[: max(i for i, c in enumerate(mu) if c) + 1], 0
+        while len(g) > 1:
+            g, k = _poly_gcd(g, _derivative(g)), k + 1
+        if k == degree + 1:
+            return replace(report, kind=KIND_POLYNOMIAL, rate=None, degree=degree)
+        return report
+    rate = spectral_radius(m, strata=strata)
+    reached = [j for j in range(r) if any(d >> j & 1 for d, _ in strata)]
+    p = _charpoly([[m[i][j] for j in reached] for i in reached])
+    # ρ_x, p's largest real root, is its one root above lo; g divides p
+    lo, g = rate * (1 - 1e-12), _poly_gcd(mu, p)
+    if _one_root_above(p, lo) and _at(g, lo) * g[0] < 0:
+        return replace(report, kind=KIND_EXPONENTIAL, rate=rate, degree=None)
+    return report
 
 
 def _certified_report(

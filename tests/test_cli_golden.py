@@ -59,6 +59,13 @@ CASES = [
     ("growth-reducible-word-json", ["growth", "--map", "a -> a b; b -> a; c -> c", "--word", "c a"]),
     # no certificate; every generator's lengths are exactly linear
     ("growth-heuristic-polynomial-json", ["growth", "--map", "a -> a; b -> b a; c -> c b' a b"]),
+    # words no certificate covers: the abelian lower bound meets the
+    # matrix upper bound, or (for a commutator, abelian image 0) does not
+    ("growth-sandwich-exponential-json", ["growth", "--map", "a -> a b a; b -> a b", "--word", "a b'",
+                                          "--cap", "1000"]),
+    ("growth-sandwich-polynomial-json", ["growth", "--map", "a -> a; b -> b a; c -> c b", "--word",
+                                         "b a'"]),
+    ("growth-commutator-heuristic-json", ["growth", "--map", FIB, "--word", "a b a' b'"]),
     ("fold-text", ["fold", "--gens", "a a, b", "--basis", "a b"]),
     ("fold-json", ["fold", "--gens", "a a, b, a b a'", "--emit", "json"]),
     ("fold-dot", ["fold", "--gens", "a, b a b", "--emit", "dot"]),

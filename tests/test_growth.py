@@ -317,13 +317,15 @@ def test_power_tables_compose_only_the_letters_of_the_base(compositions):
 
 
 def test_growth_leaves_no_tables_on_the_callers_map():
-    # a 600-letter word that fib's certificate does not cover goes
-    # heuristic; the powers of ψ it reads are kept on a map of the call's own
+    # a 600-letter word that fib's certificate does not cover is iterated
+    # (and then pinned by the abelian sandwich); the powers of ψ it reads
+    # are kept on a map of the call's own
     phi = parse_automorphism("a -> a b\nb -> a")
     w = Word(phi.basis, free_reduce(random_letters(random.Random(7), 2, 600)))
     assert no_cancellation_certificate(phi).holds
     rep = classify_growth(phi, w, GrowthParams(cap=10**6))
-    assert not rep.certified and rep.truncated
+    assert rep.kind == KIND_EXPONENTIAL and math.isclose(rep.rate, (1 + 5**0.5) / 2)
+    assert rep.truncated
     assert length_sequence(phi, w, 40, 10**6) == list(rep.lengths)
     assert not hasattr(phi, "_tables")
 
@@ -691,6 +693,203 @@ def test_report_invariants_enforced():
 def test_nonsense_growth_budget_refused(budget, message):
     with pytest.raises(ValueError, match=message):
         GrowthParams(**budget)
+
+
+# -- the abelian sandwich ---------------------------------------------------
+
+
+def _int_matrix(rows):
+    return numpy.array(rows, dtype=object)
+
+
+def _abelianization(endo):
+    r = endo.basis.rank
+    a = [[0] * r for _ in range(r)]
+    for j, img in enumerate(endo.images):
+        for t in img.letters:
+            a[abs(t) - 1][j] += 1 if t > 0 else -1
+    return _int_matrix(a)
+
+
+def _exponent_sums(letters, rank):
+    return _int_matrix([sum((t > 0) - (t < 0) for t in letters if abs(t) == j)
+                        for j in range(1, rank + 1)])
+
+
+def _nielsen_case(rng, rank):
+    """A product of 2–7 Nielsen moves on F_rank, conjugated by a word of
+    0–3 letters, and a reduced word of 8–60 letters."""
+    imgs = [(j,) for j in range(1, rank + 1)]
+    for _ in range(rng.randint(2, 7)):
+        i, j = rng.sample(range(rank), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            other = imgs[j] if rng.random() < 0.5 else tuple(-t for t in reversed(imgs[j]))
+            imgs[i] = free_reduce(imgs[i] + other if rng.random() < 0.5 else other + imgs[i])
+        elif move == 1:
+            imgs[i] = tuple(-t for t in reversed(imgs[i]))
+        else:
+            imgs[i], imgs[j] = imgs[j], imgs[i]
+    g = random_letters(rng, rank, rng.randint(0, 3))
+    ginv = tuple(-t for t in reversed(g))
+    b = basis(["a", "b", "c"][:rank])
+    phi = Endomorphism(b, tuple(Word(b, free_reduce(g + w + ginv)) for w in imgs))
+    return phi, Word(b, random_letters(rng, rank, rng.randint(8, 60)))
+
+
+def _sandwiched(phi, x, params):
+    """The report on x, and whether the sandwich made it certified."""
+    psi, _ = automorphisms._inner_normalize(phi)
+    covered = any(
+        c.covers(x) for c in (no_cancellation_certificate(phi), no_cancellation_certificate(psi))
+    )
+    rep = classify_growth(phi, x, params)
+    return rep, psi, rep.certified and not covered
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 3), st.randoms(use_true_random=False))
+def test_sandwich_certifies_between_its_bounds(rank, rng):
+    phi, x = _nielsen_case(rng, rank)
+    rep, psi, sandwiched = _sandwiched(phi, x, GrowthParams(iterations=12, cap=20_000))
+    if not sandwiched:
+        return
+    r = phi.basis.rank
+    core = cyclic_word(x).letters
+    a, v = _abelianization(phi), _exponent_sums(core, r)
+    m, u = _int_matrix(transition_matrix(psi)), _int_matrix([0] * r)
+    for t in core:
+        u[abs(t) - 1] += 1
+    for length in rep.lengths:
+        v, u = a.dot(v), m.dot(u)
+        assert sum(abs(c) for c in v) <= length <= sum(u)
+    if rep.kind == KIND_EXPONENTIAL:
+        eigenvalues = numpy.linalg.eigvals(a.astype(float))
+        assert min(abs(eigenvalues - rep.rate)) <= 1e-9 * rep.rate
+    else:
+        assert rep.kind == KIND_POLYNOMIAL and rep.chain_length is None
+        step = numpy.linalg.matrix_power(a, 12) - _int_matrix(numpy.eye(r, dtype=int))
+        w = _exponent_sums(core, r)
+        for _ in range(rep.degree):
+            w = step.dot(w)
+        assert any(w) and not any(step.dot(w))
+
+
+def test_sandwich_settles_random_words():
+    # the property above is vacuous unless the sandwich certifies often
+    params = GrowthParams(iterations=12, cap=20_000)
+    kinds = []
+    for seed in range(60):
+        rep, _, sandwiched = _sandwiched(*_nielsen_case(random.Random(seed), 2 + seed % 2), params)
+        if sandwiched:
+            kinds.append(rep.kind)
+    assert kinds.count(KIND_EXPONENTIAL) >= 3 and kinds.count(KIND_POLYNOMIAL) >= 3
+
+
+def test_sandwich_worked_cases():
+    # a b' stays uncovered by the certificate, and the cap truncates its lengths
+    phi = parse_automorphism("a -> a b a; b -> a b")
+    rep = classify_growth(phi, F.parse("a b'"), GrowthParams(cap=1000))
+    assert not no_cancellation_certificate(phi).covers(F.parse("a b'"))
+    assert rep.kind == KIND_EXPONENTIAL and rep.truncated
+    assert abs(rep.rate - GOLDEN**2) < 1e-12
+    # Φ(b a') = b a a' cancels, so no certificate covers b a'; its degree is 1
+    chain = parse_automorphism("a -> a; b -> b a; c -> c b")
+    rep = classify_growth(chain, chain.basis.parse("b a'"))
+    assert rep.kind == KIND_POLYNOMIAL and rep.degree == 1
+    # the evidence is the heuristic report's: Φ's certificate, no conjugator
+    assert rep.certificate == no_cancellation_certificate(chain)
+    assert rep.conjugator is None and rep.chain_length is None
+
+
+@pytest.mark.parametrize("rules, word, kind, degree", [
+    # commutators: the abelian image is 0, so no lower bound reaches fib's stratum
+    ("a -> a b; b -> a", "a b a' b'", KIND_HEURISTIC_POLYNOMIAL, 0),
+    ("a -> a b; b -> a", "a b a' b' a b a' b' a b' a' b", KIND_HEURISTIC_EXPONENTIAL, None),
+    # fixed, and its abelian image 2a misses b's stratum: the bounds say 0 and 1
+    ("a -> a; b -> b a a", "a' b a a a b'", KIND_HEURISTIC_POLYNOMIAL, 0),
+])
+def test_sandwich_stops_where_the_bounds_part(rules, word, kind, degree):
+    phi = parse_automorphism(rules)
+    rep = classify_growth(phi, phi.basis.parse(word))
+    assert rep.kind == kind and rep.degree == degree
+
+
+def test_sandwich_costs_nothing_on_certified_paths(monkeypatch):
+    calls = []
+    real = growth._krylov
+    monkeypatch.setattr(growth, "_krylov", lambda a, v: calls.append(v) or real(a, v))
+    twisted = compose(inner_automorphism(F, F.parse("a")), FIB)
+    classify_growth(FIB, F.parse("a b"))  # covered by Φ's certificate
+    classify_growth(twisted, F.parse("a"))  # covered by i_h∘Φ's
+    classify_growth(FIB)
+    classify_growth(twisted)
+    classify_growth(parse_endomorphism("a -> a b a' b' a\nb -> a"), params=GrowthParams(cap=10**4))
+    assert calls == []
+    classify_growth(FIB, F.parse("a' b"))
+    assert calls == [[-1, 1]]
+
+
+def test_charpoly_matches_numpy():
+    rng = random.Random(3)
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        assert growth._charpoly(a) == [round(c) for c in numpy.poly(numpy.array(a, dtype=float))]
+
+
+def _product(*factors):
+    p = [1]
+    for f in factors:
+        p = [sum(p[i] * f[k - i] for i in range(len(p)) if 0 <= k - i < len(f))
+             for k in range(len(p) + len(f) - 1)]
+    return p
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=6), st.integers(0, 2),
+       st.integers(-5, 4))
+def test_one_root_above_is_sound(roots, quadratics, t):
+    # (x − r) over the roots, times (x² + 1) per quadratic: no real roots there
+    p = _product(*[[1, -r] for r in roots], *[[1, 0, 1]] * quadratics)
+    if growth._one_root_above(p, t + 0.5):
+        assert sum(r > t + 0.5 for r in roots) == 1
+
+
+def test_one_root_above_pins_perron_roots():
+    for rules, root in [("a -> a b; b -> a", GOLDEN), ("a -> a b; b -> a c; c -> a", 1.839286755214161)]:
+        p = growth._charpoly(transition_matrix(parse_endomorphism(rules)))
+        assert growth._one_root_above(p, root * (1 - 1e-12))
+        assert not growth._one_root_above(p, root * (1 + 1e-12))
+    # x(x − 1)(x − 2): one root above 1.99, two above 0.5
+    assert growth._one_root_above(_product([1, 0], [1, -1], [1, -2]), 1.99)
+    assert not growth._one_root_above(_product([1, 0], [1, -1], [1, -2]), 0.5)
+
+
+def test_poly_gcd_up_to_a_constant():
+    p = _product([1, -1], [1, -1], [1, 2])
+    q = _product([1, -1], [1, 2], [1, 2], [1, 2], [2, 1])
+    g = growth._poly_gcd(p, q)
+    assert g in (_product([1, -1], [1, 2]), [-c for c in _product([1, -1], [1, 2])])
+    assert len(growth._poly_gcd(p, [1, 5])) == 1
+    assert growth._derivative(p) == [3, 0, -3]
+
+
+def test_krylov_gives_the_minimal_polynomial():
+    rng = random.Random(5)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        a = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        v = [rng.randint(-2, 2) for _ in range(k)]
+        mu = growth._krylov(a, v)
+        assert mu[0] == 1
+        am, vm = _int_matrix(a), _int_matrix(v)
+        krylov = [vm]  # v, Av, …, Aᵈv for d = deg μ
+        for _ in range(len(mu) - 1):
+            krylov.append(am.dot(krylov[-1]))
+        assert not any(sum(c * w for c, w in zip(mu, reversed(krylov))))  # μ(A)v = 0
+        lower = numpy.array(krylov[:-1], dtype=float).reshape(len(mu) - 1, k)
+        assert numpy.linalg.matrix_rank(lower) == len(mu) - 1  # and nothing less does
 
 
 # -- growth inside an invariant subgroup ----------------------------------
