@@ -100,10 +100,14 @@ class Endomorphism:
         w = self.images[abs(letter) - 1]
         return w if letter > 0 else w.inverse()
 
-    def apply(self, w: Word) -> Word:
+    def apply(self, w: Word, k: int = 1) -> Word:
+        """Φᵏ(w), one substitution through ``_subst`` or, for k ≠ 1, the
+        kept table T_k, which composes each letter's image on its first
+        lookup by O(log |k|) compositions."""
         if w.basis != self.basis:
             raise BasisMismatchError("word over a different basis")
-        return Word(self.basis, free_reduce(w.letters, self._subst))
+        table = self._subst if k == 1 else self._table(k)
+        return Word(self.basis, free_reduce(w.letters, table))
 
     def _table(self, k: int) -> dict[int, tuple[int, ...]]:
         """T_k, kept with every image it has composed while the map lives:
@@ -114,7 +118,8 @@ class Endomorphism:
         whose images cancel.  Else ±a is the top bit 2ʲ of |k| − 1, which
         halves a power of two or strips k's top bit, so a letter's image
         under any Φᵏ costs O(log |k|) compositions.  Powers,
-        normalization, the Cayley ball and growth's iterates read it."""
+        normalization, fiber saturation, the Cayley ball and growth's
+        iterates read it."""
         tables = getattr(self, "_tables", None)
         if tables is None:
             tables = {0: {x: (x,) for x in self._subst}, 1: self._subst}
@@ -205,11 +210,8 @@ def power(phi: Endomorphism, k: int):
 
 
 def apply_power(phi: Endomorphism, k: int, w: Word) -> Word:
-    """Φᵏ(w), one substitution through the kept table T_k, which composes
-    each letter's image on its first lookup by O(log |k|) compositions."""
-    if w.basis != phi.basis:
-        raise BasisMismatchError("word over a different basis")
-    return Word(phi.basis, free_reduce(w.letters, phi._table(k)))
+    """Φᵏ(w): ``phi.apply(w, k)``."""
+    return phi.apply(w, k)
 
 
 def _inner_normalize(endo: Endomorphism) -> tuple[Endomorphism, Word]:

@@ -13,11 +13,17 @@ states, with naive reduction at the junction.  ``two_way_saturation``
 is the exception: a pinned copy of the package's incremental
 saturation loop as it was when every new entry was mapped both ways,
 kept to show that mapping escapes only onward changes nothing.
+``run_capped`` is tooling, not an oracle: it runs the CLI in a child
+process under an address-space cap and reports the child's peak RSS.
 """
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import product
 
 
@@ -67,6 +73,50 @@ def cyclic_trim(letters) -> tuple[int, ...]:
         lo += 1
         hi -= 1
     return ls[lo:hi]
+
+
+class StepOverrun(Exception):
+    """``PowerSteps`` passed its letter cap."""
+
+
+class PowerSteps:
+    """Φᵏ(x) of signed letters x, stepped one power at a time by direct
+    substitution and kept per letter and sign.  ``letters`` counts the
+    letters fed to each step to a height |k| ≥ 2, Σ|Φ^±1(y)| over the
+    letters y of the image below, as a map composes the images it does
+    not read off; x⁻¹'s image comes with x's.  Passing ``cap`` letters
+    raises StepOverrun."""
+
+    def __init__(self, phi, cap: int):
+        self.maps = {1: image_table(phi), -1: image_table(phi.inverse())}
+        self.columns: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self.letters = 0
+        self.cap = cap
+
+    def image(self, x: int, k: int) -> tuple[int, ...]:
+        sign = 1 if k > 0 else -1
+        column = self.columns.setdefault((sign, abs(x)), [(abs(x),)])
+        step = self.maps[sign]
+        while len(column) <= abs(k):
+            if len(column) > 1:
+                self.charge(sum(len(step[abs(y)]) for y in column[-1]))
+            column.append(substitute(step, column[-1]))
+        img = column[abs(k)]
+        return img if x > 0 else tuple(-y for y in reversed(img))
+
+    def apply(self, k: int, letters) -> tuple[int, ...]:
+        """Φᵏ of a word; a word longer than ``cap`` raises StepOverrun
+        before it is built, as the letters of its images are not counted."""
+        images = [self.image(x, k) for x in letters]
+        if sum(map(len, images)) > self.cap:
+            raise StepOverrun(self.letters)
+        return reduce_letters(y for img in images for y in img)
+
+    def charge(self, letters: int) -> None:
+        """Count letters stepped elsewhere, as a whole word's iterates."""
+        self.letters += letters
+        if self.letters > self.cap:
+            raise StepOverrun(self.letters)
 
 
 def naive_length_sequence(phi, start, n: int, cap: int | None = None) -> list[int]:
@@ -373,3 +423,45 @@ def reference_ball(group, r):
             nbrs.append(j)
         adj.append(tuple(sorted(nbrs)))
     return states, levels, adj
+
+
+# Linux keeps a forked image's high-water RSS across exec, so a child
+# forked from the test process would report that process's size as its
+# own peak: the CLI is forked from this small launcher instead, which
+# reaps it by os.wait4 and writes its exit code and peak to a pipe.
+_LAUNCHER = """
+import os, resource, sys
+report, limit, argv = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3:]
+pid = os.fork()
+if pid == 0:
+    os.close(report)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    os.execv(sys.executable, [sys.executable, "-m", "fgrow.cli", *argv])
+_, status, usage = os.wait4(pid, 0)
+os.write(report, b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+"""
+
+
+def run_capped(argv, limit_mb: int) -> tuple[int, str, str, float]:
+    """(exit code, stdout, stderr, peak RSS in MB) of ``fgrow argv`` run
+    in a child process whose address space ``RLIMIT_AS`` caps at
+    ``limit_mb`` MB.  The cap is set in that child alone, and the peak is
+    the child's own, read by ``os.wait4``: ``RUSAGE_CHILDREN`` would be
+    the largest over every child a process has reaped."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    r, w = os.pipe()
+    with os.fdopen(r) as report:
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", _LAUNCHER, str(w), str(limit_mb << 20), *argv],
+                stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env, pass_fds=(w,),
+            )
+        finally:
+            os.close(w)
+        if done.returncode:
+            raise RuntimeError(f"launcher failed: {done.stderr}")
+        code, peak_kb = map(int, report.read().split())
+    # ru_maxrss is in kilobytes on Linux
+    return code, done.stdout, done.stderr, peak_kb / 1024

@@ -13,6 +13,8 @@ from fgrow.automorphisms import Endomorphism
 from fgrow.cli import main
 from fgrow.words import VerificationError
 
+from helpers import run_capped
+
 FIB = "a -> a b\nb -> a\n"
 WILD = "a -> a b a' b' a\nb -> a\n"
 
@@ -237,19 +239,31 @@ def test_torus_high_exponents_cost_log_k(capsys, monkeypatch, compositions, gens
     # A deterministic work count: every Φᵏ is one substitution through a
     # kept table whose letter images take O(log k) compositions each,
     # where stepping Φ once per unit of k would apply it thousands of times.
+    # Only Φ itself is counted: the k = −1 calls are s^(−3000)'s factors.
     applies = []
     apply = Endomorphism.apply
 
-    def counted(phi, w):
-        applies.append(w)
-        assert len(applies) <= 2 * top.bit_length(), "Φ applied once per unit of k"
-        return apply(phi, w)
+    def counted(phi, w, k=1):
+        if k == 1:
+            applies.append(w)
+            assert len(applies) <= 2 * top.bit_length(), "Φ applied once per unit of k"
+        return apply(phi, w, k)
 
     monkeypatch.setattr(Endomorphism, "apply", counted)
     code, out, err = run(capsys, "torus", "--map", "a -> a; b -> b", "--gens", gens)
     assert (code, out) == (2, "")
     assert err == f"budget exceeded: fiber saturation exceeded the {budget} budget\n"
     assert len(compositions) <= 4 * top.bit_length() * 2
+
+
+@pytest.mark.parametrize("gens", ["c t^60", "c t^1000", "c; c t^60"])
+def test_torus_saturation_reads_only_the_letters_reached(gens):
+    # θ^±1 reads Φ^±n per letter, so saturating ⟨c⟩ needs only c's images;
+    # composing Φ⁶⁰ whole, with |Φ⁶⁰(a)| ≈ 2.5·10¹², ran out of memory
+    argv = ["torus", "--map", "a -> a b; b -> a; c -> c", "--gens", gens]
+    code, out, err, peak_mb = run_capped(argv, 1024)
+    assert (code, err) == (0, "") and out.startswith("intersection basis:")
+    assert peak_mb < 100
 
 
 def test_torus_empty_gens_is_the_trivial_intersection(capsys):

@@ -35,8 +35,6 @@ from fgrow.words import (
     VerificationError,
     Word,
     basis,
-    free_reduce,
-    join,
 )
 
 from helpers import (
@@ -270,9 +268,9 @@ def test_power_steps_each_factor_once(monkeypatch):
     calls = []
     apply = Endomorphism.apply
 
-    def counted(self, w):
+    def counted(self, w, k=1):
         calls.append(w)
-        return apply(self, w)
+        return apply(self, w, k)
 
     monkeypatch.setattr(Endomorphism, "apply", counted)
     fi = fiber_intersection(GID, [GID.normalize("a t^2000"), GID.t()])
@@ -479,33 +477,24 @@ def test_round_past_the_budget_stops_at_its_first_escape(monkeypatch, name, want
     assert (info.value.rounds, info.value.vertices, len(images)) == want
 
 
-def test_group_normalizes_each_power_once(monkeypatch):
-    # θ^±1 read ψ_{±n} off the group: one _inner_normalize per exponent
-    # across every intersection on one torus, however often it is asked
-    exponents = []
-    normalize = mapping_torus._inner_normalize
-
-    def counted(endo):
-        exponents.append(endo)
-        return normalize(endo)
-
-    monkeypatch.setattr(mapping_torus, "_inner_normalize", counted)
-    group = torus_group(FIB)
-    for _ in range(3):
-        fiber_intersection(group, [group.element("b"), group.t()])
-        fiber_intersection(group, [group.element("a b", 2), group.t(-2)])
-    assert exponents == [power(FIB, 1), power(FIB, -1), power(FIB, 2), power(FIB, -2)]
-    assert sorted(group._powers) == [-2, -1, 1, 2]
-    # a second group over the same map keeps its own powers
-    other = torus_group(FIB)
-    fiber_intersection(other, [other.element("b"), other.t()])
-    assert len(exponents) == 6
+def test_saturation_composes_only_the_letters_reached(compositions):
+    # θ^±1 read Φ^±60 per letter off the map's kept tables: saturating
+    # ⟨c⟩ composes c's images alone, where a whole power would need
+    # |Φ⁶⁰(a)| ≈ 2.5·10¹² letters
+    group = torus_group(parse_automorphism("a -> a b; b -> a; c -> c"))
+    fi = fiber_intersection(group, [group.normalize("c"), group.normalize("c t^60")])
+    assert [str(w) for w in fi.graph.free_basis()] == ["c"] and fi.n == 60
+    assert {abs(x) for _, x in compositions} == {3}
+    # one image per height that T_60 or T_−60 splits into
+    for sign in (1, -1):
+        assert len([k for k, _ in compositions if k * sign > 0]) <= 2 * (60).bit_length()
 
 
 def test_kept_powers_do_not_enter_equality():
+    # the tables an intersection leaves on the map are not fields
     kept, fresh = torus_group(FIB), torus_group(parse_automorphism("a -> a b; b -> a"))
-    fiber_intersection(kept, [kept.element("b"), kept.t()])
-    assert kept._powers and not fresh._powers
+    fiber_intersection(kept, [kept.element("a b", 2), kept.t(-2)])
+    assert set(kept.phi._tables) >= {2, -2} and not hasattr(fresh.phi, "_tables")
     assert kept == fresh and hash(kept) == hash(fresh)
     assert kept.element("a b", 1) == fresh.element("a b", 1)
 
@@ -544,17 +533,14 @@ def conjugations(draw):
 @settings(max_examples=150, deadline=None)
 @given(conjugations())
 def test_kept_power_moves_are_conjugation(case):
-    # w ↦ y·ψ_m(w)·y⁻¹ from the kept power is conjugation by s = x·tᵐ,
-    # i_x∘Φᵐ, composed in full, and the move for s⁻¹ is its inverse
+    # s.apply, x·Φᵐ(w)·x⁻¹ off the map's kept table, is conjugation by
+    # s = x·tᵐ, θ = i_x∘Φᵐ composed in full, and s⁻¹'s is θ⁻¹
     group, x, m, w = case
     b = group.basis
     s = group.element(Word(b, x), m)
     theta = compose(inner_automorphism(b, s.w), power(group.phi, m))
-    for g, want in ((s, theta), (s.inverse(), theta.inverse())):
-        y, table, y_inv = group._conjugation(g)
-        assert y_inv == tuple(-a for a in reversed(y))
-        got = join(join(y, free_reduce(w, table)), y_inv)
-        assert got == want.apply(Word(b, w)).letters
+    assert s.apply(Word(b, w)) == theta.apply(Word(b, w))
+    assert s.inverse().apply(Word(b, w)) == theta.inverse().apply(Word(b, w))
 
 
 @pytest.mark.parametrize(
@@ -615,7 +601,7 @@ SATURATION_TORI = {
     "fib": "a -> a b; b -> a",
     "poly": "a -> a; b -> b a",
     "rank3": "a -> b; b -> c; c -> a b",
-    # powers not of least total image length: θ^±1 = i_y∘ψ with ψ ≠ Φ^±n
+    # powers not of least total image length: y cancels into Φ^±n(w) past its ends
     "inner": "a -> b a b'; b -> b",
     "twisted": "a -> b a b'; b -> b a'",
 }
